@@ -336,36 +336,6 @@ def conv2d(x, kernel, bias):
     return _node("conv2d", (x, kernel, bias), fwd, bwd)
 
 
-OP_BUILDERS = {
-    "add": add,
-    "sub": sub,
-    "scale": scale,
-    "mul": mul,
-    "concat_depth": concat_depth,
-    "slice": slice_axis,
-    "conv2d": conv2d,
-    "leaky_relu": leaky_relu,
-    "nearest_upsample2": nearest_upsample2,
-    "avg_pool2": avg_pool2,
-    "mean": mean,
-    "abs_sum": abs_sum,
-    "sq_sum": sq_sum,
-    "weighted_sum": weighted_sum,
-    "sqrt": sqrt,
-    "recip": recip,
-    "reshape": reshape,
-}
-
-
-def op_forward(kind, *inputs, **attrs):
-    """Dispatch an op by kind name; records the result on the tape."""
-    try:
-        builder = OP_BUILDERS[kind]
-    except KeyError:
-        raise ConfigError(f"unknown op kind {kind!r}") from None
-    return builder(*inputs, **attrs)
-
-
 def register_op(op, parents, forward, backward):
     """Record a custom differentiable op (used by dsp/imageops/losses)."""
     return _node(op, tuple(_as_tensor(p) for p in parents), forward, backward)

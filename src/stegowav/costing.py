@@ -85,7 +85,7 @@ def model_cost(cfg):
     plane_h, plane_w = 2 * cfg.image, 2 * cfg.image
     img_h = img_w = cfg.image
     n_rep = _grid_count(cfg)
-    hide_cfg, reveal_cfg = _net_depths(cfg, _GridOnly(n_rep))
+    hide_cfg, reveal_cfg = _net_depths(cfg, n_rep)
 
     if cfg.method == "multichannel":
         hide_macs = nets.unet_mac_count(hide_cfg, img_h, img_w)
@@ -131,23 +131,6 @@ def model_cost(cfg):
         macs_container_stage=int(container_stage),
         macs_image_stage=int(image_stage),
     )
-
-
-class _GridOnly:
-    """Shape stub so _net_depths can run without trainable weights."""
-
-    def __init__(self, count):
-        self.grid = _Count(count)
-
-
-class _Count:
-    def __init__(self, count):
-        self.count = count
-
-
-def count_macs(bundle):
-    """MAC count of a built model (front door over model_cost)."""
-    return model_cost(bundle.cfg).macs
 
 
 def standard_variants(base_cfg):

@@ -9,6 +9,13 @@ annihilated and no overlap-add inverse could recover it.  With the pad, the
 squared-window overlap-add denominator is strictly positive at every
 retained sample for any hop < N, which makes the inverses exact to machine
 precision.
+
+The framing lives here alone, as one adjoint pair: `_frame_signal` (pad,
+slice, window) and `_scatter_frames` (window, overlap-add, trim).
+`_overlap_add` divides the scatter by the squared-window sum, and
+`_gather_frames` is its adjoint.  Each transform has one numpy kernel, called
+by the plain function (`stft`, `istdct`, ...) and by the tape op over raw
+arrays (`stft_mag_op`, `istdct_op`, ...) that pipeline training records.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.fft
 
+from . import autodiff as ad
 from .errors import ConfigError, DataError, UsageError
 
 
@@ -129,34 +137,67 @@ def _frame_signal(x, cfg):
     return padded[idx] * cfg.window_weights()
 
 
-def _overlap_add(frames, cfg, num_samples):
-    """Squared-window-normalized overlap-add; trims the pads back off."""
+def _scatter_frames(frames, cfg, num_samples):
+    """Adjoint of _frame_signal: window, overlap-add, trim the pads back off."""
     t, n = frames.shape
     r = cfg.hop
-    win = cfg.window_weights()
-    total = (t - 1) * r + n
-    acc = np.zeros(total)
-    den = np.zeros(total)
-    wsq = win * win
+    acc = np.zeros((t - 1) * r + n)
+    windowed = frames * cfg.window_weights()
     for m in range(t):
-        acc[m * r:m * r + n] += frames[m] * win
-        den[m * r:m * r + n] += wsq
-    kept = slice(r, r + num_samples)
-    if np.any(den[kept] <= 0.0):
+        acc[m * r:m * r + n] += windowed[m]
+    return acc[r:r + num_samples]
+
+
+def _ola_denominator(cfg, count, num_samples):
+    """Squared-window overlap-add sum of `count` frames over the retained samples."""
+    win = np.broadcast_to(cfg.window_weights(), (count, cfg.frame_length))
+    den = _scatter_frames(win, cfg, num_samples)
+    if np.any(den <= 0.0):
         raise ConfigError(
-            f"overlap-add denominator vanishes inside the signal (hop {r} too large for frame {n})")
-    return acc[kept] / den[kept]
+            f"overlap-add denominator vanishes inside the signal "
+            f"(hop {cfg.hop} too large for frame {cfg.frame_length})")
+    return den
+
+
+def _overlap_add(frames, cfg, num_samples):
+    """Squared-window-normalized overlap-add; trims the pads back off."""
+    return _scatter_frames(frames, cfg, num_samples) / _ola_denominator(
+        cfg, frames.shape[0], num_samples)
+
+
+def _gather_frames(grad, cfg):
+    """Adjoint of _overlap_add: per-sample gradient -> (T, N) frame gradient."""
+    return _frame_signal(grad / _ola_denominator(cfg, cfg.frame_count(grad.size), grad.size), cfg)
+
+
+def _stft_bins(x, cfg):
+    """(T, F) complex spectrum of the framed signal, Nyquist bin dropped."""
+    return np.fft.rfft(_frame_signal(x, cfg), axis=1)[:, :cfg.freq_bins]
+
+
+def _istft_samples(mag, phase, cfg, num_samples):
+    # irfft zero-fills the dropped Nyquist bin
+    z = mag * np.exp(1j * phase)
+    frames = np.fft.irfft(z.T, n=cfg.frame_length, axis=1)
+    return _overlap_add(frames, cfg, num_samples)
+
+
+def _stdct_coeff(x, cfg):
+    """(N, T) orthonormal DCT-II coefficients of the framed signal."""
+    return scipy.fft.dct(_frame_signal(x, cfg), type=2, axis=1, norm="ortho").T.copy()
+
+
+def _istdct_samples(coeff, cfg, num_samples):
+    frames = scipy.fft.idct(coeff.T, type=2, axis=1, norm="ortho")
+    return _overlap_add(frames, cfg, num_samples)
 
 
 def stft(w, cfg):
     """Windowed per-frame DFT; bins 0..N/2-1 kept (Nyquist dropped)."""
-    if len(w) == 0:
-        raise UsageError("stft: empty waveform")
-    frames = _frame_signal(w.samples, cfg)
-    spec = np.fft.rfft(frames, axis=1)[:, :cfg.freq_bins]
+    z = _stft_bins(w.samples, cfg)
     return Spectrogram(
-        magnitude=np.abs(spec).T.copy(),
-        phase=np.angle(spec).T.copy(),
+        magnitude=np.abs(z).T.copy(),
+        phase=np.angle(z).T.copy(),
         config=cfg,
         kind="stft",
         num_samples=len(w),
@@ -168,22 +209,15 @@ def istft(s):
     """Inverse STFT via weighted overlap-add; the dropped Nyquist bin is zero."""
     if s.kind != "stft":
         raise UsageError(f"istft expects kind='stft', got {s.kind!r}")
-    z = s.magnitude * np.exp(1j * s.phase)
-    zfull = np.concatenate([z, np.zeros((1, z.shape[1]), dtype=complex)], axis=0)
-    frames = np.fft.irfft(zfull.T, n=s.config.frame_length, axis=1)
-    samples = _overlap_add(frames, s.config, s.num_samples)
-    return Waveform(samples, s.sample_rate)
+    return Waveform(_istft_samples(s.magnitude, s.phase, s.config, s.num_samples), s.sample_rate)
 
 
 def stdct(w, cfg):
     """Short-time orthonormal DCT-II; all N bins kept as a signed plane."""
-    if len(w) == 0:
-        raise UsageError("stdct: empty waveform")
-    frames = _frame_signal(w.samples, cfg)
-    coeff = scipy.fft.dct(frames, type=2, axis=1, norm="ortho")
+    coeff = _stdct_coeff(w.samples, cfg)
     return Spectrogram(
-        magnitude=coeff.T.copy(),
-        phase=np.zeros_like(coeff.T),
+        magnitude=coeff,
+        phase=np.zeros_like(coeff),
         config=cfg,
         kind="stdct",
         num_samples=len(w),
@@ -194,9 +228,88 @@ def stdct(w, cfg):
 def istdct(s):
     if s.kind != "stdct":
         raise UsageError(f"istdct expects kind='stdct', got {s.kind!r}")
-    frames = scipy.fft.idct(s.magnitude.T, type=2, axis=1, norm="ortho")
-    samples = _overlap_add(frames, s.config, s.num_samples)
-    return Waveform(samples, s.sample_rate)
+    return Waveform(_istdct_samples(s.magnitude, s.config, s.num_samples), s.sample_rate)
+
+
+# ---------------------------------------------------------------------------
+# tape transforms: the kernels above as differentiable ops over raw arrays
+
+
+def istft_op(mag, phase, cfg, num_samples):
+    """Tape-registered inverse STFT over (F, T) magnitude/phase tensors."""
+    if mag.data.shape != phase.data.shape:
+        raise ConfigError(f"istft: magnitude/phase shapes differ: {mag.data.shape} vs {phase.data.shape}")
+
+    def bwd(g, acc):
+        n = cfg.frame_length
+        c = np.fft.rfft(_gather_frames(g, cfg), axis=1)[:, :cfg.freq_bins].T
+        d_re = (2.0 / n) * c.real
+        d_re[0] *= 0.5
+        d_im = (2.0 / n) * c.imag
+        cosp, sinp = np.cos(phase.data), np.sin(phase.data)
+        acc(mag, d_re * cosp + d_im * sinp)
+        acc(phase, mag.data * (d_im * cosp - d_re * sinp))
+
+    return ad.register_op(
+        "istft", (mag, phase),
+        lambda: _istft_samples(mag.data, phase.data, cfg, num_samples), bwd)
+
+
+def istdct_op(coeff, cfg, num_samples):
+    """Tape-registered inverse STDCT over an (N, T) coefficient tensor."""
+
+    def bwd(g, acc):
+        acc(coeff, scipy.fft.dct(_gather_frames(g, cfg), type=2, axis=1, norm="ortho").T)
+
+    return ad.register_op(
+        "istdct", (coeff,), lambda: _istdct_samples(coeff.data, cfg, num_samples), bwd)
+
+
+def _stft_plane_op(kind, wave, cfg):
+    """Shared body of stft_mag_op and stft_phase_op; `kind` names the plane."""
+
+    def fwd():
+        z = _stft_bins(wave.data, cfg)
+        return (np.abs(z) if kind == "stft_mag" else np.angle(z)).T.copy()
+
+    def bwd(g, acc):
+        z = _stft_bins(wave.data, cfg)
+        phi = np.angle(z)
+        if kind == "stft_mag":
+            d_re = g.T * np.cos(phi)
+            d_im = g.T * np.sin(phi)
+        else:
+            mag = np.maximum(np.abs(z), 1e-12)  # guard near zero magnitude
+            d_re = -g.T * np.sin(phi) / mag
+            d_im = g.T * np.cos(phi) / mag
+        # transpose of frame -> one-sided DFT: undo irfft's hermitian
+        # doubling of the interior bins (the dropped Nyquist bin is zero)
+        dz = d_re + 1j * d_im
+        dz[:, 1:] *= 0.5
+        frames = np.fft.irfft(dz, n=cfg.frame_length, axis=1) * cfg.frame_length
+        acc(wave, _scatter_frames(frames, cfg, wave.data.size))
+
+    return ad.register_op(kind, (wave,), fwd, bwd)
+
+
+def stft_mag_op(wave, cfg):
+    """Tape-registered |STFT| of a waveform tensor (Nyquist bin dropped)."""
+    return _stft_plane_op("stft_mag", wave, cfg)
+
+
+def stft_phase_op(wave, cfg):
+    """Tape-registered STFT phase plane of a waveform tensor."""
+    return _stft_plane_op("stft_phase", wave, cfg)
+
+
+def stdct_fwd_op(wave, cfg):
+    """Tape-registered short-time DCT-II of a waveform tensor."""
+
+    def bwd(g, acc):
+        frames = scipy.fft.idct(g.T, type=2, axis=1, norm="ortho")
+        acc(wave, _scatter_frames(frames, cfg, wave.data.size))
+
+    return ad.register_op("stdct_fwd", (wave,), lambda: _stdct_coeff(wave.data, cfg), bwd)
 
 
 def transform(w, cfg, kind):

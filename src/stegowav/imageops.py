@@ -1,9 +1,9 @@
 """Color conversion, luma-buffered pixel shuffle, bilinear resize, replica grids.
 
 Images are float64 arrays of shape (3, H, W) with values in [0, 1]; planes
-are 2-D (H, W) arrays.  The differentiable variants (suffix ``_op``) register
-themselves on the autodiff tape and share the numpy kernels with the plain
-functions.
+are 2-D (H, W) arrays.  Unshuffle, resize and the replica-grid packing exist
+only as tape ops (suffix ``_op``); to apply one to a plain array, wrap it in
+a non-grad ``autodiff.Tensor`` and read ``.data``.
 """
 
 from __future__ import annotations
@@ -89,17 +89,6 @@ def _cells(plane):
     return plane[0::2, 0::2], plane[0::2, 1::2], plane[1::2, 0::2], plane[1::2, 1::2]
 
 
-def unshuffle_with_luma(plane, use_luma=True, clamp=True):
-    """(2H, 2W) plane -> (3, H, W) image; received luma averaged back in."""
-    plane = np.asarray(plane, dtype=np.float64)
-    if plane.ndim != 2 or plane.shape[0] % 2 or plane.shape[1] % 2:
-        raise UsageError(f"expected even-dimensioned 2-D plane, got {plane.shape}")
-    slots = np.stack(_cells(plane))
-    a = _UNSHUFFLE_LUMA if use_luma else _UNSHUFFLE_ZERO
-    out = np.tensordot(a, slots, axes=(1, 0))
-    return np.clip(out, 0.0, 1.0) if clamp else out
-
-
 def unshuffle_op(t, use_luma=True):
     """Tape-registered unshuffle (linear, unclamped) for the training path."""
     a = _UNSHUFFLE_LUMA if use_luma else _UNSHUFFLE_ZERO
@@ -135,15 +124,6 @@ def _interp_matrix(src, dst):
     m[np.arange(dst), i0] = 1.0 - frac
     m[np.arange(dst), i0 + 1] = frac
     return m
-
-
-def bilinear_resize(plane, out_h, out_w):
-    plane = np.asarray(plane, dtype=np.float64)
-    if out_h < 1 or out_w < 1:
-        raise UsageError(f"resize target must be positive, got {out_h}x{out_w}")
-    mr = _interp_matrix(plane.shape[0], out_h)
-    mc = _interp_matrix(plane.shape[1], out_w)
-    return mr @ plane @ mc.T
 
 
 def bilinear_resize_op(t, out_h, out_w):
@@ -201,32 +181,6 @@ def plane_grid_shape(large):
 def channel_grid_shape(large):
     """Replica counts for multichannel: 8 (4x2) small, 32 (8x4) large."""
     return (8, 4) if large else (4, 2)
-
-
-def grid_for(rows, cols, cell_h, cell_w):
-    return ReplicaGrid(rows, cols, cell_h, cell_w)
-
-
-def pack_grid(replicas, grid):
-    """Tile replicas row-major into a (rows*cell_h, cols*cell_w) container."""
-    if len(replicas) != grid.count:
-        raise ConfigError(f"pack_grid: expected {grid.count} replicas, got {len(replicas)}")
-    out = np.empty(grid.container_shape)
-    for idx, rep in enumerate(replicas):
-        rep = np.asarray(rep, dtype=np.float64)
-        if rep.shape != (grid.cell_h, grid.cell_w):
-            raise ConfigError(
-                f"pack_grid: replica {idx} has shape {rep.shape}, expected {(grid.cell_h, grid.cell_w)}")
-        out[grid.block(idx)] = rep
-    return out
-
-
-def unpack_grid(container, grid):
-    container = np.asarray(container, dtype=np.float64)
-    if container.shape != grid.container_shape:
-        raise ConfigError(
-            f"unpack_grid: container shape {container.shape} does not match grid {grid.container_shape}")
-    return [container[grid.block(i)].copy() for i in range(grid.count)]
 
 
 def pack_grid_op(replicas, grid):

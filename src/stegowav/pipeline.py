@@ -16,7 +16,6 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
 from . import autodiff as ad
 from . import dsp
@@ -25,6 +24,7 @@ from . import imageops as iops
 from . import losses as lo
 from . import metrics as me
 from . import networks as nets
+from .dsp import istdct_op, istft_op, stdct_fwd_op, stft_mag_op, stft_phase_op
 from .errors import ConfigError, DataError, NumericError, UsageError
 
 CHECKPOINT_MAGIC = b"PXW2"
@@ -185,24 +185,17 @@ class ModelBundle:
     reveal_cfg: nets.UNetConfig
     params: dict
 
-    def parameters(self):
-        return self.params.items()
-
     def param_count(self):
         return nets.param_count(self.params)
 
-    @property
-    def dual(self):
-        return self.cfg.container == "dual"
 
-
-def _net_depths(cfg, ctx):
+def _net_depths(cfg, replica_count):
     if cfg.method == "multichannel":
-        hide_in, hide_out = 3, ctx.grid.count
-        reveal_in, reveal_out = ctx.grid.count, 3
+        hide_in, hide_out = 3, replica_count
+        reveal_in, reveal_out = replica_count, 3
     elif cfg.method == "ws_replicate":
         hide_in, hide_out = 1, 1
-        reveal_in, reveal_out = ctx.grid.count, 1
+        reveal_in, reveal_out = replica_count, 1
     else:
         hide_in, hide_out = 1, 1
         reveal_in, reveal_out = 1, 1
@@ -212,7 +205,7 @@ def _net_depths(cfg, ctx):
 
 def build_model(cfg):
     ctx = emb.make_context(cfg.method, (cfg.image, cfg.image), cfg.large)
-    hide_cfg, reveal_cfg = _net_depths(cfg, ctx)
+    hide_cfg, reveal_cfg = _net_depths(cfg, ctx.grid.count)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
     params = {}
     prefixes = ("hide_mag", "hide_phase") if cfg.container == "dual" else ("hide",)
@@ -238,147 +231,6 @@ def _validate_geometry(cfg, ctx):
             raise ConfigError(f"{what} extents {h}x{w} not divisible by 2^{cfg.depth}")
     if cfg.transform == "stft" and cfg.frame_length() != 2 * f:
         raise ConfigError("container height inconsistent with stft frame length")
-
-
-# ---------------------------------------------------------------------------
-# differentiable inverse transforms
-
-
-def _ola_denominator(cfg, frames):
-    n, r = cfg.frame_length, cfg.hop
-    win = cfg.window_weights()
-    den = np.zeros((frames - 1) * r + n)
-    wsq = win * win
-    for m in range(frames):
-        den[m * r:m * r + n] += wsq
-    return den
-
-
-def _gather_frames(grad_samples, cfg, frames, num_samples):
-    """Adjoint of the pad/overlap-add/trim chain: padded gradient -> frames."""
-    n, r = cfg.frame_length, cfg.hop
-    den = _ola_denominator(cfg, frames)
-    gp = np.zeros(den.size)
-    gp[r:r + num_samples] = grad_samples / den[r:r + num_samples]
-    idx = np.arange(n)[None, :] + (np.arange(frames) * r)[:, None]
-    return gp[idx] * cfg.window_weights()
-
-
-def istft_op(mag, phase, cfg, num_samples, sample_rate):
-    """Tape-registered inverse STFT over (F, T) magnitude/phase tensors."""
-
-    def fwd():
-        s = dsp.Spectrogram(mag.data, phase.data, cfg, "stft", num_samples, sample_rate)
-        return dsp.istft(s).samples
-
-    def bwd(g, acc):
-        frames = mag.data.shape[1]
-        n = cfg.frame_length
-        gf = _gather_frames(g, cfg, frames, num_samples)
-        c = np.fft.rfft(gf, axis=1)
-        d_re = (2.0 / n) * c.real
-        d_re[:, 0] *= 0.5
-        d_im = (2.0 / n) * c.imag
-        d_re = d_re[:, :cfg.freq_bins].T
-        d_im = d_im[:, :cfg.freq_bins].T
-        cosp, sinp = np.cos(phase.data), np.sin(phase.data)
-        acc(mag, d_re * cosp + d_im * sinp)
-        acc(phase, mag.data * (d_im * cosp - d_re * sinp))
-
-    return ad.register_op("istft", (mag, phase), fwd, bwd)
-
-
-def istdct_op(coeff, cfg, num_samples, sample_rate):
-    """Tape-registered inverse STDCT over an (N, T) coefficient tensor."""
-
-    def fwd():
-        s = dsp.Spectrogram(coeff.data, np.zeros_like(coeff.data), cfg, "stdct",
-                            num_samples, sample_rate)
-        return dsp.istdct(s).samples
-
-    def bwd(g, acc):
-        frames = coeff.data.shape[1]
-        gf = _gather_frames(g, cfg, frames, num_samples)
-        acc(coeff, scipy.fft.dct(gf, type=2, axis=1, norm="ortho").T)
-
-    return ad.register_op("istdct", (coeff,), fwd, bwd)
-
-
-def _scatter_frames(grad_frames, cfg, num_samples):
-    """Adjoint of the pad-and-gather analysis framing: frames -> samples."""
-    n, r = cfg.frame_length, cfg.hop
-    frames = grad_frames.shape[0]
-    buf = np.zeros((frames - 1) * r + n)
-    windowed = grad_frames * cfg.window_weights()
-    for m in range(frames):
-        buf[m * r:m * r + n] += windowed[m]
-    return buf[r:r + num_samples]
-
-
-def _frame_rfft(wave_data, cfg):
-    return np.fft.rfft(dsp._frame_signal(wave_data, cfg), axis=1)
-
-
-def _spectrum_adjoint(d_re, d_im, cfg):
-    """Transpose of frame -> one-sided DFT bins, as per-frame time gradients."""
-    n = cfg.frame_length
-    dz = d_re + 1j * d_im
-    dz[:, 1:n // 2] *= 0.5  # undo irfft's hermitian doubling of interior bins
-    return np.fft.irfft(dz, n=n, axis=1) * n
-
-
-def stft_mag_op(wave, cfg):
-    """Tape-registered |STFT| of a waveform tensor (Nyquist bin dropped)."""
-
-    def fwd():
-        return np.abs(_frame_rfft(wave.data, cfg))[:, :cfg.freq_bins].T.copy()
-
-    def bwd(g, acc):
-        z = _frame_rfft(wave.data, cfg)
-        bins = cfg.freq_bins
-        phi = np.angle(z[:, :bins])
-        d_re = np.zeros((z.shape[0], bins + 1))
-        d_im = np.zeros_like(d_re)
-        d_re[:, :bins] = g.T * np.cos(phi)
-        d_im[:, :bins] = g.T * np.sin(phi)
-        acc(wave, _scatter_frames(_spectrum_adjoint(d_re, d_im, cfg), cfg, wave.data.size))
-
-    return ad.register_op("stft_mag", (wave,), fwd, bwd)
-
-
-def stft_phase_op(wave, cfg):
-    """Tape-registered STFT phase plane; gradient guarded near zero magnitude."""
-
-    def fwd():
-        return np.angle(_frame_rfft(wave.data, cfg))[:, :cfg.freq_bins].T.copy()
-
-    def bwd(g, acc):
-        z = _frame_rfft(wave.data, cfg)
-        bins = cfg.freq_bins
-        zk = z[:, :bins]
-        mag = np.maximum(np.abs(zk), 1e-12)
-        phi = np.angle(zk)
-        d_re = np.zeros((z.shape[0], bins + 1))
-        d_im = np.zeros_like(d_re)
-        d_re[:, :bins] = -g.T * np.sin(phi) / mag
-        d_im[:, :bins] = g.T * np.cos(phi) / mag
-        acc(wave, _scatter_frames(_spectrum_adjoint(d_re, d_im, cfg), cfg, wave.data.size))
-
-    return ad.register_op("stft_phase", (wave,), fwd, bwd)
-
-
-def stdct_fwd_op(wave, cfg):
-    """Tape-registered short-time DCT-II of a waveform tensor."""
-
-    def fwd():
-        frames = dsp._frame_signal(wave.data, cfg)
-        return scipy.fft.dct(frames, type=2, axis=1, norm="ortho").T.copy()
-
-    def bwd(g, acc):
-        gf = scipy.fft.idct(g.T, type=2, axis=1, norm="ortho")
-        acc(wave, _scatter_frames(gf, cfg, wave.data.size))
-
-    return ad.register_op("stdct_fwd", (wave,), fwd, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +275,8 @@ def _cover_spectrogram(bundle, cover):
     need = cfg.required_samples()
     if len(cover) < need:
         raise UsageError(f"cover has {len(cover)} samples; this model requires {need}")
+    if cover.sample_rate != cfg.sample_rate:
+        raise UsageError(f"cover is sampled at {cover.sample_rate} Hz; this model requires {cfg.sample_rate} Hz")
     if len(cover) > need:
         cover = dsp.Waveform(cover.samples[:need].copy(), cover.sample_rate)
     spec = dsp.transform(cover, cfg.stft_config(), cfg.transform)
@@ -455,15 +309,13 @@ def run_pipeline(bundle, secret, cover, with_reveal=True):
         stego_phase = phase0
 
     if cfg.transform == "stft":
-        stego_wave = istft_op(stego_mag, stego_phase, spec.config, spec.num_samples,
-                              spec.sample_rate)
+        stego_wave = istft_op(stego_mag, stego_phase, spec.config, spec.num_samples)
     else:
-        stego_wave = istdct_op(stego_mag, spec.config, spec.num_samples, spec.sample_rate)
+        stego_wave = istdct_op(stego_mag, spec.config, spec.num_samples)
 
     out = {
         "cover": cover,
         "spec": spec,
-        "secret_t": secret_t,
         "mag0": mag0,
         "phase0": phase0,
         "stego_mag": stego_mag,
@@ -516,6 +368,8 @@ def reveal(stego, bundle):
     need = cfg.required_samples()
     if len(stego) != need:
         raise UsageError(f"stego has {len(stego)} samples; this model requires exactly {need}")
+    if stego.sample_rate != cfg.sample_rate:
+        raise UsageError(f"stego is sampled at {stego.sample_rate} Hz; this model requires {cfg.sample_rate} Hz")
     spec = dsp.transform(stego, cfg.stft_config(), cfg.transform)
     return reveal_from_spectrogram(spec, bundle)
 
@@ -722,16 +576,7 @@ def train(dataset, cfg, bundle=None):
         total_acc = 0.0
         terms_acc = {"image_l1": 0.0, "wave_term": 0.0, "mag_l2": 0.0, "phase_l2": 0.0}
         for idx in batch:
-            try:
-                total, terms = _sample_loss(bundle, dataset[idx], loss_cfg)
-            except UsageError as exc:
-                # diverged parameters overflow inside the forward graph before
-                # the loss check can see them
-                if "NaN" in str(exc) or "Inf" in str(exc):
-                    raise NumericError(
-                        f"training aborted at step {step}: term 'forward' is not finite "
-                        f"({exc})") from exc
-                raise
+            total, terms = _sample_loss(bundle, dataset[idx], loss_cfg)
             value = float(total.data)
             if not np.isfinite(value):
                 bad = next((k for k, v in terms.items() if not np.isfinite(v)), "total")
@@ -825,6 +670,13 @@ class _Reader:
     def unpack(self, fmt, what):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
+    def text(self, count, what):
+        start = self.pos
+        try:
+            return self.take(count, what).decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"{self.path}: {what} at byte {start} is not UTF-8") from None
+
 
 def load_checkpoint(path):
     with open(path, "rb") as f:
@@ -836,15 +688,17 @@ def load_checkpoint(path):
     if version != CHECKPOINT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version} at byte 4")
     (config_len,) = reader.unpack("<I", "config length")
-    config_text = reader.take(config_len, "config text").decode("utf-8")
-    cfg = parse_config_text(config_text, source=str(path))
-    bundle = build_model(cfg)
+    config_text = reader.text(config_len, "config text")
+    try:
+        bundle = build_model(parse_config_text(config_text, source=str(path)))
+    except (UsageError, ConfigError) as exc:
+        raise DataError(f"{path}: stored config rejected: {exc}") from exc
     (count,) = reader.unpack("<I", "parameter count")
     if count != len(bundle.params):
         raise DataError(f"{path}: has {count} parameters, model expects {len(bundle.params)}")
     for name in bundle.params:
         (name_len,) = reader.unpack("<H", "parameter name length")
-        stored = reader.take(name_len, "parameter name").decode("utf-8")
+        stored = reader.text(name_len, "parameter name")
         if stored != name:
             raise DataError(f"{path}: parameter {stored!r} at byte {reader.pos}, expected {name!r}")
         (ndim,) = reader.unpack("<B", "ndim")
@@ -854,4 +708,6 @@ def load_checkpoint(path):
             raise DataError(f"{path}: parameter {name!r} has shape {shape}, expected {tensor.data.shape}")
         raw = reader.take(8 * int(np.prod(shape, dtype=np.int64)) if shape else 8, "values")
         tensor.data = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+    if reader.pos != len(reader.data):
+        raise DataError(f"{path}: {len(reader.data) - reader.pos} trailing bytes at byte {reader.pos}")
     return bundle

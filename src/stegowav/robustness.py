@@ -74,7 +74,10 @@ def _sweep_cell(bundle, data, fraction, mode, seed):
 def worker_count():
     env = os.environ.get("STEGOWAV_THREADS", "")
     if env.strip():
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise UsageError(f"STEGOWAV_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from stegowav import autodiff as ad
 from stegowav import dsp
+from stegowav import imageops as iops
 
 
 def nyquist_free_signal(length, cfg, rng):
@@ -39,3 +41,18 @@ def rng():
 
 def make_waveform(samples, sr=8000):
     return dsp.Waveform(np.asarray(samples, dtype=float), sr)
+
+
+# the image-side tape ops applied to plain arrays
+
+
+def unshuffle(plane, use_luma=True):
+    return iops.unshuffle_op(ad.Tensor(plane), use_luma=use_luma).data
+
+
+def pack(replicas, grid):
+    return iops.pack_grid_op([ad.Tensor(r) for r in replicas], grid).data
+
+
+def unpack(container, grid):
+    return [t.data for t in iops.unpack_grid_op(ad.Tensor(container), grid)]

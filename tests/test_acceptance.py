@@ -22,7 +22,7 @@ from stegowav import networks as nets
 from stegowav import pipeline as pl
 from stegowav import robustness as rob
 
-from conftest import nyquist_free_signal
+from conftest import nyquist_free_signal, pack, unpack, unshuffle
 from test_losses import brute_force_soft_dtw
 
 METHODS = ("stretch", "replicate", "w_replicate", "ws_replicate", "multichannel")
@@ -89,24 +89,23 @@ def _registered_op_builders():
     def b_istft(rng):
         mag = pos_leaf(rng, (8, frames))
         ph = ad.Tensor(rng.uniform(-2.5, 2.5, (8, frames)), requires_grad=True)
-        return ad.sq_sum(__import__("stegowav.pipeline", fromlist=["x"]).istft_op(
-            mag, ph, stft_cfg, length, 8000)), [mag, ph]
+        return ad.sq_sum(dsp.istft_op(mag, ph, stft_cfg, length)), [mag, ph]
 
     def b_istdct(rng):
         c = leaf(rng, (16, frames))
-        return ad.sq_sum(pl.istdct_op(c, stft_cfg, length, 8000)), [c]
+        return ad.sq_sum(dsp.istdct_op(c, stft_cfg, length)), [c]
 
     def b_stft_mag(rng):
         w = leaf(rng, (length,))
-        return ad.sq_sum(pl.stft_mag_op(w, stft_cfg)), [w]
+        return ad.sq_sum(dsp.stft_mag_op(w, stft_cfg)), [w]
 
     def b_stft_phase(rng):
         w = ad.Tensor(rng.uniform(0.3, 1.0, size=length), requires_grad=True)
-        return ad.sq_sum(pl.stft_phase_op(w, stft_cfg)), [w]
+        return ad.sq_sum(dsp.stft_phase_op(w, stft_cfg)), [w]
 
     def b_stdct_fwd(rng):
         w = leaf(rng, (length,))
-        return ad.sq_sum(pl.stdct_fwd_op(w, stft_cfg)), [w]
+        return ad.sq_sum(dsp.stdct_fwd_op(w, stft_cfg)), [w]
 
     def b_bilinear(rng):
         t = pos_leaf(rng, (6, 5))
@@ -242,7 +241,7 @@ def test_c04_pixel_shuffle_luma():
     worst_rt = 0.0
     for _ in range(100):
         img = rng.random((3, 8, 8))
-        back = iops.unshuffle_with_luma(iops.shuffle_with_luma(img))
+        back = unshuffle(iops.shuffle_with_luma(img))
         worst_rt = max(worst_rt, np.max(np.abs(back - img)))
     assert worst_rt < 1e-9
 
@@ -256,7 +255,7 @@ def test_c04_pixel_shuffle_luma():
     gray = np.full((3, 4, 4), 0.37)
     plane = iops.shuffle_with_luma(gray)
     assert np.array_equal(plane, np.full((8, 8), 0.37))
-    worst_gray = np.max(np.abs(iops.unshuffle_with_luma(plane) - gray))
+    worst_gray = np.max(np.abs(unshuffle(plane) - gray))
     assert worst_gray <= 5e-16
     print(f"\nACCEPTANCE 4 PASS: shuffle round trip {worst_rt:.2e} (< 1e-9), ycbcr "
           f"{worst_ycc:.2e} (< 1e-9), gray fixed point {worst_gray:.1e} (float64-exact)")
@@ -276,10 +275,10 @@ def test_c05_embedding_geometry():
         assert grid.count == count
         assert grid.container_shape == container_shape
         reps = [rng.random(cell) for _ in range(count)]
-        container = iops.pack_grid(reps, grid)
-        back = iops.unpack_grid(container, grid)
+        container = pack(reps, grid)
+        back = unpack(container, grid)
         assert all(np.array_equal(a, b) for a, b in zip(reps, back))
-        assert np.array_equal(iops.pack_grid(back, grid), container)
+        assert np.array_equal(pack(back, grid), container)
     assert (iops.channel_grid_shape(False)) == (4, 2)
     assert (iops.channel_grid_shape(True)) == (8, 4)
     print("\nACCEPTANCE 5 PASS: pack/unpack exact partitions: 2 replicas (small plane), "

@@ -81,14 +81,6 @@ def test_shared_parent_accumulates():
     assert np.allclose(x.grad, [16.0])
 
 
-def test_op_forward_dispatch():
-    x = ad.Tensor(np.ones(4))
-    y = ad.op_forward("scale", x, 3.0)
-    assert np.array_equal(y.data, 3.0 * np.ones(4))
-    with pytest.raises(ConfigError):
-        ad.op_forward("no_such_op", x)
-
-
 def test_grad_check_linear_chain_is_exact():
     def builder(rng):
         x = ad.Tensor(rng.normal(size=12), requires_grad=True)

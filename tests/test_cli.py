@@ -141,3 +141,53 @@ def test_robustness_dump_dir(workspace, capsys):
     dumps = sorted((ws / "cells").glob("*.ppm"))
     assert len(dumps) == 2
     assert imageops.read_ppm(dumps[0]).shape == (3, 16, 16)
+
+
+def _corrupt_config_byte(raw):
+    raw[12] = 0xFF  # first byte of the stored config text: never valid UTF-8
+    return raw
+
+
+def _corrupt_config_value(raw):
+    start = raw.index(b"transform=stdct")
+    raw[start:start + 15] = b"transform=stdcx"
+    return raw
+
+
+def _corrupt_config_geometry(raw):
+    start = raw.index(b"depth=2")
+    raw[start:start + 7] = b"depth=5"  # 2^5 does not divide the 16x16 image
+    return raw
+
+
+def _append_byte(raw):
+    return raw + b"\x00"
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_config_byte, _corrupt_config_value,
+                                     _corrupt_config_geometry, _append_byte])
+def test_corrupt_checkpoint_exits_2(workspace, capsys, corrupt):
+    ws = workspace
+    cfg = pipeline.parse_config_text(DESK_CFG)
+    pipeline.save_dataset(pipeline.synth_dataset(1, cfg=cfg), ws / "p")
+    pipeline.save_checkpoint(pipeline.build_model(cfg), ws / "m.pxw2")
+    raw = corrupt(bytearray((ws / "m.pxw2").read_bytes()))
+    (ws / "bad.pxw2").write_bytes(bytes(raw))
+    argv = ["embed", "--image", str(ws / "p" / "secret_000.ppm"),
+            "--audio", str(ws / "p" / "cover_000.wav"), "--out", str(ws / "s.wav")]
+    assert run(argv + ["--model", str(ws / "m.pxw2")]) == 0
+    assert run(argv + ["--model", str(ws / "bad.pxw2")]) == 2
+    assert "bad.pxw2" in capsys.readouterr().err
+
+
+def test_cover_sample_rate_mismatch_exits_1(workspace, capsys):
+    ws = workspace
+    cfg = pipeline.parse_config_text(DESK_CFG)
+    pair = pipeline.synth_dataset(1, cfg=cfg)[0]
+    imageops.write_ppm(pair.secret, ws / "secret.ppm")
+    wavio.write_wav(dsp.Waveform(pair.cover.samples, 44100), ws / "cover.wav")
+    pipeline.save_checkpoint(pipeline.build_model(cfg), ws / "m.pxw2")
+    assert run(["embed", "--model", str(ws / "m.pxw2"), "--image", str(ws / "secret.ppm"),
+                "--audio", str(ws / "cover.wav"), "--out", str(ws / "s.wav")]) == 1
+    err = capsys.readouterr().err
+    assert "44100" in err and "16000" in err

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stegowav import dsp
 from stegowav.errors import ConfigError, UsageError
@@ -223,3 +225,54 @@ def test_spectrogram_pgm_roundtrip(tmp_path):
     assert raster.shape == s.shape
     expect = np.flipud(np.round(dsp.log_view(s) * 255.0) / 255.0)
     assert np.allclose(raster, expect, atol=1e-12)
+
+
+# -- the framing adjoint pair -----------------------------------------------
+
+@st.composite
+def framings(draw):
+    """(cfg, num_samples, rng): even N in 4..64, hop in 1..N-1, 2..20 frames
+    (the leading pad puts every signal in at least two), ragged tails."""
+    n = 2 * draw(st.integers(2, 32))
+    hop = draw(st.integers(1, n - 1))
+    frames = draw(st.integers(2, 20))
+    tail = draw(st.integers(0, min(hop - 1, (frames - 2) * hop)))
+    cfg = dsp.StftConfig(n, hop)
+    num_samples = cfg.samples_for_frames(frames) - tail
+    assert cfg.frame_count(num_samples) == frames
+    return cfg, num_samples, np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(deadline=None)
+@given(framings())
+def test_scatter_is_adjoint_of_framing(case):
+    cfg, num_samples, rng = case
+    x = rng.normal(size=num_samples)
+    fx = dsp._frame_signal(x, cfg)
+    y = rng.normal(size=fx.shape)
+    lhs = np.vdot(fx, y)
+    rhs = np.vdot(x, dsp._scatter_frames(y, cfg, num_samples))
+    assert abs(lhs - rhs) <= 1e-9 * np.linalg.norm(fx) * np.linalg.norm(y)
+
+
+@settings(deadline=None)
+@given(framings())
+def test_gather_is_adjoint_of_overlap_add(case):
+    cfg, num_samples, rng = case
+    frames = rng.normal(size=(cfg.frame_count(num_samples), cfg.frame_length))
+    g = rng.normal(size=num_samples)
+    ola = dsp._overlap_add(frames, cfg, num_samples)
+    gathered = dsp._gather_frames(g, cfg)
+    lhs = np.vdot(ola, g)
+    rhs = np.vdot(frames, gathered)
+    assert abs(lhs - rhs) <= 1e-9 * max(np.linalg.norm(ola) * np.linalg.norm(g),
+                                        np.linalg.norm(frames) * np.linalg.norm(gathered))
+
+
+@settings(deadline=None)
+@given(framings())
+def test_stdct_roundtrip_exact(case):
+    cfg, num_samples, rng = case
+    x = rng.normal(size=num_samples)
+    back = dsp.istdct(dsp.stdct(make_waveform(x), cfg))
+    assert np.max(np.abs(back.samples - x)) <= 1e-9

@@ -5,6 +5,8 @@ from stegowav import autodiff as ad
 from stegowav import imageops as iops
 from stegowav.errors import ConfigError, DataError
 
+from conftest import pack, unpack, unshuffle
+
 
 def test_ycbcr_gray_and_black():
     for v in (0.0, 0.3, 1.0):
@@ -30,14 +32,14 @@ def test_shuffle_gray_fixed_point():
     img = np.full((3, 4, 4), 0.5)
     plane = iops.shuffle_with_luma(img)
     assert np.allclose(plane, 0.5, atol=1e-12)
-    assert np.allclose(iops.unshuffle_with_luma(plane), img, atol=1e-12)
+    assert np.allclose(unshuffle(plane), img, atol=1e-12)
 
 
 def test_unshuffle_roundtrip_100_images():
     rng = np.random.default_rng(11)
     for _ in range(100):
         img = rng.random((3, 6, 6))
-        back = iops.unshuffle_with_luma(iops.shuffle_with_luma(img))
+        back = unshuffle(iops.shuffle_with_luma(img))
         assert np.max(np.abs(back - img)) < 1e-9
 
 
@@ -46,7 +48,7 @@ def test_zero_pad_variant_ignores_fourth_slot(rng):
     plane = iops.shuffle_with_luma(img, use_luma=False)
     assert np.all(plane[1::2, 1::2] == 0.0)
     plane[1::2, 1::2] = 0.77  # garbage in the pad slot must not matter
-    back = iops.unshuffle_with_luma(plane, use_luma=False)
+    back = unshuffle(plane, use_luma=False)
     assert np.max(np.abs(back - img)) < 1e-12
 
 
@@ -64,7 +66,7 @@ def test_single_cell_luma_perturbation(rng):
     plane = iops.shuffle_with_luma(img)
     delta = 0.1
     plane[1, 1] += delta  # Y slot of cell (0, 0)
-    out = iops.unshuffle_with_luma(plane, clamp=False)
+    out = unshuffle(plane)
     diff = out - img
     expect = iops._YCBCR_INV @ np.array([delta / 2.0, 0.0, 0.0])
     assert np.allclose(diff[:, 0, 0], expect, atol=1e-12)
@@ -76,9 +78,9 @@ def test_single_cell_luma_perturbation(rng):
 
 def test_bilinear_identity_and_constant(rng):
     x = rng.random((6, 5))
-    assert np.array_equal(iops.bilinear_resize(x, 6, 5), x)
+    assert np.array_equal(iops.bilinear_resize_op(ad.Tensor(x), 6, 5).data, x)
     const = np.full((4, 7), 0.3)
-    assert np.allclose(iops.bilinear_resize(const, 9, 3), 0.3, atol=1e-12)
+    assert np.allclose(iops.bilinear_resize_op(ad.Tensor(const), 9, 3).data, 0.3, atol=1e-12)
 
 
 def test_bilinear_up_down_smooth_error():
@@ -89,8 +91,8 @@ def test_bilinear_up_down_smooth_error():
     k /= k.sum()
     smooth = np.apply_along_axis(lambda r: np.convolve(r, k, mode="same"), 1, noise)
     smooth = np.apply_along_axis(lambda c: np.convolve(c, k, mode="same"), 0, smooth)
-    up = iops.bilinear_resize(smooth, 128, 64)
-    down = iops.bilinear_resize(up, 64, 64)
+    up = iops.bilinear_resize_op(ad.Tensor(smooth), 128, 64).data
+    down = iops.bilinear_resize_op(ad.Tensor(up), 64, 64).data
     rel = np.linalg.norm(down - smooth) / np.linalg.norm(smooth)
     assert rel < 0.05
 
@@ -104,10 +106,12 @@ def test_bilinear_gradient():
 
 
 def test_unshuffle_op_matches_function_and_grad(rng):
+    # oracle: received RGB to YCbCr, average the received Y slot into the
+    # luma, back to RGB unclamped
     plane = rng.random((6, 6))
-    t = ad.Tensor(plane)
-    out = iops.unshuffle_op(t)
-    assert np.allclose(out.data, iops.unshuffle_with_luma(plane, clamp=False), atol=1e-15)
+    ycc = iops.rgb_to_ycbcr(np.stack([plane[0::2, 0::2], plane[0::2, 1::2], plane[1::2, 0::2]]))
+    ycc[0] = (ycc[0] + plane[1::2, 1::2]) / 2.0
+    assert np.allclose(unshuffle(plane), iops.ycbcr_to_rgb(ycc, clamp=False), atol=1e-12)
 
     def builder(r):
         x = ad.Tensor(r.uniform(0.2, 0.8, size=(6, 6)), requires_grad=True)
@@ -119,12 +123,12 @@ def test_unshuffle_op_matches_function_and_grad(rng):
 def test_pack_unpack_exact_partition(rng):
     grid = iops.ReplicaGrid(2, 1, 8, 8)
     reps = [rng.random((8, 8)) for _ in range(2)]
-    container = iops.pack_grid(reps, grid)
+    container = pack(reps, grid)
     assert container.shape == (16, 8)
-    back = iops.unpack_grid(container, grid)
+    back = unpack(container, grid)
     for a, b in zip(reps, back):
         assert np.array_equal(a, b)
-    rebuilt = iops.pack_grid(back, grid)
+    rebuilt = pack(back, grid)
     assert np.array_equal(rebuilt, container)
 
 
@@ -132,12 +136,12 @@ def test_paper_replica_counts():
     # 2 x (512 x 512) -> 1024 x 512 with replica 0 in the low-frequency half
     grid = iops.ReplicaGrid(*iops.plane_grid_shape(False), 512, 512)
     reps = [np.zeros((512, 512)), np.ones((512, 512))]
-    container = iops.pack_grid(reps, grid)
+    container = pack(reps, grid)
     assert container.shape == (1024, 512)
     assert np.all(container[:512] == 0.0) and np.all(container[512:] == 1.0)
     # 8 x (256 x 256) in a 4 x 2 grid -> 1024 x 512
     grid8 = iops.ReplicaGrid(*iops.channel_grid_shape(False), 256, 256)
-    container8 = iops.pack_grid([np.full((256, 256), i) for i in range(8)], grid8)
+    container8 = pack([np.full((256, 256), i) for i in range(8)], grid8)
     assert container8.shape == (1024, 512)
     assert container8[0, 0] == 0 and container8[0, 256] == 1 and container8[768, 256] == 7
 
@@ -145,11 +149,11 @@ def test_paper_replica_counts():
 def test_pack_grid_shape_errors():
     grid = iops.ReplicaGrid(2, 1, 4, 4)
     with pytest.raises(ConfigError):
-        iops.pack_grid([np.zeros((4, 4))], grid)
+        pack([np.zeros((4, 4))], grid)
     with pytest.raises(ConfigError):
-        iops.pack_grid([np.zeros((4, 4)), np.zeros((3, 4))], grid)
+        pack([np.zeros((4, 4)), np.zeros((3, 4))], grid)
     with pytest.raises(ConfigError):
-        iops.unpack_grid(np.zeros((9, 4)), grid)
+        unpack(np.zeros((9, 4)), grid)
 
 
 def test_pack_unpack_ops_gradient():

@@ -124,6 +124,16 @@ def test_embed_cover_length_errors():
         pl.reveal(dsp.Waveform(np.zeros(DESK.required_samples() + 5), 16000), bundle)
 
 
+def test_sample_rate_mismatch_rejected():
+    bundle = pl.build_model(DESK)
+    pair = tiny_pairs(DESK, 1)[0]
+    with pytest.raises(UsageError, match="44100 Hz.*16000 Hz"):
+        pl.embed(pair.secret, dsp.Waveform(pair.cover.samples, 44100), bundle)
+    stego, _ = pl.embed(pair.secret, pair.cover, bundle)
+    with pytest.raises(UsageError, match="8000 Hz.*16000 Hz"):
+        pl.reveal(dsp.Waveform(stego.samples, 8000), bundle)
+
+
 def test_longer_cover_is_trimmed():
     bundle = pl.build_model(DESK)
     pair = tiny_pairs(DESK, 1)[0]

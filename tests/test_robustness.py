@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stegowav import autodiff as ad
 from stegowav import dsp
 from stegowav import embeddings as emb
 from stegowav import imageops as iops
@@ -74,13 +75,12 @@ def test_identity_stub_replica_time_erasure():
     ctx = emb.make_context("replicate", (4, 4), True)
     rng = np.random.default_rng(1)
     wm = rng.random(ctx.plane_hw)
-    container = iops.pack_grid([wm] * ctx.grid.count, ctx.grid)
+    container = iops.pack_grid_op([ad.Tensor(wm)] * ctx.grid.count, ctx.grid).data
     t = ctx.container_shape[1]
     damaged = container.copy()
     cols = np.arange(0, 3)  # inside column block 0 (width t//2)
     assert cols.max() < t // 2
     damaged[:, cols] = 0.0
-    from stegowav import autodiff as ad
     merged = emb.decode_finalize(
         ad.reshape(ad.Tensor(damaged), (1,) + ctx.container_shape), ctx)
     expect = wm.copy()
@@ -133,3 +133,9 @@ def test_worker_count_env(monkeypatch):
     assert rob.worker_count() == 3
     monkeypatch.setenv("STEGOWAV_THREADS", "")
     assert rob.worker_count() >= 1
+
+
+def test_worker_count_rejects_non_integer(monkeypatch):
+    monkeypatch.setenv("STEGOWAV_THREADS", "two")
+    with pytest.raises(UsageError, match="STEGOWAV_THREADS"):
+        rob.worker_count()
