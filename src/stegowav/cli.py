@@ -9,6 +9,7 @@ spectrogram.  Exit codes: 0 success, 1 usage/config error, 2 data/IO error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -196,27 +197,18 @@ def _cmd_robustness(args):
             raise UsageError(f"unknown mode {mode!r}; choose from {robustness.MODES}")
     bundle = pipeline.load_checkpoint(_require(args.model))
     pairs = pipeline.load_dataset(_require(args.data))
-    rows = robustness.robustness_sweep(bundle, pairs, fractions, modes, seed=args.seed)
+    on_cell = None if args.dump_dir is None else functools.partial(_dump_cells, args.dump_dir)
+    rows = robustness.robustness_sweep(bundle, pairs, fractions, modes, seed=args.seed,
+                                       on_cell=on_cell)
     args.out.write_text(robustness.sweep_to_csv(rows), encoding="utf-8")
-    if args.dump_dir is not None:
-        _dump_cells(bundle, pairs, fractions, modes, args.seed, args.dump_dir)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 
-def _dump_cells(bundle, pairs, fractions, modes, seed, directory):
+def _dump_cells(directory, mode, fraction, revealed):
     directory.mkdir(parents=True, exist_ok=True)
-    cfg = bundle.cfg
-    for mode in modes:
-        for fraction in fractions:
-            for i, pair in enumerate(pairs):
-                stego, _ = pipeline.embed(pair.secret, pair.cover, bundle)
-                spec = dsp.transform(stego, cfg.stft_config(), cfg.transform)
-                attacked = robustness.apply_frame_dropout(
-                    spec, robustness.DropoutSpec(fraction, mode, seed))
-                revealed = pipeline.reveal_from_spectrogram(attacked, bundle)
-                name = f"revealed_{mode}_p{fraction:g}_{i:03d}.ppm"
-                imageops.write_ppm(revealed, directory / name)
+    for i, image in enumerate(revealed):
+        imageops.write_ppm(image, directory / f"revealed_{mode}_p{fraction:g}_{i:03d}.ppm")
 
 
 def _cmd_cost(args):

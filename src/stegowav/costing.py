@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from . import imageops as iops
+from . import embeddings as emb
 from . import networks as nets
 from .errors import UsageError
 
@@ -59,23 +59,6 @@ class CostBreakdown:
     macs_image_stage: int
 
 
-def _grid_count(cfg):
-    if cfg.method == "multichannel":
-        rows, cols = iops.channel_grid_shape(cfg.large)
-    else:
-        rows, cols = iops.plane_grid_shape(cfg.large)
-    return rows * cols
-
-
-def _context_weight_count(cfg):
-    n = _grid_count(cfg)
-    if cfg.method == "w_replicate":
-        return 2 * n
-    if cfg.method == "ws_replicate":
-        return n
-    return 0
-
-
 def model_cost(cfg):
     """Parameter and MAC totals for one pipeline configuration."""
     from .pipeline import _net_depths
@@ -84,8 +67,8 @@ def model_cost(cfg):
     f, t = ctx_shape
     plane_h, plane_w = 2 * cfg.image, 2 * cfg.image
     img_h = img_w = cfg.image
-    n_rep = _grid_count(cfg)
-    hide_cfg, reveal_cfg = _net_depths(cfg, n_rep)
+    ctx = emb.make_context(cfg.method, (cfg.image, cfg.image), cfg.large)
+    hide_cfg, reveal_cfg = _net_depths(cfg, ctx.grid.count)
 
     if cfg.method == "multichannel":
         hide_macs = nets.unet_mac_count(hide_cfg, img_h, img_w)
@@ -117,7 +100,7 @@ def model_cost(cfg):
 
     duplication = 2 if cfg.container == "dual" else 1
     params = duplication * (nets.unet_param_count(hide_cfg) + nets.unet_param_count(reveal_cfg))
-    params += _context_weight_count(cfg)
+    params += sum(t.data.size for _, t in ctx.weight_tensors())
     net_container = reveal_macs * duplication if reveal_at_container else 0
     net_image = hide_macs * duplication + (0 if reveal_at_container else reveal_macs * duplication)
     container_stage = container_stage * duplication + net_container

@@ -26,7 +26,8 @@ import numpy as np
 import scipy.fft
 
 from . import autodiff as ad
-from .errors import ConfigError, DataError, UsageError
+from .errors import ConfigError, UsageError
+from .imageops import read_pnm
 
 
 def hann_window(n):
@@ -343,38 +344,4 @@ def write_spectrogram_pgm(s, path):
 
 def read_pgm(path):
     """Read a binary P5 pixmap back into a [0,1] float plane (top row first)."""
-    with open(path, "rb") as f:
-        data = f.read()
-    magic, rest = _pnm_token(data, 0)
-    if magic != b"P5":
-        raise DataError(f"{path}: not a P5 pixmap (magic {magic!r})")
-    w, rest = _pnm_token(data, rest)
-    h, rest = _pnm_token(data, rest)
-    maxval, rest = _pnm_token(data, rest)
-    w, h, maxval = int(w), int(h), int(maxval)
-    if maxval != 255:
-        raise DataError(f"{path}: unsupported maxval {maxval}")
-    raw = data[rest:rest + w * h]
-    if len(raw) < w * h:
-        raise DataError(f"{path}: truncated pixel data")
-    return np.frombuffer(raw, dtype=np.uint8).reshape(h, w).astype(np.float64) / 255.0
-
-
-def _pnm_token(data, pos):
-    """Next whitespace-delimited token, skipping '#' comments; returns (token, next_pos)."""
-    n = len(data)
-    while pos < n:
-        c = data[pos:pos + 1]
-        if c.isspace():
-            pos += 1
-        elif c == b"#":
-            while pos < n and data[pos:pos + 1] != b"\n":
-                pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and not data[pos:pos + 1].isspace():
-        pos += 1
-    if start == pos:
-        raise DataError("truncated pixmap header")
-    return data[start:pos], pos + 1
+    return read_pnm(path, b"P5")[:, :, 0].astype(np.float64) / 255.0

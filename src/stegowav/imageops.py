@@ -238,21 +238,52 @@ def write_ppm(img, path):
 
 
 def read_ppm(path):
-    from .dsp import _pnm_token
+    arr = read_pnm(path, b"P6")
+    return np.clip(arr.transpose(2, 0, 1).astype(np.float64) / 255.0, 0.0, 1.0)
 
+
+_PNM_DEPTH = {b"P5": 1, b"P6": 3}
+
+
+def read_pnm(path, magic):
+    """Binary 8-bit P5 (gray) or P6 (RGB) raster -> uint8 array (H, W, depth)."""
     with open(path, "rb") as f:
         data = f.read()
-    magic, pos = _pnm_token(data, 0)
-    if magic != b"P6":
-        raise DataError(f"{path}: not a P6 pixmap (magic {magic!r})")
-    w, pos = _pnm_token(data, pos)
-    h, pos = _pnm_token(data, pos)
-    maxval, pos = _pnm_token(data, pos)
-    w, h, maxval = int(w), int(h), int(maxval)
+    found, pos = _pnm_token(data, 0, path, "magic")
+    if found != magic:
+        raise DataError(f"{path}: not a {magic.decode()} pixmap (magic {found!r})")
+    fields = []
+    for what in ("width", "height", "maxval"):
+        token, pos = _pnm_token(data, pos, path, what)
+        if not token.isdigit() or len(token) > 9 or int(token) == 0:
+            raise DataError(f"{path}: pixmap {what} {token!r} is not a positive integer "
+                            f"of at most 9 digits")
+        fields.append(int(token))
+    w, h, maxval = fields
     if maxval != 255:
         raise DataError(f"{path}: unsupported maxval {maxval}")
-    raw = data[pos:pos + 3 * w * h]
-    if len(raw) < 3 * w * h:
+    size = _PNM_DEPTH[magic] * w * h
+    raw = data[pos:pos + size]
+    if len(raw) < size:
         raise DataError(f"{path}: truncated pixel data")
-    arr = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3)
-    return np.clip(arr.transpose(2, 0, 1).astype(np.float64) / 255.0, 0.0, 1.0)
+    return np.frombuffer(raw, dtype=np.uint8).reshape(h, w, _PNM_DEPTH[magic])
+
+
+def _pnm_token(data, pos, path, what):
+    """Next whitespace-delimited token, skipping '#' comments; returns (token, next_pos)."""
+    n = len(data)
+    while pos < n:
+        c = data[pos:pos + 1]
+        if c.isspace():
+            pos += 1
+        elif c == b"#":
+            while pos < n and data[pos:pos + 1] != b"\n":
+                pos += 1
+        else:
+            break
+    start = pos
+    while pos < n and not data[pos:pos + 1].isspace():
+        pos += 1
+    if start == pos:
+        raise DataError(f"{path}: pixmap header truncated before its {what}")
+    return data[start:pos], pos + 1

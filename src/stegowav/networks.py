@@ -32,6 +32,8 @@ class UNetConfig:
             raise ConfigError(f"unet depth must be >= 1, got {self.depth}")
         if self.kernel % 2 == 0 or self.kernel < 1:
             raise ConfigError(f"unet kernel must be odd, got {self.kernel}")
+        if self.base_channels < 1:
+            raise ConfigError(f"unet channels must be >= 1, got {self.base_channels}")
 
 
 @dataclass(frozen=True)

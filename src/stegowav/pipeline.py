@@ -706,8 +706,14 @@ def load_checkpoint(path):
         tensor = bundle.params[name]
         if shape != tensor.data.shape:
             raise DataError(f"{path}: parameter {name!r} has shape {shape}, expected {tensor.data.shape}")
+        start = reader.pos
         raw = reader.take(8 * int(np.prod(shape, dtype=np.int64)) if shape else 8, "values")
-        tensor.data = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+        values = np.frombuffer(raw, dtype="<f8")
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise DataError(f"{path}: parameter {name!r} holds non-finite value "
+                            f"{values[bad[0]]} at byte {start + 8 * int(bad[0])}")
+        tensor.data = values.reshape(shape).astype(np.float64)
     if reader.pos != len(reader.data):
         raise DataError(f"{path}: {len(reader.data) - reader.pos} trailing bytes at byte {reader.pos}")
     return bundle

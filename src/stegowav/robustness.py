@@ -1,16 +1,17 @@
 """Frame-dropout attack harness: zero temporal frames of the stego
 spectrogram, decode what survives, and measure the damage.
 
-Dropping a frame zeroes its magnitude column only; with zero magnitude the
-phase no longer influences the inverse transform, so this matches erasing
-the spectral content outright.  Cover content in dropped frames is lost
-along with the watermark.
+The sweep is one serial pass: each pair is embedded and analysed once, and
+every (mode, fraction) cell attacks a copy of that cached spectrogram, so a
+cell costs one reveal per pair.  Dropping a frame zeroes its magnitude
+column only; with zero magnitude the phase no longer influences the inverse
+transform, so this matches erasing the spectral content outright.  Cover
+content in dropped frames is lost along with the watermark.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,20 +59,18 @@ def apply_frame_dropout(spec, drop):
     return spec.with_planes(magnitude=mag)
 
 
-def _sweep_cell(bundle, data, fraction, mode, seed):
-    ssims, psnrs = [], []
-    cfg = bundle.cfg
-    for pair in data:
-        stego, _ = pl.embed(pair.secret, pair.cover, bundle)
-        spec = dsp.transform(stego, cfg.stft_config(), cfg.transform)
-        attacked = apply_frame_dropout(spec, DropoutSpec(fraction, mode, seed))
-        revealed = pl.reveal_from_spectrogram(attacked, bundle)
-        ssims.append(me.ssim(pair.secret, revealed))
-        psnrs.append(me.psnr_db(pair.secret, revealed))
-    return float(np.mean(ssims)), float(np.mean(psnrs))
+def _sweep_cell(bundle, specs, fraction, mode, seed):
+    """Revealed images of one cell: each cached spectrogram under one attack."""
+    drop = DropoutSpec(fraction, mode, seed)
+    return [pl.reveal_from_spectrogram(apply_frame_dropout(spec, drop), bundle) for spec in specs]
 
 
 def worker_count():
+    """Thread count from STEGOWAV_THREADS, else the CPU count.
+
+    The sweep is serial; the benchmark's environment report is the only
+    caller left.
+    """
     env = os.environ.get("STEGOWAV_THREADS", "")
     if env.strip():
         try:
@@ -81,25 +80,31 @@ def worker_count():
     return os.cpu_count() or 1
 
 
-def robustness_sweep(bundle, data, fractions=DEFAULT_FRACTIONS, modes=MODES, seed=0):
-    """One aggregated row per (mode, fraction), ordered deterministically."""
-    cells = [(mode, fraction) for mode in modes for fraction in fractions]
-    workers = worker_count()
-    if workers > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda c: _sweep_cell(bundle, data, c[1], c[0], seed), cells))
-    else:
-        results = [_sweep_cell(bundle, data, fraction, mode, seed) for mode, fraction in cells]
+def robustness_sweep(bundle, data, fractions=DEFAULT_FRACTIONS, modes=MODES, seed=0,
+                     on_cell=None):
+    """One aggregated row per (mode, fraction), ordered deterministically.
+
+    `on_cell(mode, fraction, revealed)`, when given, receives each cell's
+    revealed images in pair order.
+    """
+    cfg = bundle.cfg
+    specs = [dsp.transform(pl.embed(pair.secret, pair.cover, bundle)[0],
+                           cfg.stft_config(), cfg.transform) for pair in data]
     rows = []
-    for (mode, fraction), (mean_ssim, mean_psnr) in zip(cells, results):
-        rows.append({
-            "method": bundle.cfg.method,
-            "mode": mode,
-            "keep_fraction": fraction,
-            "mean_ssim": mean_ssim,
-            "mean_psnr_db": mean_psnr,
-        })
+    for mode in modes:
+        for fraction in fractions:
+            revealed = _sweep_cell(bundle, specs, fraction, mode, seed)
+            if on_cell is not None:
+                on_cell(mode, fraction, revealed)
+            ssims = [me.ssim(pair.secret, image) for pair, image in zip(data, revealed)]
+            psnrs = [me.psnr_db(pair.secret, image) for pair, image in zip(data, revealed)]
+            rows.append({
+                "method": cfg.method,
+                "mode": mode,
+                "keep_fraction": fraction,
+                "mean_ssim": float(np.mean(ssims)),
+                "mean_psnr_db": float(np.mean(psnrs)),
+            })
     return rows
 
 

@@ -20,11 +20,16 @@ def read_wav(path):
             channels = f.getnchannels()
             width = f.getsampwidth()
             rate = f.getframerate()
-            raw = f.readframes(f.getnframes())
-    except (wave.Error, EOFError, OSError) as exc:
+            frames = f.getnframes()
+            raw = f.readframes(frames)
+    except (wave.Error, EOFError, OSError, RuntimeError) as exc:
+        # RuntimeError: the chunk reader seeking past a corrupt chunk size
         raise DataError(f"{path}: not a readable WAV file ({exc})") from exc
     if channels != 1 or width != 2:
         raise DataError(f"{path}: expected mono 16-bit PCM, got {channels} ch x {8 * width} bit")
+    if len(raw) != 2 * frames:
+        raise DataError(f"{path}: header declares {frames} frames but the data chunk "
+                        f"holds {len(raw)} bytes")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return Waveform(samples, rate)
 

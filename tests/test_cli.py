@@ -1,8 +1,13 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from stegowav import dsp, imageops, metrics, pipeline, wavio
+from stegowav import dsp, imageops, metrics, pipeline, robustness, wavio
 from stegowav.cli import run
+from stegowav.errors import DataError, StegoError
 
 DESK_CFG = """# desk test profile
 method=replicate
@@ -139,8 +144,17 @@ def test_robustness_dump_dir(workspace, capsys):
                 "--dump-dir", str(ws / "cells")]) == 0
     capsys.readouterr()
     dumps = sorted((ws / "cells").glob("*.ppm"))
-    assert len(dumps) == 2
-    assert imageops.read_ppm(dumps[0]).shape == (3, 16, 16)
+    assert [d.name for d in dumps] == ["revealed_sequential_p0.5_000.ppm",
+                                       "revealed_sequential_p0.5_001.ppm"]
+    # each dump holds the cell's own reveal: embed, analyse, drop, reveal
+    bundle = pipeline.load_checkpoint(ws / "m.pxw2")
+    cfg = bundle.cfg
+    for pair, dump in zip(pipeline.load_dataset(ws / "p"), dumps):
+        stego, _ = pipeline.embed(pair.secret, pair.cover, bundle)
+        spec = dsp.transform(stego, cfg.stft_config(), cfg.transform)
+        attacked = robustness.apply_frame_dropout(spec, robustness.DropoutSpec(0.5, "sequential"))
+        imageops.write_ppm(pipeline.reveal_from_spectrogram(attacked, bundle), ws / "expect.ppm")
+        assert dump.read_bytes() == (ws / "expect.ppm").read_bytes()
 
 
 def _corrupt_config_byte(raw):
@@ -160,12 +174,19 @@ def _corrupt_config_geometry(raw):
     return raw
 
 
+def _corrupt_config_channels(raw):
+    start = raw.index(b"channels=8")
+    raw[start:start + 10] = b"channels=0"  # one bit flip away; no layer can be built
+    return raw
+
+
 def _append_byte(raw):
     return raw + b"\x00"
 
 
 @pytest.mark.parametrize("corrupt", [_corrupt_config_byte, _corrupt_config_value,
-                                     _corrupt_config_geometry, _append_byte])
+                                     _corrupt_config_geometry, _corrupt_config_channels,
+                                     _append_byte])
 def test_corrupt_checkpoint_exits_2(workspace, capsys, corrupt):
     ws = workspace
     cfg = pipeline.parse_config_text(DESK_CFG)
@@ -178,6 +199,73 @@ def test_corrupt_checkpoint_exits_2(workspace, capsys, corrupt):
     assert run(argv + ["--model", str(ws / "m.pxw2")]) == 0
     assert run(argv + ["--model", str(ws / "bad.pxw2")]) == 2
     assert "bad.pxw2" in capsys.readouterr().err
+
+
+def test_nonfinite_checkpoint_exits_2(workspace, capsys):
+    ws = workspace
+    cfg = pipeline.parse_config_text(DESK_CFG)
+    pipeline.save_dataset(pipeline.synth_dataset(1, cfg=cfg), ws / "p")
+    bundle = pipeline.build_model(cfg)
+    assert list(bundle.params)[-1] == "reveal.head.b"
+    pipeline.save_checkpoint(bundle, ws / "m.pxw2")
+    raw = bytearray((ws / "m.pxw2").read_bytes())
+    raw[-8:] = struct.pack("<d", float("nan"))
+    (ws / "bad.pxw2").write_bytes(bytes(raw))
+    embed = ["embed", "--image", str(ws / "p" / "secret_000.ppm"),
+             "--audio", str(ws / "p" / "cover_000.wav"), "--out", str(ws / "s.wav")]
+    assert run(embed + ["--model", str(ws / "m.pxw2")]) == 0
+    capsys.readouterr()
+    reveal = ["reveal", "--audio", str(ws / "s.wav"), "--out", str(ws / "r.ppm")]
+    for argv in (embed, reveal):
+        assert run(argv + ["--model", str(ws / "bad.pxw2")]) == 2
+        err = capsys.readouterr().err
+        assert "'reveal.head.b'" in err and f"byte {len(raw) - 8}" in err
+    assert not (ws / "r.ppm").exists()
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """One valid file of each kind the CLI reads, keyed by suffix."""
+    d = tmp_path_factory.mktemp("valid")
+    cfg = pipeline.parse_config_text(DESK_CFG)
+    pair = pipeline.synth_dataset(1, cfg=cfg)[0]
+    imageops.write_ppm(pair.secret, d / "f.ppm")
+    dsp.write_spectrogram_pgm(dsp.transform(pair.cover, cfg.stft_config(), cfg.transform),
+                              d / "f.pgm")
+    wavio.write_wav(pair.cover, d / "f.wav")
+    pipeline.save_checkpoint(pipeline.build_model(cfg), d / "f.pxw2")
+    return {p.suffix: p.read_bytes() for p in d.iterdir()}
+
+
+READERS = {".ppm": imageops.read_ppm, ".pgm": dsp.read_pgm, ".wav": wavio.read_wav,
+           ".pxw2": pipeline.load_checkpoint}
+
+
+@pytest.mark.parametrize("suffix", sorted(READERS))
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_corrupt_files_raise_only_package_errors(valid_files, tmp_path, suffix, data):
+    raw = bytearray(valid_files[suffix])
+    if data.draw(st.booleans(), label="truncate"):
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        pos = data.draw(st.integers(0, min(600, len(raw)) - 1), label="byte")
+        raw[pos] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+    path = tmp_path / f"corrupt{suffix}"
+    path.write_bytes(bytes(raw))
+    try:
+        READERS[suffix](path)
+    except (StegoError, OSError):
+        pass
+
+
+def test_wav_corrupt_chunk_size_is_data_error(valid_files, tmp_path):
+    raw = bytearray(valid_files[".wav"])
+    raw[17] ^= 0x80  # the fmt chunk size now points past the end of the file
+    (tmp_path / "bad.wav").write_bytes(bytes(raw))
+    with pytest.raises(DataError, match="bad.wav"):
+        wavio.read_wav(tmp_path / "bad.wav")
 
 
 def test_cover_sample_rate_mismatch_exits_1(workspace, capsys):

@@ -128,6 +128,21 @@ def test_sweep_deterministic_across_runs(trained_desk):
     assert r1 == r2
 
 
+def test_sweep_embeds_each_pair_once(trained_desk, monkeypatch):
+    bundle, pairs = trained_desk
+    calls = []
+    real_embed = pl.embed
+
+    def counting_embed(*args):
+        calls.append(1)
+        return real_embed(*args)
+
+    monkeypatch.setattr(pl, "embed", counting_embed)
+    rows = rob.robustness_sweep(bundle, pairs, fractions=(1.0, 0.5), modes=rob.MODES)
+    assert len(rows) == 4
+    assert len(calls) == len(pairs)
+
+
 def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("STEGOWAV_THREADS", "3")
     assert rob.worker_count() == 3
