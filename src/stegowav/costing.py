@@ -63,51 +63,36 @@ def model_cost(cfg):
     """Parameter and MAC totals for one pipeline configuration."""
     from .pipeline import _net_depths
 
-    ctx_shape = cfg.container_shape()
-    f, t = ctx_shape
-    plane_h, plane_w = 2 * cfg.image, 2 * cfg.image
-    img_h = img_w = cfg.image
     ctx = emb.make_context(cfg.method, (cfg.image, cfg.image), cfg.large)
+    f, t = ctx.container_shape
+    plane_px = ctx.plane_hw[0] * ctx.plane_hw[1]
+    image_px = cfg.image * cfg.image
     hide_cfg, reveal_cfg = _net_depths(cfg, ctx.grid.count)
 
-    if cfg.method == "multichannel":
-        hide_macs = nets.unet_mac_count(hide_cfg, img_h, img_w)
-        reveal_macs = nets.unet_mac_count(reveal_cfg, img_h, img_w)
-        reveal_at_container = False
-    elif cfg.method == "ws_replicate":
-        hide_macs = nets.unet_mac_count(hide_cfg, plane_h, plane_w)
-        reveal_macs = nets.unet_mac_count(reveal_cfg, plane_h, plane_w)
-        reveal_at_container = False
-    else:
-        hide_macs = nets.unet_mac_count(hide_cfg, plane_h, plane_w)
-        reveal_macs = nets.unet_mac_count(reveal_cfg, f, t)
-        reveal_at_container = True
-
-    container_px = f * t
-    plane_px = plane_h * plane_w
+    # both networks run per replica cell, except that the container-merging
+    # methods reveal from the whole container; the
     # arrange/merge/resize stages cost 1 MAC per output element, uniformly:
     # encode_arrange always emits a container (upsample, packed copies, or
     # scaled copies alike), so stretch and replicate stay exactly equal
-    container_stage = container_px      # residual add onto the cover plane
-    container_stage += container_px     # encode_arrange output
-    image_stage = 0
+    container_stage = 2 * f * t         # encode_arrange output + residual add onto the cover
+    image_stage = nets.unet_mac_count(hide_cfg, ctx.grid.cell_h, ctx.grid.cell_w)
     if cfg.method in ("stretch", "replicate", "w_replicate"):
+        container_stage += nets.unet_mac_count(reveal_cfg, f, t)  # reveal at container size
         image_stage += plane_px         # finalize: downsample or replica merge
     else:
-        container_stage += container_px  # decode_prepare unpack/stack
+        container_stage += f * t        # decode_prepare unpack/stack
+        image_stage += nets.unet_mac_count(reveal_cfg, ctx.grid.cell_h, ctx.grid.cell_w)
     if cfg.method != "multichannel":
-        image_stage += 3 * img_h * img_w  # pixel unshuffle back to RGB
+        image_stage += 3 * image_px     # pixel unshuffle back to RGB
 
-    duplication = 2 if cfg.container == "dual" else 1
+    duplication = len(cfg.planes())     # one hiding/revealing pair per active plane
     params = duplication * (nets.unet_param_count(hide_cfg) + nets.unet_param_count(reveal_cfg))
-    params += sum(t.data.size for _, t in ctx.weight_tensors())
-    net_container = reveal_macs * duplication if reveal_at_container else 0
-    net_image = hide_macs * duplication + (0 if reveal_at_container else reveal_macs * duplication)
-    container_stage = container_stage * duplication + net_container
-    image_stage = image_stage * duplication + net_image
-    if cfg.container == "dual":
+    params += sum(w.data.size for _, w in ctx.weight_tensors())
+    container_stage *= duplication
+    image_stage *= duplication
+    if duplication == 2:  # the 3-weight coupler and its two MACs per revealed pixel
         params += 3
-        image_stage += 2 * (3 * img_h * img_w if cfg.method == "multichannel" else plane_px)
+        image_stage += 2 * (3 * image_px if cfg.method == "multichannel" else plane_px)
     return CostBreakdown(
         params=int(params),
         macs=int(container_stage + image_stage),

@@ -20,7 +20,7 @@ arrays (`stft_mag_op`, `istdct_op`, ...) that pipeline training records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
@@ -96,14 +96,14 @@ class Waveform:
 class Spectrogram:
     """Magnitude/phase planes of shape (F, T) plus the transform setup.
 
-    kind == "stdct" stores signed DCT coefficients in `magnitude` and keeps
-    `phase` all-zero.  The magnitude invariant (>= 0) holds for transform
-    output; stego spectrograms built by residual addition may dip negative,
-    which the inverse handles as a phase flip.
+    kind == "stdct" stores signed DCT coefficients in `magnitude` and has no
+    phase plane (`phase is None`).  The magnitude invariant (>= 0) holds for
+    transform output; stego spectrograms built by residual addition may dip
+    negative, which the inverse handles as a phase flip.
     """
 
     magnitude: np.ndarray
-    phase: np.ndarray
+    phase: np.ndarray | None
     config: StftConfig
     kind: str
     num_samples: int
@@ -112,20 +112,16 @@ class Spectrogram:
     def __post_init__(self):
         if self.kind not in ("stft", "stdct"):
             raise UsageError(f"unknown spectrogram kind {self.kind!r}")
-        if self.magnitude.shape != self.phase.shape:
+        if (self.phase is None) != (self.kind == "stdct"):
+            raise ConfigError(f"{self.kind} spectrogram "
+                              f"{'needs a' if self.phase is None else 'cannot have a'} phase plane")
+        if self.phase is not None and self.magnitude.shape != self.phase.shape:
             raise ConfigError(
                 f"magnitude/phase shapes differ: {self.magnitude.shape} vs {self.phase.shape}")
 
     @property
     def shape(self):
         return self.magnitude.shape
-
-    def with_planes(self, magnitude=None, phase=None):
-        return replace(
-            self,
-            magnitude=self.magnitude if magnitude is None else magnitude,
-            phase=self.phase if phase is None else phase,
-        )
 
 
 def _frame_signal(x, cfg):
@@ -218,7 +214,7 @@ def stdct(w, cfg):
     coeff = _stdct_coeff(w.samples, cfg)
     return Spectrogram(
         magnitude=coeff,
-        phase=np.zeros_like(coeff),
+        phase=None,
         config=cfg,
         kind="stdct",
         num_samples=len(w),

@@ -43,11 +43,6 @@ class EmbeddingContext:
     def container_shape(self):
         return self.grid.container_shape
 
-    @property
-    def channels(self):
-        """Watermark depth produced by the hiding network."""
-        return self.grid.count if self.method == "multichannel" else 1
-
     def weight_tensors(self):
         out = []
         if self.enc_weights is not None:
@@ -57,24 +52,26 @@ class EmbeddingContext:
         return out
 
 
-def make_context(method, image_hw, large):
-    """Build the replica grid and trainable weights for one method/size."""
+def replica_grid(method, image_hw, large):
+    """The replica grid, and so the container shape, of one method/size."""
     if method not in METHODS:
         raise ConfigError(f"unknown embedding method {method!r}")
     h, w = image_hw
     if method == "multichannel":
-        rows, cols = iops.channel_grid_shape(large)
-        grid = iops.ReplicaGrid(rows, cols, h, w)
-    else:
-        # stretch shares the replicate container so sizes stay comparable
-        rows, cols = iops.plane_grid_shape(large)
-        grid = iops.ReplicaGrid(rows, cols, 2 * h, 2 * w)
+        return iops.ReplicaGrid(*iops.channel_grid_shape(large), h, w)
+    # stretch shares the replicate container so sizes stay comparable
+    return iops.ReplicaGrid(*iops.plane_grid_shape(large), 2 * h, 2 * w)
+
+
+def make_context(method, image_hw, large):
+    """Build the replica grid and trainable weights for one method/size."""
+    grid = replica_grid(method, image_hw, large)
     enc = dec = None
     if method in ("w_replicate", "ws_replicate"):
         enc = ad.Tensor(np.ones(grid.count), requires_grad=True)
     if method == "w_replicate":
         dec = ad.Tensor(np.ones(grid.count), requires_grad=True)
-    return EmbeddingContext(method, (h, w), large, grid, enc, dec)
+    return EmbeddingContext(method, tuple(image_hw), large, grid, enc, dec)
 
 
 def _check_plane(t, hw, what):

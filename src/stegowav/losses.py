@@ -26,7 +26,6 @@ class LossConfig:
     theta: float = 0.5
     gamma: float = 1.0
     waveform_loss: str = "l1"
-    container_kind: str = "magnitude"
 
     def __post_init__(self):
         if not 0.0 <= self.beta <= 1.0:
@@ -39,8 +38,6 @@ class LossConfig:
             raise ConfigError(f"gamma must be > 0, got {self.gamma}")
         if self.waveform_loss not in ("l1", "soft_dtw"):
             raise ConfigError(f"unknown waveform loss {self.waveform_loss!r}")
-        if self.container_kind not in ("magnitude", "phase", "dual"):
-            raise ConfigError(f"unknown container kind {self.container_kind!r}")
 
 
 def l1(a, b):
@@ -175,43 +172,31 @@ def waveform_term(cfg, w, w_stego):
     return l1(w, w_stego)
 
 
-def composite_loss(cfg, secret, revealed, wave, wave_stego, mag, mag_stego,
-                   phase=None, phase_stego=None):
+def composite_loss(cfg, secret, revealed, wave, wave_stego, planes):
     """Total objective plus a float breakdown of its terms.
 
-    Single-container: beta*l1(s,s') + lambda*wave(w,w') + (1-beta)*l2(M,M')
-    where M is the active plane.  Dual: the waveform term is fixed to l1 and
-    the spectral term splits (1-theta)/theta between magnitude and phase.
+    beta*l1(s,s') + lambda*wave(w,w') + spectral, where `planes` maps each
+    active plane name to its (cover, stego) tensors.  One plane adds
+    (1-beta)*l2(P,P'); two planes split (1-beta) as (1-theta) for the
+    magnitude and theta for the phase.
     """
-    if cfg.container_kind == "dual":
-        if phase is None or phase_stego is None:
-            raise UsageError("dual-container loss requires phase planes")
-        img = l1(secret, revealed)
-        wav = l1(wave, wave_stego)
-        mterm = l2(mag, mag_stego)
-        pterm = l2(phase, phase_stego)
-        total = ad.add(
-            ad.add(ad.scale(img, cfg.beta), ad.scale(wav, cfg.lam)),
-            ad.add(ad.scale(mterm, (1.0 - cfg.beta) * (1.0 - cfg.theta)),
-                   ad.scale(pterm, (1.0 - cfg.beta) * cfg.theta)),
-        )
-        terms = {
-            "image_l1": float(img.data),
-            "wave_term": float(wav.data),
-            "mag_l2": float(mterm.data),
-            "phase_l2": float(pterm.data),
-        }
-        return total, terms
-
+    if not planes or not set(planes) <= {"magnitude", "phase"}:
+        raise UsageError(f"composite_loss: planes must be magnitude and/or phase, got {list(planes)}")
+    if len(planes) == 1:
+        weights = {plane: 1.0 - cfg.beta for plane in planes}
+    else:
+        weights = {"magnitude": (1.0 - cfg.beta) * (1.0 - cfg.theta),
+                   "phase": (1.0 - cfg.beta) * cfg.theta}
     img = l1(secret, revealed)
     wav = waveform_term(cfg, wave, wave_stego)
-    spec = l2(mag, mag_stego)
-    total = ad.add(ad.add(ad.scale(img, cfg.beta), ad.scale(wav, cfg.lam)),
-                   ad.scale(spec, 1.0 - cfg.beta))
+    dists = {plane: l2(cover, stego) for plane, (cover, stego) in planes.items()}
+    head = ad.add(ad.scale(img, cfg.beta), ad.scale(wav, cfg.lam))
+    scaled = [ad.scale(dists[plane], weights[plane]) for plane in dists]
+    total = ad.add(head, scaled[0] if len(scaled) == 1 else ad.add(*scaled))
     terms = {
         "image_l1": float(img.data),
         "wave_term": float(wav.data),
-        "mag_l2": float(spec.data) if cfg.container_kind == "magnitude" else 0.0,
-        "phase_l2": float(spec.data) if cfg.container_kind == "phase" else 0.0,
+        "mag_l2": float(dists["magnitude"].data) if "magnitude" in dists else 0.0,
+        "phase_l2": float(dists["phase"].data) if "phase" in dists else 0.0,
     }
     return total, terms

@@ -12,8 +12,9 @@ from the received waveform's own transform.
 from __future__ import annotations
 
 import io
+import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -80,16 +81,25 @@ class PipelineConfig:
                 f"(needs {n} for {self.transform})")
         if self.hop and not (1 <= self.hop < n):
             raise ConfigError(f"hop must be in [1, {n}), got {self.hop}")
-        if self.batch < 1 or self.steps < 0:
-            raise ConfigError("batch must be >= 1 and steps >= 0")
+        for f in fields(self):
+            if isinstance(f.default, float) and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        for name, ok, rule in (
+                ("batch", self.batch >= 1, ">= 1"), ("steps", self.steps >= 0, ">= 0"),
+                ("seed", self.seed >= 0, ">= 0"), ("sample_rate", self.sample_rate > 0, "> 0"),
+                ("lr", self.lr >= 0.0, ">= 0"), ("adam_eps", self.adam_eps > 0.0, "> 0"),
+                ("adam_beta1", 0.0 <= self.adam_beta1 < 1.0, "in [0, 1)"),
+                ("adam_beta2", 0.0 <= self.adam_beta2 < 1.0, "in [0, 1)")):
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)}")
+        self.loss_config()  # beta, lambda, theta, gamma and wave_loss
+
+    def planes(self):
+        """Spectral planes that carry the secret, in network order."""
+        return ("magnitude", "phase") if self.container == "dual" else (self.container,)
 
     def container_shape(self):
-        h = w = self.image
-        if self.method == "multichannel":
-            rows, cols = iops.channel_grid_shape(self.large)
-            return (rows * h, cols * w)
-        rows, cols = iops.plane_grid_shape(self.large)
-        return (rows * 2 * h, cols * 2 * w)
+        return emb.replica_grid(self.method, (self.image, self.image), self.large).container_shape
 
     def frame_length(self):
         f = self.container_shape()[0]
@@ -108,27 +118,22 @@ class PipelineConfig:
         return self.stft_config().samples_for_frames(self.container_shape()[1])
 
     def loss_config(self):
-        return lo.LossConfig(
-            beta=self.beta, lam=self.lam, theta=self.theta, gamma=self.gamma,
-            waveform_loss=self.wave_loss, container_kind=self.container)
+        """Loss weights; two planes always use an l1 waveform term."""
+        cfg = lo.LossConfig(beta=self.beta, lam=self.lam, theta=self.theta, gamma=self.gamma,
+                            waveform_loss=self.wave_loss)
+        return cfg if len(self.planes()) == 1 else replace(cfg, waveform_loss="l1")
 
 
-_CONFIG_FIELDS = (
-    ("image", int), ("transform", str), ("container", str), ("method", str),
-    ("large", bool), ("luma", bool), ("frame", int), ("hop", int),
-    ("sample_rate", int), ("beta", float), ("lambda", float), ("theta", float),
-    ("gamma", float), ("wave_loss", str), ("lr", float), ("adam_beta1", float),
-    ("adam_beta2", float), ("adam_eps", float), ("steps", int), ("batch", int),
-    ("seed", int), ("depth", int), ("channels", int), ("kernel", int),
-)
-_KEY_TO_ATTR = {key: ("lam" if key == "lambda" else key) for key, _ in _CONFIG_FIELDS}
+# (config-file key, attribute, type) in field order, each typed by its default
+_CONFIG_FIELDS = tuple(("lambda" if f.name == "lam" else f.name, f.name, type(f.default))
+                       for f in fields(PipelineConfig))
 
 
 def config_to_text(cfg):
     """Canonical key=value rendering (the checkpoint and config-file format)."""
     lines = []
-    for key, typ in _CONFIG_FIELDS:
-        value = getattr(cfg, _KEY_TO_ATTR[key])
+    for key, attr, typ in _CONFIG_FIELDS:
+        value = getattr(cfg, attr)
         if typ is bool:
             text = "true" if value else "false"
         elif typ is float:
@@ -141,7 +146,7 @@ def config_to_text(cfg):
 
 def parse_config_text(text, base=None, source="<config>"):
     """Parse key=value lines ('#' comments); unknown keys are rejected."""
-    types = dict(_CONFIG_FIELDS)
+    fields_by_key = {key: (attr, typ) for key, attr, typ in _CONFIG_FIELDS}
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -150,9 +155,9 @@ def parse_config_text(text, base=None, source="<config>"):
         if "=" not in line:
             raise UsageError(f"{source}:{lineno}: expected key=value, got {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        if key not in types:
+        if key not in fields_by_key:
             raise UsageError(f"{source}:{lineno}: unknown key {key!r}")
-        typ = types[key]
+        attr, typ = fields_by_key[key]
         try:
             if typ is bool:
                 if val.lower() not in ("true", "false", "0", "1"):
@@ -162,13 +167,9 @@ def parse_config_text(text, base=None, source="<config>"):
                 parsed = typ(val)
         except ValueError:
             raise UsageError(f"{source}:{lineno}: bad value {val!r} for {key}") from None
-        values[_KEY_TO_ATTR[key]] = parsed
-    merged = {}
-    if base is not None:
-        merged.update({_KEY_TO_ATTR[k]: getattr(base, _KEY_TO_ATTR[k]) for k, _ in _CONFIG_FIELDS})
-    merged.update(values)
+        values[attr] = parsed
     try:
-        return PipelineConfig(**merged)
+        return PipelineConfig(**values) if base is None else replace(base, **values)
     except ConfigError as exc:
         raise UsageError(f"{source}: {exc}") from exc
 
@@ -203,18 +204,23 @@ def _net_depths(cfg, replica_count):
             nets.UNetConfig(reveal_in, reveal_out, cfg.depth, cfg.channels, cfg.kernel))
 
 
+def _net_prefixes(cfg, role):
+    """{plane: parameter prefix} of one role's networks: `role`, or `role_mag`/`role_phase`."""
+    planes = cfg.planes()
+    if len(planes) == 1:
+        return {planes[0]: role}
+    return {"magnitude": f"{role}_mag", "phase": f"{role}_phase"}
+
+
 def build_model(cfg):
     ctx = emb.make_context(cfg.method, (cfg.image, cfg.image), cfg.large)
     hide_cfg, reveal_cfg = _net_depths(cfg, ctx.grid.count)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
     params = {}
-    prefixes = ("hide_mag", "hide_phase") if cfg.container == "dual" else ("hide",)
-    for prefix in prefixes:
-        params.update(nets.init_unet(hide_cfg, rng, prefix))
-    prefixes = ("reveal_mag", "reveal_phase") if cfg.container == "dual" else ("reveal",)
-    for prefix in prefixes:
-        params.update(nets.init_unet(reveal_cfg, rng, prefix))
-    if cfg.container == "dual":
+    for role, net_cfg in (("hide", hide_cfg), ("reveal", reveal_cfg)):
+        for prefix in _net_prefixes(cfg, role).values():
+            params.update(nets.init_unet(net_cfg, rng, prefix))
+    if len(cfg.planes()) == 2:
         params.update(nets.init_coupling())
     for name, tensor in ctx.weight_tensors():
         params[name] = tensor
@@ -223,14 +229,11 @@ def build_model(cfg):
 
 
 def _validate_geometry(cfg, ctx):
-    f, t = ctx.container_shape
     div = 2 ** cfg.depth
-    shapes = {"container": (f, t), "plane": ctx.plane_hw, "image": ctx.image_hw}
+    shapes = {"container": ctx.container_shape, "plane": ctx.plane_hw, "image": ctx.image_hw}
     for what, (h, w) in shapes.items():
         if h % div or w % div:
             raise ConfigError(f"{what} extents {h}x{w} not divisible by 2^{cfg.depth}")
-    if cfg.transform == "stft" and cfg.frame_length() != 2 * f:
-        raise ConfigError("container height inconsistent with stft frame length")
 
 
 # ---------------------------------------------------------------------------
@@ -279,82 +282,66 @@ def _cover_spectrogram(bundle, cover):
         raise UsageError(f"cover is sampled at {cover.sample_rate} Hz; this model requires {cfg.sample_rate} Hz")
     if len(cover) > need:
         cover = dsp.Waveform(cover.samples[:need].copy(), cover.sample_rate)
-    spec = dsp.transform(cover, cfg.stft_config(), cfg.transform)
-    if spec.shape != bundle.ctx.container_shape:
-        raise ConfigError(
-            f"transform produced container {spec.shape}, model expects {bundle.ctx.container_shape}")
-    return cover, spec
+    return cover, dsp.transform(cover, cfg.stft_config(), cfg.transform)
 
 
 def run_pipeline(bundle, secret, cover, with_reveal=True):
     """Build the full differentiable graph for one sample.
 
-    Returns a dict with the cover spectrogram, stego plane tensors, the stego
-    waveform tensor, and (optionally) the revealed image tensor.
+    Returns a dict with the trimmed cover waveform, its spectrogram, the
+    cover and stego plane tensors keyed by plane name (every plane of the
+    transform; only the active ones carry the watermark), the stego waveform
+    tensor, and (optionally) the revealed image tensor.
     """
     cfg = bundle.cfg
     cover, spec = _cover_spectrogram(bundle, cover)
     secret_t = _secret_tensor(bundle, secret)
-    mag0 = ad.Tensor(spec.magnitude)
-    phase0 = ad.Tensor(spec.phase)
-
-    if cfg.container == "dual":
-        stego_mag = ad.add(mag0, _hide_branch(bundle, secret_t, "hide_mag"))
-        stego_phase = ad.add(phase0, _hide_branch(bundle, secret_t, "hide_phase"))
-    elif cfg.container == "phase":
-        stego_mag = mag0
-        stego_phase = ad.add(phase0, _hide_branch(bundle, secret_t, "hide"))
-    else:
-        stego_mag = ad.add(mag0, _hide_branch(bundle, secret_t, "hide"))
-        stego_phase = phase0
+    cover_planes = {"magnitude": ad.Tensor(spec.magnitude)}
+    if spec.phase is not None:
+        cover_planes["phase"] = ad.Tensor(spec.phase)
+    stego_planes = dict(cover_planes)
+    for plane, prefix in _net_prefixes(cfg, "hide").items():
+        stego_planes[plane] = ad.add(cover_planes[plane], _hide_branch(bundle, secret_t, prefix))
 
     if cfg.transform == "stft":
-        stego_wave = istft_op(stego_mag, stego_phase, spec.config, spec.num_samples)
+        stego_wave = istft_op(stego_planes["magnitude"], stego_planes["phase"],
+                              spec.config, spec.num_samples)
     else:
-        stego_wave = istdct_op(stego_mag, spec.config, spec.num_samples)
+        stego_wave = istdct_op(stego_planes["magnitude"], spec.config, spec.num_samples)
 
     out = {
         "cover": cover,
         "spec": spec,
-        "mag0": mag0,
-        "phase0": phase0,
-        "stego_mag": stego_mag,
-        "stego_phase": stego_phase,
+        "cover_planes": cover_planes,
+        "stego_planes": stego_planes,
         "stego_wave": stego_wave,
     }
     if with_reveal:
         # decode from the re-analysis of the stego waveform, exactly like the
         # receiver does; this keeps training and inference on the same path
         # and drives the hiding network toward transform-consistent watermarks
-        if cfg.transform == "stdct":
-            rx_mag, rx_phase = stdct_fwd_op(stego_wave, spec.config), stego_phase
-        else:
-            rx_mag = (stft_mag_op(stego_wave, spec.config)
-                      if cfg.container in ("magnitude", "dual") else stego_mag)
-            rx_phase = (stft_phase_op(stego_wave, spec.config)
-                        if cfg.container in ("phase", "dual") else stego_phase)
-        out["revealed_t"] = _reveal_from_planes(bundle, rx_mag, rx_phase)
+        ops = {"magnitude": stdct_fwd_op if cfg.transform == "stdct" else stft_mag_op,
+               "phase": stft_phase_op}
+        received = {plane: ops[plane](stego_wave, spec.config) for plane in cfg.planes()}
+        out["revealed_t"] = _reveal_from_planes(bundle, received)
     return out
 
 
-def _reveal_from_planes(bundle, mag_t, phase_t):
-    cfg = bundle.cfg
-    if cfg.container == "dual":
-        a = _reveal_branch(bundle, mag_t, "reveal_mag")
-        b = _reveal_branch(bundle, phase_t, "reveal_phase")
-        coupled = nets.couple(a, b, bundle.params)
-        return _finalize(bundle, coupled)
-    plane = phase_t if cfg.container == "phase" else mag_t
-    return _finalize(bundle, _reveal_branch(bundle, plane, "reveal"))
+def _reveal_from_planes(bundle, planes):
+    """Reveal from the active `{plane: tensor}`; two planes meet in the coupler."""
+    outs = [_reveal_branch(bundle, planes[plane], prefix)
+            for plane, prefix in _net_prefixes(bundle.cfg, "reveal").items()]
+    return _finalize(bundle, outs[0] if len(outs) == 1 else nets.couple(*outs, bundle.params))
 
 
 def embed(secret, cover, bundle):
     """Hide `secret` in `cover`; returns (stego waveform, diagnostics)."""
     out = run_pipeline(bundle, secret, cover, with_reveal=False)
+    spec = out["spec"]
     stego = dsp.Waveform(out["stego_wave"].data.copy(), out["cover"].sample_rate)
-    base = dsp.inverse_transform(out["spec"])
-    pert = float(np.sqrt(np.mean((out["stego_mag"].data - out["spec"].magnitude) ** 2)
-                         + np.mean((out["stego_phase"].data - out["spec"].phase) ** 2)))
+    base = dsp.inverse_transform(spec)
+    pert = float(np.sqrt(sum(np.mean((out["stego_planes"][plane].data - getattr(spec, plane)) ** 2)
+                             for plane in bundle.cfg.planes())))
     diag = {
         "stego_snr_db": me.snr_db(base.samples, stego.samples),
         "container_l2": pert,
@@ -380,7 +367,8 @@ def reveal_from_spectrogram(spec, bundle):
         raise UsageError(
             f"spectrogram shape {spec.shape} does not match model container "
             f"{bundle.ctx.container_shape}")
-    revealed = _reveal_from_planes(bundle, ad.Tensor(spec.magnitude), ad.Tensor(spec.phase))
+    revealed = _reveal_from_planes(
+        bundle, {plane: ad.Tensor(getattr(spec, plane)) for plane in bundle.cfg.planes()})
     return np.clip(revealed.data, 0.0, 1.0)
 
 
@@ -536,18 +524,10 @@ def _sample_loss(bundle, pair, loss_cfg):
     out = run_pipeline(bundle, pair.secret, pair.cover)
     secret_const = ad.Tensor(np.asarray(pair.secret, dtype=np.float64))
     wave_const = ad.Tensor(out["cover"].samples)
-    kwargs = {}
-    if loss_cfg.container_kind == "dual":
-        kwargs = {"phase": out["phase0"], "phase_stego": out["stego_phase"]}
-        active, active_stego = out["mag0"], out["stego_mag"]
-    elif loss_cfg.container_kind == "phase":
-        active, active_stego = out["phase0"], out["stego_phase"]
-    else:
-        active, active_stego = out["mag0"], out["stego_mag"]
-    total, terms = lo.composite_loss(
-        loss_cfg, secret_const, out["revealed_t"], wave_const, out["stego_wave"],
-        active, active_stego, **kwargs)
-    return total, terms
+    planes = {plane: (out["cover_planes"][plane], out["stego_planes"][plane])
+              for plane in bundle.cfg.planes()}
+    return lo.composite_loss(loss_cfg, secret_const, out["revealed_t"], wave_const,
+                             out["stego_wave"], planes)
 
 
 def train(dataset, cfg, bundle=None):
@@ -610,7 +590,7 @@ def evaluate(bundle, dataset):
         psnrs.append(me.psnr_db(pair.secret, revealed))
         snrs.append(diag["stego_snr_db"])
         cover_trim = pair.cover.samples[:cfg.required_samples()]
-        if loss_cfg.waveform_loss == "soft_dtw" and cfg.container != "dual":
+        if loss_cfg.waveform_loss == "soft_dtw":
             wave = float(lo.soft_dtw_chunked(ad.Tensor(cover_trim), ad.Tensor(stego.samples),
                                              loss_cfg.gamma).data)
         else:

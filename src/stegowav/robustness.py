@@ -12,7 +12,7 @@ content in dropped frames is lost along with the watermark.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,7 +45,7 @@ def apply_frame_dropout(spec, drop):
     frames = spec.shape[1]
     n_drop = int(round((1.0 - drop.keep_fraction) * frames))
     if n_drop == 0:
-        return spec.with_planes(magnitude=spec.magnitude.copy())
+        return replace(spec, magnitude=spec.magnitude.copy())
     if drop.mode == "sequential":
         start = frames - n_drop if drop.offset is None else drop.offset
         if not 0 <= start <= frames - n_drop:
@@ -56,7 +56,7 @@ def apply_frame_dropout(spec, drop):
         cols = rng.choice(frames, size=n_drop, replace=False)
     mag = spec.magnitude.copy()
     mag[:, cols] = 0.0
-    return spec.with_planes(magnitude=mag)
+    return replace(spec, magnitude=mag)
 
 
 def _sweep_cell(bundle, specs, fraction, mode, seed):

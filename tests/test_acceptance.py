@@ -290,9 +290,10 @@ def test_c06_container_isolation():
     bundle = pl.build_model(cfg)
     pair = pl.synth_dataset(1, cfg=cfg, seed=0)[0]
     out = pl.run_pipeline(bundle, pair.secret, pair.cover, with_reveal=False)
-    assert np.array_equal(out["stego_phase"].data, out["spec"].phase)
-    assert out["stego_phase"].data is out["spec"].phase
-    assert not np.array_equal(out["stego_mag"].data, out["spec"].magnitude)
+    stego = out["stego_planes"]
+    assert np.array_equal(stego["phase"].data, out["spec"].phase)
+    assert stego["phase"].data is out["spec"].phase
+    assert not np.array_equal(stego["magnitude"].data, out["spec"].magnitude)
     print("\nACCEPTANCE 6 PASS: magnitude-only embedding leaves the cover phase plane "
           "bit-identical before inversion")
 

@@ -180,13 +180,19 @@ def _corrupt_config_channels(raw):
     return raw
 
 
+def _corrupt_config_wave_loss(raw):
+    start = raw.index(b"wave_loss=l1")
+    raw[start:start + 12] = b"wave_loss=l3"  # one bit flip away; not a waveform loss
+    return raw
+
+
 def _append_byte(raw):
     return raw + b"\x00"
 
 
 @pytest.mark.parametrize("corrupt", [_corrupt_config_byte, _corrupt_config_value,
                                      _corrupt_config_geometry, _corrupt_config_channels,
-                                     _append_byte])
+                                     _corrupt_config_wave_loss, _append_byte])
 def test_corrupt_checkpoint_exits_2(workspace, capsys, corrupt):
     ws = workspace
     cfg = pipeline.parse_config_text(DESK_CFG)

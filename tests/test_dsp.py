@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -124,7 +126,7 @@ def test_istft_linearity():
     z1 = s1.magnitude * np.exp(1j * s1.phase)
     z2 = s2.magnitude * np.exp(1j * s2.phase)
     zsum = z1 + z2
-    ssum = s1.with_planes(magnitude=np.abs(zsum), phase=np.angle(zsum))
+    ssum = replace(s1, magnitude=np.abs(zsum), phase=np.angle(zsum))
     lhs = dsp.istft(ssum).samples
     rhs = dsp.istft(s1).samples + dsp.istft(s2).samples
     assert np.max(np.abs(lhs - rhs)) < 1e-10
@@ -191,6 +193,18 @@ def test_stdct_constant_frame_concentrates_at_dc():
 def test_stdct_zero_signal():
     cfg = dsp.StftConfig(16, 8)
     assert np.all(dsp.stdct(make_waveform(np.zeros(64)), cfg).magnitude == 0.0)
+
+
+def test_stdct_has_no_phase_plane():
+    cfg = dsp.StftConfig(16, 8)
+    w = make_waveform(np.ones(64))
+    spec = dsp.stdct(w, cfg)
+    assert spec.phase is None
+    stft = dsp.stft(w, cfg)
+    with pytest.raises(ConfigError, match="stft spectrogram needs a phase plane"):
+        replace(stft, phase=None)
+    with pytest.raises(ConfigError, match="stdct spectrogram cannot have a phase plane"):
+        replace(spec, phase=np.zeros_like(spec.magnitude))
 
 
 def test_paper_scale_container_shape():

@@ -112,29 +112,25 @@ def test_soft_dtw_chunking_matches_manual_sum():
     assert abs(short - sdtw_value(x[:100], y[:100], 1.0)) < 1e-12
 
 
-def _zero_args(kind):
+def _zero_args(planes):
     s = ad.Tensor(np.full((3, 4, 4), 0.4))
     w = ad.Tensor(np.linspace(-0.5, 0.5, 32))
     m = ad.Tensor(np.ones((6, 6)))
     p = ad.Tensor(np.zeros((6, 6)))
-    cfg = lo.LossConfig(container_kind=kind)
-    if kind == "dual":
-        return cfg, (s, s, w, w, m, m, p, p)
-    return cfg, (s, s, w, w, m, m)
+    pairs = {"magnitude": (m, m), "phase": (p, p)}
+    return (s, s, w, w, {plane: pairs[plane] for plane in planes})
 
 
 def test_composite_zero_when_all_equal():
-    for kind in ("magnitude", "phase", "dual"):
-        cfg, args = _zero_args(kind)
-        total, terms = lo.composite_loss(cfg, *args)
+    for planes in (("magnitude",), ("phase",), ("magnitude", "phase")):
+        total, terms = lo.composite_loss(lo.LossConfig(), *_zero_args(planes))
         assert float(total.data) == 0.0
         assert all(v == 0.0 for v in terms.values())
 
 
 def test_composite_soft_dtw_identical_waveforms_documented_bound():
-    cfg, args = _zero_args("magnitude")
     cfg = lo.LossConfig(waveform_loss="soft_dtw", gamma=1.0)
-    total, _ = lo.composite_loss(cfg, *args)
+    total, _ = lo.composite_loss(cfg, *_zero_args(("magnitude",)))
     assert float(total.data) <= 0.0
     assert abs(float(total.data)) < 1e-6 or float(total.data) < 0.0  # softmin slack only
 
@@ -146,7 +142,7 @@ def test_composite_beta_one_lambda_zero_reduces_to_image_l1(rng):
     m = ad.Tensor(rng.random((6, 6)))
     m2 = ad.Tensor(rng.random((6, 6)))
     cfg = lo.LossConfig(beta=1.0, lam=0.0)
-    total, _ = lo.composite_loss(cfg, s, s2, w, w, m, m2)
+    total, _ = lo.composite_loss(cfg, s, s2, w, w, {"magnitude": (m, m2)})
     assert abs(float(total.data) - float(lo.l1(s, s2).data)) < 1e-15
 
 
@@ -155,20 +151,24 @@ def test_composite_dual_theta_zero_drops_phase_term(rng):
     w, w2 = ad.Tensor(rng.normal(size=30)), ad.Tensor(rng.normal(size=30))
     m, m2 = ad.Tensor(rng.random((6, 6))), ad.Tensor(rng.random((6, 6)))
     p, p2 = ad.Tensor(rng.random((6, 6))), ad.Tensor(rng.random((6, 6)))
-    dual = lo.LossConfig(container_kind="dual", theta=0.0)
-    total_dual, _ = lo.composite_loss(dual, s, s2, w, w2, m, m2, p, p2)
-    single = lo.LossConfig(container_kind="magnitude", waveform_loss="l1")
-    total_single, _ = lo.composite_loss(single, s, s2, w, w2, m, m2)
+    cfg = lo.LossConfig(theta=0.0)
+    total_dual, _ = lo.composite_loss(cfg, s, s2, w, w2, {"magnitude": (m, m2), "phase": (p, p2)})
+    total_single, _ = lo.composite_loss(cfg, s, s2, w, w2, {"magnitude": (m, m2)})
     assert abs(float(total_dual.data) - float(total_single.data)) < 1e-12
 
 
-def test_composite_dual_requires_phase(rng):
-    cfg = lo.LossConfig(container_kind="dual")
+def test_composite_terms_follow_the_planes(rng):
     s = ad.Tensor(rng.random((3, 4, 4)))
     w = ad.Tensor(rng.normal(size=30))
-    m = ad.Tensor(rng.random((6, 6)))
-    with pytest.raises(UsageError):
-        lo.composite_loss(cfg, s, s, w, w, m, m)
+    a, b = ad.Tensor(rng.random((6, 6))), ad.Tensor(rng.random((6, 6)))
+    dist = float(lo.l2(a, b).data)
+    _, terms = lo.composite_loss(lo.LossConfig(), s, s, w, w, {"phase": (a, b)})
+    assert terms["phase_l2"] == dist and terms["mag_l2"] == 0.0
+    _, terms = lo.composite_loss(lo.LossConfig(), s, s, w, w, {"magnitude": (a, b)})
+    assert terms["mag_l2"] == dist and terms["phase_l2"] == 0.0
+    for planes in ({}, {"colour": (a, b)}):
+        with pytest.raises(UsageError):
+            lo.composite_loss(lo.LossConfig(), s, s, w, w, planes)
 
 
 def test_composite_monotone_in_each_term(rng):
@@ -176,10 +176,10 @@ def test_composite_monotone_in_each_term(rng):
     w = ad.Tensor(rng.normal(size=30))
     m = ad.Tensor(rng.random((6, 6)))
     cfg = lo.LossConfig()
-    base, _ = lo.composite_loss(cfg, s, s, w, w, m, m)
-    worse_img, _ = lo.composite_loss(cfg, s, ad.scale(s, 0.5), w, w, m, m)
-    worse_wav, _ = lo.composite_loss(cfg, s, s, w, ad.scale(w, 0.5), m, m)
-    worse_mag, _ = lo.composite_loss(cfg, s, s, w, w, m, ad.scale(m, 0.5))
+    base, _ = lo.composite_loss(cfg, s, s, w, w, {"magnitude": (m, m)})
+    worse_img, _ = lo.composite_loss(cfg, s, ad.scale(s, 0.5), w, w, {"magnitude": (m, m)})
+    worse_wav, _ = lo.composite_loss(cfg, s, s, w, ad.scale(w, 0.5), {"magnitude": (m, m)})
+    worse_mag, _ = lo.composite_loss(cfg, s, s, w, w, {"magnitude": (m, ad.scale(m, 0.5))})
     assert float(base.data) == 0.0
     assert float(worse_img.data) > 0 and float(worse_wav.data) > 0 and float(worse_mag.data) > 0
 

@@ -41,6 +41,17 @@ def test_config_rejects_inconsistencies():
         pl.PipelineConfig(frame=100)
     with pytest.raises(ConfigError):
         pl.PipelineConfig(method="sideways")
+    for bad in (dict(wave_loss="l3"), dict(beta=2.0), dict(lam=-1.0), dict(theta=1.5),
+                dict(gamma=0.0), dict(sample_rate=-5), dict(sample_rate=0), dict(seed=-1),
+                dict(lr=float("nan")), dict(lr=-1e-3), dict(lr=float("inf")),
+                dict(adam_beta1=1.5), dict(adam_beta1=1.0), dict(adam_beta2=-0.1),
+                dict(adam_eps=0.0), dict(adam_eps=float("inf")), dict(lam=float("inf")),
+                dict(gamma=float("nan"))):
+        with pytest.raises(ConfigError):
+            pl.PipelineConfig(**bad)
+    # the edges the training tests rely on stay legal
+    pl.PipelineConfig(lr=0.0)
+    pl.PipelineConfig(lr=1e150)
 
 
 def test_config_text_roundtrip_and_rejection():
@@ -84,8 +95,8 @@ def test_magnitude_embedding_leaves_phase_bit_identical():
     bundle = pl.build_model(cfg)
     pair = tiny_pairs(cfg, 1)[0]
     out = pl.run_pipeline(bundle, pair.secret, pair.cover, with_reveal=False)
-    assert out["stego_phase"].data is out["spec"].phase
-    assert not np.array_equal(out["stego_mag"].data, out["spec"].magnitude)
+    assert out["stego_planes"]["phase"].data is out["spec"].phase
+    assert not np.array_equal(out["stego_planes"]["magnitude"].data, out["spec"].magnitude)
 
 
 def test_phase_embedding_leaves_magnitude_bit_identical():
@@ -93,7 +104,7 @@ def test_phase_embedding_leaves_magnitude_bit_identical():
     bundle = pl.build_model(cfg)
     pair = tiny_pairs(cfg, 1)[0]
     out = pl.run_pipeline(bundle, pair.secret, pair.cover, with_reveal=False)
-    assert out["stego_mag"].data is out["spec"].magnitude
+    assert out["stego_planes"]["magnitude"].data is out["spec"].magnitude
 
 
 def test_reveal_shape_correct_untrained():
