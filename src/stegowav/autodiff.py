@@ -8,14 +8,21 @@ reverse topological order and accumulates gradients on ``requires_grad``
 leaves only (intermediate gradients are not retained, so calling
 :func:`backward` twice doubles the leaf gradients exactly).
 
+Inside ``with no_grad():`` ops still compute their values but record nothing:
+the result does not require a gradient and holds no parents or closures, so
+each intermediate is freed as soon as the next op stops referencing it.
+Inference runs this way.  The flag is module-wide and restored when the block
+exits, also on an exception.
+
 Tapes are single-threaded.  Tensor data must not be mutated once the tensor
 participates in a graph; all ops allocate fresh output buffers.
 """
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, UsageError
 
@@ -57,10 +64,30 @@ class Tensor:
         return f"Tensor(op={self.op!r}, shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
+_recording = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Compute ops without recording them on the tape (restored on exit)."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
 def _node(op, parents, forward, backward):
-    """Create a tracked tensor whose value is ``forward()``."""
+    """Create a tracked tensor whose value is ``forward()``.
+
+    Under :func:`no_grad` the value is still computed, but the tensor keeps
+    no parents or closures and does not require a gradient.
+    """
     t = Tensor.__new__(Tensor)
     t.data = forward()
+    if not _recording:
+        parents, forward, backward = (), None, None
     t.grad = None
     t.requires_grad = any(p.requires_grad for p in parents)
     t.op = op
@@ -290,18 +317,18 @@ def weighted_sum(tensors, weights):
     return _node("weighted_sum", tuple(ts) + tuple(ws), fwd, bwd)
 
 
-def _im2col(xd, k):
-    cin, h, w = xd.shape
-    pad = k // 2
-    xp = np.pad(xd, ((0, 0), (pad, pad), (pad, pad)))
-    win = sliding_window_view(xp, (k, k), axis=(1, 2))  # (cin, h, w, k, k)
-    return win.transpose(0, 3, 4, 1, 2).reshape(cin * k * k, h * w)
-
-
 def conv2d(x, kernel, bias):
     """2-D convolution, stride 1, odd square kernel, zero 'same' padding.
 
     x: (C_in, H, W); kernel: (C_out, C_in, k, k); bias: (C_out,).
+
+    No im2col buffer is built.  `x` is zero-padded by k//2 on each side plus
+    one spare row at the bottom, and each channel's rows are flattened, so
+    the window of tap (dy, dx) over every output position is the contiguous
+    slice at offset dy*Wp + dx, n = H*Wp long (Wp = W + 2*(k//2)).  The
+    forward pass sums one (C_out, C_in) @ (C_in, n) product per tap and crops
+    the 2*(k//2) columns per row that wrapped into the next row; the backward
+    pass runs over the same slices with the gradient zero-extended to Wp.
     """
     x, kernel, bias = _as_tensor(x), _as_tensor(kernel), _as_tensor(bias)
     if x.data.ndim != 3:
@@ -316,22 +343,44 @@ def conv2d(x, kernel, bias):
     if bias.data.shape != (cout,):
         raise ConfigError(f"conv2d: bias shape {bias.data.shape} does not match {cout} output channels")
     k = kh
+    pad = k // 2
+    _, h, w = x.data.shape
+    hp, wp = h + 2 * pad + 1, w + 2 * pad
+    n = h * wp
+    taps = [(dy, dx, dy * wp + dx) for dy in range(k) for dx in range(k)]
+
+    def padded_rows():
+        xp = np.zeros((cin, hp, wp))
+        xp[:, pad:pad + h, pad:pad + w] = x.data
+        return xp.reshape(cin, -1)
 
     def fwd():
-        _, h, w = x.data.shape
-        cols = _im2col(x.data, k)
-        out = kernel.data.reshape(cout, -1) @ cols + bias.data[:, None]
-        return out.reshape(cout, h, w)
+        xf = padded_rows()
+        out = np.empty((cout, n))
+        prod = np.empty((cout, n))
+        out[:] = bias.data[:, None]
+        for dy, dx, o in taps:
+            np.add(out, np.matmul(kernel.data[:, :, dy, dx], xf[:, o:o + n], out=prod), out=out)
+        return out.reshape(cout, h, wp)[:, :, :w].copy()
 
     def bwd(g, acc):
-        _, h, w = x.data.shape
         acc(bias, g.sum(axis=(1, 2)))
-        cols = _im2col(x.data, k)
-        acc(kernel, (g.reshape(cout, -1) @ cols.T).reshape(kernel.data.shape))
-        # dX: same-pad convolution of g with the in/out-transposed, flipped kernel
-        kt = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
-        gcols = _im2col(g, k)
-        acc(x, (kt @ gcols).reshape(cin, h, w))
+        xf = padded_rows()
+        gf = np.zeros((cout, h, wp))
+        gf[:, :, :w] = g
+        gf = gf.reshape(cout, n)
+        dk = np.empty(kernel.data.shape)
+        for dy, dx, o in taps:
+            dk[:, :, dy, dx] = gf @ xf[:, o:o + n].T
+        acc(kernel, dk)
+        if not x.requires_grad:
+            return
+        dxf = np.zeros_like(xf)
+        prod = np.empty_like(xf)[:, :n]  # same row stride as the dxf slices: a faster add
+        for dy, dx, o in taps:
+            view = dxf[:, o:o + n]
+            np.add(view, np.matmul(kernel.data[:, :, dy, dx].T, gf, out=prod), out=view)
+        acc(x, dxf.reshape(cin, hp, wp)[:, pad:pad + h, pad:pad + w])
 
     return _node("conv2d", (x, kernel, bias), fwd, bwd)
 

@@ -12,14 +12,16 @@ precision.
 
 The framing lives here alone, as one adjoint pair: `_frame_signal` (pad,
 slice, window) and `_scatter_frames` (window, overlap-add, trim).
-`_overlap_add` divides the scatter by the squared-window sum, and
-`_gather_frames` is its adjoint.  Each transform has one numpy kernel, called
-by the plain function (`stft`, `istdct`, ...) and by the tape op over raw
-arrays (`stft_mag_op`, `istdct_op`, ...) that pipeline training records.
+`_overlap_add` divides the scatter by the squared-window sum (memoized per
+config, frame count and length), and `_gather_frames` is its adjoint.  Each
+transform has one numpy kernel, called by the plain function (`stft`,
+`istdct`, ...) and by the tape op over raw arrays (`stft_mag_op`, `istdct_op`,
+...) that pipeline training records.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,14 +147,19 @@ def _scatter_frames(frames, cfg, num_samples):
     return acc[r:r + num_samples]
 
 
+@functools.lru_cache(maxsize=32)
 def _ola_denominator(cfg, count, num_samples):
-    """Squared-window overlap-add sum of `count` frames over the retained samples."""
+    """Squared-window overlap-add sum of `count` frames over the retained samples.
+
+    Memoized on its arguments; the array it returns is read-only.
+    """
     win = np.broadcast_to(cfg.window_weights(), (count, cfg.frame_length))
     den = _scatter_frames(win, cfg, num_samples)
     if np.any(den <= 0.0):
         raise ConfigError(
             f"overlap-add denominator vanishes inside the signal "
             f"(hop {cfg.hop} too large for frame {cfg.frame_length})")
+    den.flags.writeable = False
     return den
 
 

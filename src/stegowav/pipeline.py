@@ -6,7 +6,9 @@ network, arranged to container shape and residually added onto the cover's
 spectral plane(s); the revealing network decodes straight from the stego
 plane while the stego waveform for the audio loss term comes from the
 differentiable inverse transform.  At inference the revealing side starts
-from the received waveform's own transform.
+from the received waveform's own transform, and `embed` and
+`reveal_from_spectrogram` run the same graph under `autodiff.no_grad`, so no
+tape is kept.
 """
 
 from __future__ import annotations
@@ -336,7 +338,8 @@ def _reveal_from_planes(bundle, planes):
 
 def embed(secret, cover, bundle):
     """Hide `secret` in `cover`; returns (stego waveform, diagnostics)."""
-    out = run_pipeline(bundle, secret, cover, with_reveal=False)
+    with ad.no_grad():
+        out = run_pipeline(bundle, secret, cover, with_reveal=False)
     spec = out["spec"]
     stego = dsp.Waveform(out["stego_wave"].data.copy(), out["cover"].sample_rate)
     base = dsp.inverse_transform(spec)
@@ -367,8 +370,9 @@ def reveal_from_spectrogram(spec, bundle):
         raise UsageError(
             f"spectrogram shape {spec.shape} does not match model container "
             f"{bundle.ctx.container_shape}")
-    revealed = _reveal_from_planes(
-        bundle, {plane: ad.Tensor(getattr(spec, plane)) for plane in bundle.cfg.planes()})
+    with ad.no_grad():
+        revealed = _reveal_from_planes(
+            bundle, {plane: ad.Tensor(getattr(spec, plane)) for plane in bundle.cfg.planes()})
     return np.clip(revealed.data, 0.0, 1.0)
 
 

@@ -38,6 +38,8 @@ class DropoutSpec:
             raise UsageError(f"keep fraction must be in (0, 1], got {self.keep_fraction}")
         if self.mode not in MODES:
             raise UsageError(f"unknown dropout mode {self.mode!r}")
+        if self.seed < 0:
+            raise UsageError(f"dropout seed must be >= 0, got {self.seed}")
 
 
 def apply_frame_dropout(spec, drop):
@@ -59,9 +61,8 @@ def apply_frame_dropout(spec, drop):
     return replace(spec, magnitude=mag)
 
 
-def _sweep_cell(bundle, specs, fraction, mode, seed):
+def _sweep_cell(bundle, specs, drop):
     """Revealed images of one cell: each cached spectrogram under one attack."""
-    drop = DropoutSpec(fraction, mode, seed)
     return [pl.reveal_from_spectrogram(apply_frame_dropout(spec, drop), bundle) for spec in specs]
 
 
@@ -88,23 +89,24 @@ def robustness_sweep(bundle, data, fractions=DEFAULT_FRACTIONS, modes=MODES, see
     revealed images in pair order.
     """
     cfg = bundle.cfg
+    # every cell's attack is checked before the first pair is embedded
+    drops = [DropoutSpec(fraction, mode, seed) for mode in modes for fraction in fractions]
     specs = [dsp.transform(pl.embed(pair.secret, pair.cover, bundle)[0],
                            cfg.stft_config(), cfg.transform) for pair in data]
     rows = []
-    for mode in modes:
-        for fraction in fractions:
-            revealed = _sweep_cell(bundle, specs, fraction, mode, seed)
-            if on_cell is not None:
-                on_cell(mode, fraction, revealed)
-            ssims = [me.ssim(pair.secret, image) for pair, image in zip(data, revealed)]
-            psnrs = [me.psnr_db(pair.secret, image) for pair, image in zip(data, revealed)]
-            rows.append({
-                "method": cfg.method,
-                "mode": mode,
-                "keep_fraction": fraction,
-                "mean_ssim": float(np.mean(ssims)),
-                "mean_psnr_db": float(np.mean(psnrs)),
-            })
+    for drop in drops:
+        revealed = _sweep_cell(bundle, specs, drop)
+        if on_cell is not None:
+            on_cell(drop.mode, drop.keep_fraction, revealed)
+        ssims = [me.ssim(pair.secret, image) for pair, image in zip(data, revealed)]
+        psnrs = [me.psnr_db(pair.secret, image) for pair, image in zip(data, revealed)]
+        rows.append({
+            "method": cfg.method,
+            "mode": drop.mode,
+            "keep_fraction": drop.keep_fraction,
+            "mean_ssim": float(np.mean(ssims)),
+            "mean_psnr_db": float(np.mean(psnrs)),
+        })
     return rows
 
 

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import correlate
 
 from stegowav import autodiff as ad
 from stegowav.errors import ConfigError, UsageError
@@ -127,6 +130,11 @@ def _op_builders():
         "reshape": via(lambda x, r: ad.reshape(x, (4, 8))),
         "conv2d": via(lambda x, r: ad.conv2d(x, ad.Tensor(r.normal(size=(3, 2, 3, 3)) * 0.4, requires_grad=True),
                                              ad.Tensor(r.normal(size=3), requires_grad=True))),
+        "conv2d_k5": via(lambda x, r: ad.conv2d(x, ad.Tensor(r.normal(size=(2, 2, 5, 5)) * 0.25, requires_grad=True),
+                                                ad.Tensor(r.normal(size=2), requires_grad=True))),
+        "conv2d_cin1": via(lambda x, r: ad.conv2d(ad.reshape(x, (1, 8, 4)),
+                                                  ad.Tensor(r.normal(size=(3, 1, 3, 3)) * 0.6, requires_grad=True),
+                                                  ad.Tensor(r.normal(size=3), requires_grad=True))),
         "leaky_relu": via(lambda x, r: ad.leaky_relu(x, 0.2)),
         "nearest_upsample2": via(lambda x, r: ad.nearest_upsample2(x)),
         "avg_pool2": via(lambda x, r: ad.avg_pool2(x)),
@@ -158,3 +166,74 @@ def test_grad_check_conv_chain():
         return ad.sq_sum(y), [x, k, b]
 
     assert ad.grad_check(builder, 0) < 1e-4
+
+
+@st.composite
+def conv_case(draw):
+    """(x, kernel, bias, rng) with k in {1, 3, 5}, 1-4 channels each way and
+    extents 1..9, so some inputs are smaller than the kernel."""
+    k = draw(st.sampled_from([1, 3, 5]), label="k")
+    cin, cout = draw(st.integers(1, 4), label="cin"), draw(st.integers(1, 4), label="cout")
+    h, w = draw(st.integers(1, 9), label="h"), draw(st.integers(1, 9), label="w")
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    return rng.normal(size=(cin, h, w)), rng.normal(size=(cout, cin, k, k)), rng.normal(size=cout), rng
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=conv_case())
+def test_conv2d_matches_scipy_correlate(case):
+    x, kernel, bias, _ = case
+    y = ad.conv2d(ad.Tensor(x), ad.Tensor(kernel), ad.Tensor(bias)).data
+    expect = np.stack([bias[o] + sum(correlate(x[i], kernel[o, i], mode="same", method="direct")
+                                     for i in range(x.shape[0]))
+                       for o in range(kernel.shape[0])])
+    assert y.shape == expect.shape
+    assert np.max(np.abs(y - expect)) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=conv_case())
+def test_conv2d_backward_adjoint_identities(case):
+    x, kernel, bias, rng = case
+    xt, kt = ad.Tensor(x, requires_grad=True), ad.Tensor(kernel, requires_grad=True)
+    bt = ad.Tensor(np.zeros_like(bias), requires_grad=True)
+    out = ad.conv2d(xt, kt, bt)
+    g = rng.normal(size=out.shape)
+    # d/d(out) of size * mean(out * g) is exactly g
+    ad.backward(ad.scale(ad.mean(ad.mul(out, ad.Tensor(g))), out.data.size))
+    # with zero bias the conv is linear in x and in the kernel separately
+    inner = np.sum(out.data * g)
+    tol = 1e-12 * max(1.0, np.sum(np.abs(out.data * g)))
+    assert abs(np.sum(x * xt.grad) - inner) <= tol
+    assert abs(np.sum(kernel * kt.grad) - inner) <= tol
+    assert np.allclose(bt.grad, g.sum(axis=(1, 2)), rtol=1e-12, atol=1e-12)
+
+
+def test_no_grad_records_no_tape():
+    rng = np.random.default_rng(0)
+    x = ad.Tensor(rng.normal(size=(2, 4, 4)), requires_grad=True)
+    k = ad.Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
+    b = ad.Tensor(rng.normal(size=3), requires_grad=True)
+    taped = ad.leaky_relu(ad.conv2d(x, k, b), 0.2)
+    with ad.no_grad():
+        y = ad.leaky_relu(ad.conv2d(x, k, b), 0.2)
+    assert not y.requires_grad and y.is_leaf()
+    assert y._parents == () and y._forward is None and y._backward is None
+    assert np.array_equal(y.data, taped.data)
+    assert taped.requires_grad and taped._parents
+    ad.backward(ad.sq_sum(y))
+    assert x.grad is None and k.grad is None
+
+
+def test_no_grad_restored_after_exception():
+    x = ad.Tensor(np.ones((2, 3)), requires_grad=True)
+    with pytest.raises(ConfigError):
+        with ad.no_grad():
+            ad.add(x, ad.Tensor(np.ones(3)))
+    root = ad.sq_sum(x)
+    assert root.requires_grad and root._parents
+    with ad.no_grad():
+        with ad.no_grad():
+            pass
+        assert not ad.sq_sum(x).requires_grad
+    assert ad.sq_sum(x).requires_grad

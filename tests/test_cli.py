@@ -97,6 +97,17 @@ def test_usage_errors_exit_1(workspace, capsys):
     capsys.readouterr()
 
 
+def test_robustness_negative_seed_exits_1(workspace, capsys):
+    ws = workspace
+    cfg = pipeline.parse_config_text(DESK_CFG)
+    pipeline.save_dataset(pipeline.synth_dataset(2, cfg=cfg), ws / "p")
+    pipeline.save_checkpoint(pipeline.build_model(cfg), ws / "m.pxw2")
+    assert run(["robustness", "--model", str(ws / "m.pxw2"), "--data", str(ws / "p"),
+                "--fractions", "0.5", "--modes", "random", "--seed", "-1",
+                "--out", str(ws / "s.csv")]) == 1
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
+
 def test_argparse_usage_error_exits_1(capsys):
     assert run(["no_such_command"]) == 1
     assert run(["train"]) == 1  # missing required flags

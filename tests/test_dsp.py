@@ -118,6 +118,20 @@ def test_istft_hop_equal_frame_fails():
         dsp.istft(s)
 
 
+def test_ola_denominator_is_cached_read_only():
+    cfg = dsp.StftConfig(16, 4)
+    num_samples = cfg.samples_for_frames(10)
+    den = dsp._ola_denominator(cfg, 10, num_samples)
+    assert dsp._ola_denominator(dsp.StftConfig(16, 4), 10, num_samples) is den
+    assert not den.flags.writeable
+    with pytest.raises(ValueError):
+        den[0] = 1.0
+    bad = dsp.StftConfig(16, 16)
+    for _ in range(2):
+        with pytest.raises(ConfigError, match="hop 16"):
+            dsp._ola_denominator(bad, 4, bad.samples_for_frames(4))
+
+
 def test_istft_linearity():
     cfg = dsp.StftConfig(64, 16)
     rng = np.random.default_rng(3)

@@ -67,6 +67,17 @@ def test_dropout_rejects_bad_fraction():
         rob.DropoutSpec(1.5)
     with pytest.raises(UsageError):
         rob.DropoutSpec(0.5, "sideways")
+    with pytest.raises(UsageError, match="seed.*-1"):
+        rob.DropoutSpec(0.5, "random", -1)
+
+
+@pytest.mark.parametrize("fraction,seed", [(0.5, -1), (0.0, 0)])
+def test_sweep_rejects_a_bad_cell_before_embedding(fraction, seed, monkeypatch):
+    bundle = pl.build_model(pl.PipelineConfig())
+    pairs = pl.synth_dataset(2, cfg=bundle.cfg)
+    monkeypatch.setattr(pl, "embed", lambda *args: pytest.fail("embedded before the check"))
+    with pytest.raises(UsageError):
+        rob.robustness_sweep(bundle, pairs, fractions=(1.0, fraction), modes=("random",), seed=seed)
 
 
 def test_identity_stub_replica_time_erasure():
