@@ -317,6 +317,52 @@ def weighted_sum(tensors, weights):
     return _node("weighted_sum", tuple(ts) + tuple(ws), fwd, bwd)
 
 
+def _weighted_rows(stack, w):
+    """sum_i w[i] * stack[i], accumulated in index order."""
+    out = np.zeros(stack.shape[1:])
+    for row, wi in zip(stack, w):
+        out += wi * row
+    return out
+
+
+def _row_dots(stack, a):
+    """<stack[i], a> for every i (a broadcasts over the leading axis)."""
+    return (stack * a).reshape(len(stack), -1).sum(axis=1)
+
+
+def replicas(a, w):
+    """Stack of scaled copies, out[i] = w[i] * a, with a leading axis of len(w).
+
+    Bilinear, and the adjoint of :func:`merge` in `a`; both sides get
+    gradients.
+    """
+    a, w = _as_tensor(a), _as_tensor(w)
+    if w.data.ndim != 1:
+        raise ConfigError(f"replicas: weights must be 1-D, got shape {w.data.shape}")
+
+    def bwd(g, acc):
+        acc(a, _weighted_rows(g, w.data))
+        acc(w, _row_dots(g, a.data))
+
+    return _node("replicas", (a, w), lambda: np.multiply.outer(w.data, a.data), bwd)
+
+
+def merge(stack, w):
+    """Weighted sum over the leading axis, sum_i w[i] * stack[i], in index order.
+
+    Bilinear, and the adjoint of :func:`replicas` in `stack`.
+    """
+    stack, w = _as_tensor(stack), _as_tensor(w)
+    if w.data.ndim != 1 or stack.data.shape[:1] != w.data.shape:
+        raise ConfigError(f"merge: weights of shape {w.data.shape} for a stack of shape {stack.data.shape}")
+
+    def bwd(g, acc):
+        acc(stack, np.multiply.outer(w.data, g))
+        acc(w, _row_dots(stack.data, g))
+
+    return _node("merge", (stack, w), lambda: _weighted_rows(stack.data, w.data), bwd)
+
+
 def conv2d(x, kernel, bias):
     """2-D convolution, stride 1, odd square kernel, zero 'same' padding.
 

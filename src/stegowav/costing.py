@@ -61,13 +61,11 @@ class CostBreakdown:
 
 def model_cost(cfg):
     """Parameter and MAC totals for one pipeline configuration."""
-    from .pipeline import _net_depths
-
     ctx = emb.make_context(cfg.method, (cfg.image, cfg.image), cfg.large)
     f, t = ctx.container_shape
     plane_px = ctx.plane_hw[0] * ctx.plane_hw[1]
     image_px = cfg.image * cfg.image
-    hide_cfg, reveal_cfg = _net_depths(cfg, ctx.grid.count)
+    hide_cfg, reveal_cfg = emb.net_depths(cfg, ctx.grid.count)
 
     # both networks run per replica cell, except that the container-merging
     # methods reveal from the whole container; the
@@ -76,8 +74,8 @@ def model_cost(cfg):
     # scaled copies alike), so stretch and replicate stay exactly equal
     container_stage = 2 * f * t         # encode_arrange output + residual add onto the cover
     image_stage = nets.unet_mac_count(hide_cfg, ctx.grid.cell_h, ctx.grid.cell_w)
-    if cfg.method in ("stretch", "replicate", "w_replicate"):
-        container_stage += nets.unet_mac_count(reveal_cfg, f, t)  # reveal at container size
+    if cfg.method in emb.CONTAINER_REVEAL:
+        container_stage += nets.unet_mac_count(reveal_cfg, f, t)
         image_stage += plane_px         # finalize: downsample or replica merge
     else:
         container_stage += f * t        # decode_prepare unpack/stack

@@ -29,7 +29,6 @@ import scipy.fft
 
 from . import autodiff as ad
 from .errors import ConfigError, UsageError
-from .imageops import read_pnm
 
 
 def hann_window(n):
@@ -344,7 +343,3 @@ def write_spectrogram_pgm(s, path):
         f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         f.write(raster.tobytes())
 
-
-def read_pgm(path):
-    """Read a binary P5 pixmap back into a [0,1] float plane (top row first)."""
-    return read_pnm(path, b"P5")[:, :, 0].astype(np.float64) / 255.0

@@ -6,11 +6,18 @@ Five methods share three hooks:
 * ``decode_prepare``: container plane -> revealing-network input
 * ``decode_finalize``: revealing-network output -> plane or RGB image
 
-``stretch`` runs the revealing network at container resolution and resizes
-its output down afterwards, which keeps its MAC count identical to
-``replicate`` at equal container size; the weighted variants scale replicas
-with trainable scalars at the encoder (w_replicate, ws_replicate) and merge
-with a sum-normalized trained weighted average at the decoder (w_replicate).
+Replicas form one (count, cell_h, cell_w) stack, replica index first, that
+the ``imageops`` pack/unpack adjoint pair moves in and out of the container,
+so each hook records the same number of tape nodes at any replica count.
+The ``multichannel`` watermark is the stack; the plane methods build it with
+``autodiff.replicas``, scaling the plane by ones (``replicate``) or by the
+trainable ``enc_weights`` (``w_replicate``, ``ws_replicate``).
+``ws_replicate`` and ``multichannel`` reveal from the unpacked stack.  The
+``CONTAINER_REVEAL`` methods reveal from the whole container: ``stretch``
+resizes the output down, which keeps its MAC count equal to ``replicate``'s,
+and ``replicate``/``w_replicate`` merge the unpacked stack in one weighted sum
+over the replica axis, by 1/count or by the trained ``dec_weights``
+normalised by their sum.
 """
 
 from __future__ import annotations
@@ -21,9 +28,12 @@ import numpy as np
 
 from . import autodiff as ad
 from . import imageops as iops
+from . import networks as nets
 from .errors import ConfigError
 
 METHODS = ("stretch", "replicate", "w_replicate", "ws_replicate", "multichannel")
+# methods whose revealing network runs at container size
+CONTAINER_REVEAL = ("stretch", "replicate", "w_replicate")
 
 
 @dataclass
@@ -74,71 +84,56 @@ def make_context(method, image_hw, large):
     return EmbeddingContext(method, tuple(image_hw), large, grid, enc, dec)
 
 
-def _check_plane(t, hw, what):
-    if t.data.shape != hw:
-        raise ConfigError(f"{what}: expected shape {hw}, got {t.data.shape}")
+def net_depths(cfg, n):
+    """(hiding, revealing) U-Net configs with each method's channel depths; n replicas."""
+    hide_in, hide_out, reveal_in, reveal_out = {
+        "multichannel": (3, n, n, 3), "ws_replicate": (1, 1, n, 1)}.get(cfg.method, (1, 1, 1, 1))
+    return (nets.UNetConfig(hide_in, hide_out, cfg.depth, cfg.channels, cfg.kernel),
+            nets.UNetConfig(reveal_in, reveal_out, cfg.depth, cfg.channels, cfg.kernel))
+
+
+def _check_shape(t, want, what):
+    if t.data.shape != want:
+        raise ConfigError(f"{what}: expected shape {want}, got {t.data.shape}")
 
 
 def encode_arrange(wmark, ctx):
     """Watermark -> container-shaped tensor (2-D), differentiable."""
-    method = ctx.method
-    if method == "multichannel":
-        want = (ctx.grid.count,) + ctx.image_hw
-        if wmark.data.shape != want:
-            raise ConfigError(f"encode_arrange: expected {want}, got {wmark.data.shape}")
-        channels = [ad.reshape(ad.slice_axis(wmark, c, c + 1), ctx.image_hw)
-                    for c in range(ctx.grid.count)]
-        return iops.pack_grid_op(channels, ctx.grid)
-
-    _check_plane(wmark, ctx.plane_hw, "encode_arrange")
-    if method == "stretch":
+    if ctx.method == "multichannel":
+        return iops.pack_grid_op(wmark, ctx.grid)
+    _check_shape(wmark, ctx.plane_hw, "encode_arrange")
+    if ctx.method == "stretch":
         return iops.bilinear_resize_op(wmark, *ctx.container_shape)
-    if method == "replicate":
-        return iops.pack_grid_op([wmark] * ctx.grid.count, ctx.grid)
-    # weighted replicas: one trainable scalar per copy
-    scaled = [ad.weighted_sum([wmark], [ad.slice_axis(ctx.enc_weights, i, i + 1)])
-              for i in range(ctx.grid.count)]
-    return iops.pack_grid_op(scaled, ctx.grid)
+    weights = ctx.enc_weights if ctx.enc_weights is not None else np.ones(ctx.grid.count)
+    return iops.pack_grid_op(ad.replicas(wmark, weights), ctx.grid)
 
 
 def decode_prepare(container, ctx):
     """Container plane -> (C, H, W) revealing-network input, differentiable."""
-    _check_plane(container, ctx.container_shape, "decode_prepare")
-    method = ctx.method
-    if method in ("stretch", "replicate", "w_replicate"):
+    _check_shape(container, ctx.container_shape, "decode_prepare")
+    if ctx.method in CONTAINER_REVEAL:
         return ad.reshape(container, (1,) + ctx.container_shape)
-    pieces = iops.unpack_grid_op(container, ctx.grid)
-    cell = (1, ctx.grid.cell_h, ctx.grid.cell_w)
-    return ad.concat_depth([ad.reshape(p, cell) for p in pieces])
+    return iops.unpack_grid_op(container, ctx.grid)
 
 
 def decode_finalize(net_out, ctx):
     """Revealing-network output -> plane (2H, 2W) or RGB (3, H, W) tensor."""
     method = ctx.method
     if method == "multichannel":
-        want = (3,) + ctx.image_hw
-        if net_out.data.shape != want:
-            raise ConfigError(f"decode_finalize: expected {want}, got {net_out.data.shape}")
+        _check_shape(net_out, (3,) + ctx.image_hw, "decode_finalize")
         return net_out
     if method == "ws_replicate":
-        want = (1,) + ctx.plane_hw
-        if net_out.data.shape != want:
-            raise ConfigError(f"decode_finalize: expected {want}, got {net_out.data.shape}")
+        _check_shape(net_out, (1,) + ctx.plane_hw, "decode_finalize")
         return ad.reshape(net_out, ctx.plane_hw)
 
-    want = (1,) + ctx.container_shape
-    if net_out.data.shape != want:
-        raise ConfigError(f"decode_finalize: expected {want}, got {net_out.data.shape}")
+    _check_shape(net_out, (1,) + ctx.container_shape, "decode_finalize")
     plane = ad.reshape(net_out, ctx.container_shape)
     if method == "stretch":
         return iops.bilinear_resize_op(plane, *ctx.plane_hw)
-    pieces = iops.unpack_grid_op(plane, ctx.grid)
     n = ctx.grid.count
     if method == "replicate":
-        return ad.weighted_sum(pieces, [ad.Tensor(1.0 / n)] * n)
-    # w_replicate: trained weighted average, weights normalized by their sum
-    total = ad.scale(ad.mean(ctx.dec_weights), n)
-    inv = ad.recip(total)
-    norm = [ad.mul(ad.reshape(ad.slice_axis(ctx.dec_weights, i, i + 1), ()), inv)
-            for i in range(n)]
-    return ad.weighted_sum(pieces, norm)
+        weights = np.full(n, 1.0 / n)
+    else:
+        # w_replicate: trained weights normalised by their sum
+        weights = ad.replicas(ad.recip(ad.scale(ad.mean(ctx.dec_weights), n)), ctx.dec_weights)
+    return ad.merge(iops.unpack_grid_op(plane, ctx.grid), weights)

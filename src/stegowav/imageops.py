@@ -1,9 +1,16 @@
-"""Color conversion, luma-buffered pixel shuffle, bilinear resize, replica grids.
+"""Luma-buffered pixel shuffle, bilinear resize, replica grids, PPM I/O.
 
 Images are float64 arrays of shape (3, H, W) with values in [0, 1]; planes
 are 2-D (H, W) arrays.  Unshuffle, resize and the replica-grid packing exist
 only as tape ops (suffix ``_op``); to apply one to a plain array, wrap it in
 a non-grad ``autodiff.Tensor`` and read ``.data``.
+
+Replicas travel as one stack: a (count, cell_h, cell_w) array whose leading
+axis is the row-major replica index.  ``ReplicaGrid.pack`` tiles a stack over
+the container and ``ReplicaGrid.unpack`` cuts it back out; the two are
+reshape/transpose copies and each other's inverse.  Since the tiling is a
+permutation, they are also each other's adjoint, so ``pack_grid_op`` and
+``unpack_grid_op`` each record one node whose backward pass is the other.
 """
 
 from __future__ import annotations
@@ -27,22 +34,6 @@ _YCBCR = np.array([
     [0.5, -0.418688, -0.081312],
 ])
 _YCBCR_INV = np.linalg.inv(_YCBCR)
-
-
-def rgb_to_ycbcr(rgb):
-    """(3, ...) RGB in [0,1] -> (3, ...) YCbCr; chroma offset +0.5."""
-    rgb = np.asarray(rgb, dtype=np.float64)
-    out = np.tensordot(_YCBCR, rgb, axes=(1, 0))
-    out[1] += 0.5
-    out[2] += 0.5
-    return out
-
-
-def ycbcr_to_rgb(ycc, clamp=True):
-    ycc = np.asarray(ycc, dtype=np.float64)
-    shifted = np.stack([ycc[0], ycc[1] - 0.5, ycc[2] - 0.5])
-    out = np.tensordot(_YCBCR_INV, shifted, axes=(1, 0))
-    return np.clip(out, 0.0, 1.0) if clamp else out
 
 
 def luma(rgb):
@@ -167,10 +158,21 @@ class ReplicaGrid:
     def container_shape(self):
         return (self.rows * self.cell_h, self.cols * self.cell_w)
 
-    def block(self, index):
-        i, j = divmod(index, self.cols)
-        return (slice(i * self.cell_h, (i + 1) * self.cell_h),
-                slice(j * self.cell_w, (j + 1) * self.cell_w))
+    def _cells(self, container):
+        """(rows, cols, cell_h, cell_w) view of a container array."""
+        return container.reshape(self.rows, self.cell_h, self.cols, self.cell_w).swapaxes(1, 2)
+
+    def pack(self, stack):
+        """(count, cell_h, cell_w) stack -> new container array."""
+        out = np.empty(self.container_shape)
+        self._cells(out)[...] = stack.reshape(self.rows, self.cols, self.cell_h, self.cell_w)
+        return out
+
+    def unpack(self, container):
+        """Container array -> new (count, cell_h, cell_w) stack."""
+        out = np.empty((self.count, self.cell_h, self.cell_w))
+        out.reshape(self.rows, self.cols, self.cell_h, self.cell_w)[...] = self._cells(container)
+        return out
 
 
 def plane_grid_shape(large):
@@ -183,43 +185,22 @@ def channel_grid_shape(large):
     return (8, 4) if large else (4, 2)
 
 
-def pack_grid_op(replicas, grid):
-    if len(replicas) != grid.count:
-        raise ConfigError(f"pack_grid: expected {grid.count} replicas, got {len(replicas)}")
-    for idx, rep in enumerate(replicas):
-        if rep.data.shape != (grid.cell_h, grid.cell_w):
-            raise ConfigError(
-                f"pack_grid: replica {idx} has shape {rep.data.shape}, expected {(grid.cell_h, grid.cell_w)}")
-
-    def fwd():
-        out = np.empty(grid.container_shape)
-        for idx, rep in enumerate(replicas):
-            out[grid.block(idx)] = rep.data
-        return out
-
-    def bwd(g, acc):
-        for idx, rep in enumerate(replicas):
-            acc(rep, g[grid.block(idx)])
-
-    return ad.register_op("pack_grid", tuple(replicas), fwd, bwd)
+def pack_grid_op(stack, grid):
+    """Tape op: (count, cell_h, cell_w) replica stack -> container plane."""
+    want = (grid.count, grid.cell_h, grid.cell_w)
+    if stack.data.shape != want:
+        raise ConfigError(f"pack_grid: expected a {want} replica stack, got {stack.data.shape}")
+    return ad.register_op("pack_grid", (stack,), lambda: grid.pack(stack.data),
+                          lambda g, acc: acc(stack, grid.unpack(g)))
 
 
 def unpack_grid_op(container, grid):
+    """Tape op: container plane -> (count, cell_h, cell_w) replica stack."""
     if container.data.shape != grid.container_shape:
         raise ConfigError(
             f"unpack_grid: container shape {container.data.shape} does not match grid {grid.container_shape}")
-
-    def piece(idx):
-        sel = grid.block(idx)
-
-        def bwd(g, acc):
-            buf = np.zeros_like(container.data)
-            buf[sel] = g
-            acc(container, buf)
-
-        return ad.register_op("unpack_grid", (container,), lambda: container.data[sel].copy(), bwd)
-
-    return [piece(i) for i in range(grid.count)]
+    return ad.register_op("unpack_grid", (container,), lambda: grid.unpack(container.data),
+                          lambda g, acc: acc(container, grid.pack(g)))
 
 
 # ---------------------------------------------------------------------------

@@ -149,19 +149,6 @@ def soft_dtw_chunked(x, y, gamma=1.0, chunk=SOFT_DTW_CHUNK, threshold=SOFT_DTW_C
     return total
 
 
-def hard_dtw(x, y):
-    """Classic min-rule DTW (oracle for the gamma -> 0 limit)."""
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    n, m = x.size, y.size
-    d = (x[:, None] - y[None, :]) ** 2
-    r = np.full((n + 1, m + 1), np.inf)
-    r[0, 0] = 0.0
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            r[i, j] = d[i - 1, j - 1] + min(r[i - 1, j], r[i, j - 1], r[i - 1, j - 1])
-    return r[n, m]
-
-
 # ---------------------------------------------------------------------------
 # composite objectives
 

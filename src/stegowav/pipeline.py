@@ -192,20 +192,6 @@ class ModelBundle:
         return nets.param_count(self.params)
 
 
-def _net_depths(cfg, replica_count):
-    if cfg.method == "multichannel":
-        hide_in, hide_out = 3, replica_count
-        reveal_in, reveal_out = replica_count, 3
-    elif cfg.method == "ws_replicate":
-        hide_in, hide_out = 1, 1
-        reveal_in, reveal_out = replica_count, 1
-    else:
-        hide_in, hide_out = 1, 1
-        reveal_in, reveal_out = 1, 1
-    return (nets.UNetConfig(hide_in, hide_out, cfg.depth, cfg.channels, cfg.kernel),
-            nets.UNetConfig(reveal_in, reveal_out, cfg.depth, cfg.channels, cfg.kernel))
-
-
 def _net_prefixes(cfg, role):
     """{plane: parameter prefix} of one role's networks: `role`, or `role_mag`/`role_phase`."""
     planes = cfg.planes()
@@ -216,7 +202,7 @@ def _net_prefixes(cfg, role):
 
 def build_model(cfg):
     ctx = emb.make_context(cfg.method, (cfg.image, cfg.image), cfg.large)
-    hide_cfg, reveal_cfg = _net_depths(cfg, ctx.grid.count)
+    hide_cfg, reveal_cfg = emb.net_depths(cfg, ctx.grid.count)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
     params = {}
     for role, net_cfg in (("hide", hide_cfg), ("reveal", reveal_cfg)):
@@ -595,8 +581,9 @@ def evaluate(bundle, dataset):
         snrs.append(diag["stego_snr_db"])
         cover_trim = pair.cover.samples[:cfg.required_samples()]
         if loss_cfg.waveform_loss == "soft_dtw":
-            wave = float(lo.soft_dtw_chunked(ad.Tensor(cover_trim), ad.Tensor(stego.samples),
-                                             loss_cfg.gamma).data)
+            with ad.no_grad():
+                wave = float(lo.soft_dtw_chunked(ad.Tensor(cover_trim), ad.Tensor(stego.samples),
+                                                 loss_cfg.gamma).data)
         else:
             wave = float(np.mean(np.abs(cover_trim - stego.samples)))
         waves.append(wave)

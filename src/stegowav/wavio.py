@@ -27,6 +27,8 @@ def read_wav(path):
         raise DataError(f"{path}: not a readable WAV file ({exc})") from exc
     if channels != 1 or width != 2:
         raise DataError(f"{path}: expected mono 16-bit PCM, got {channels} ch x {8 * width} bit")
+    if rate <= 0:
+        raise DataError(f"{path}: header declares a sample rate of {rate} Hz")
     if len(raw) != 2 * frames:
         raise DataError(f"{path}: header declares {frames} frames but the data chunk "
                         f"holds {len(raw)} bytes")

@@ -50,9 +50,55 @@ def unshuffle(plane, use_luma=True):
     return iops.unshuffle_op(ad.Tensor(plane), use_luma=use_luma).data
 
 
-def pack(replicas, grid):
-    return iops.pack_grid_op([ad.Tensor(r) for r in replicas], grid).data
+def pack(stack, grid):
+    return iops.pack_grid_op(ad.Tensor(stack), grid).data
 
 
 def unpack(container, grid):
-    return [t.data for t in iops.unpack_grid_op(ad.Tensor(container), grid)]
+    return iops.unpack_grid_op(ad.Tensor(container), grid).data
+
+
+# reference implementations the tests compare the package against
+
+# Full-range JPEG YCbCr with the standard (rounded) forward coefficients; the
+# inverse is the exact numerical inverse of this matrix.
+_YCBCR = np.array([
+    [0.299, 0.587, 0.114],
+    [-0.168736, -0.331264, 0.5],
+    [0.5, -0.418688, -0.081312],
+])
+_YCBCR_INV = np.linalg.inv(_YCBCR)
+
+
+def rgb_to_ycbcr(rgb):
+    """(3, ...) RGB in [0,1] -> (3, ...) YCbCr; chroma offset +0.5."""
+    rgb = np.asarray(rgb, dtype=np.float64)
+    out = np.tensordot(_YCBCR, rgb, axes=(1, 0))
+    out[1] += 0.5
+    out[2] += 0.5
+    return out
+
+
+def ycbcr_to_rgb(ycc, clamp=True):
+    ycc = np.asarray(ycc, dtype=np.float64)
+    shifted = np.stack([ycc[0], ycc[1] - 0.5, ycc[2] - 0.5])
+    out = np.tensordot(_YCBCR_INV, shifted, axes=(1, 0))
+    return np.clip(out, 0.0, 1.0) if clamp else out
+
+
+def hard_dtw(x, y):
+    """Classic min-rule DTW (oracle for the gamma -> 0 limit)."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    n, m = x.size, y.size
+    d = (x[:, None] - y[None, :]) ** 2
+    r = np.full((n + 1, m + 1), np.inf)
+    r[0, 0] = 0.0
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            r[i, j] = d[i - 1, j - 1] + min(r[i - 1, j], r[i, j - 1], r[i - 1, j - 1])
+    return r[n, m]
+
+
+def read_pgm(path):
+    """Read a binary P5 pixmap back into a [0,1] float plane (top row first)."""
+    return iops.read_pnm(path, b"P5")[:, :, 0].astype(np.float64) / 255.0

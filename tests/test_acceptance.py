@@ -22,7 +22,8 @@ from stegowav import networks as nets
 from stegowav import pipeline as pl
 from stegowav import robustness as rob
 
-from conftest import nyquist_free_signal, pack, unpack, unshuffle
+from conftest import (hard_dtw, nyquist_free_signal, pack, rgb_to_ycbcr, unpack, unshuffle,
+                      ycbcr_to_rgb)
 from test_losses import brute_force_soft_dtw
 
 METHODS = ("stretch", "replicate", "w_replicate", "ws_replicate", "multichannel")
@@ -114,9 +115,9 @@ def _registered_op_builders():
     def b_pack_unpack(rng):
         grid = iops.ReplicaGrid(2, 1, 3, 4)
         t = pos_leaf(rng, (3, 4))
-        c = iops.pack_grid_op([t, ad.scale(t, 0.7)], grid)
+        c = iops.pack_grid_op(ad.replicas(t, [1.0, 0.7]), grid)
         parts = iops.unpack_grid_op(c, grid)
-        return ad.sq_sum(ad.add(parts[0], parts[1])), [t]
+        return ad.sq_sum(ad.merge(parts, [1.0, 1.0])), [t]
 
     def b_unshuffle(rng):
         t = pos_leaf(rng, (6, 6))
@@ -156,6 +157,10 @@ def _registered_op_builders():
         "weighted_sum": lambda rng: (lambda x, y, w1, w2: (
             ad.sq_sum(ad.weighted_sum([x, y], [w1, w2])), [x, y, w1, w2]))(
             leaf(rng, (3, 3)), leaf(rng, (3, 3)), leaf(rng, ()), leaf(rng, ())),
+        "replicas": lambda rng: (lambda x, w: (ad.sq_sum(ad.replicas(x, w)), [x, w]))(
+            leaf(rng, (3, 3)), leaf(rng, (4,))),
+        "merge": lambda rng: (lambda x, w: (ad.sq_sum(ad.merge(x, w)), [x, w]))(
+            leaf(rng, (3, 3, 3)), leaf(rng, (3,))),
     }
     domain = {
         "istft": b_istft,
@@ -228,7 +233,7 @@ def test_c03_soft_dtw():
     for _ in range(5):
         x, y = rng.normal(size=9), rng.normal(size=11)
         got = float(lo.soft_dtw(ad.Tensor(x), ad.Tensor(y), 0.001).data)
-        worst_hard = max(worst_hard, abs(got - lo.hard_dtw(x, y)))
+        worst_hard = max(worst_hard, abs(got - hard_dtw(x, y)))
     assert worst_hard < 1e-3
     elapsed = time.monotonic() - start
     assert elapsed < 30.0
@@ -246,7 +251,7 @@ def test_c04_pixel_shuffle_luma():
     assert worst_rt < 1e-9
 
     pix = rng.random((3, 1000))
-    worst_ycc = np.max(np.abs(iops.ycbcr_to_rgb(iops.rgb_to_ycbcr(pix), clamp=False) - pix))
+    worst_ycc = np.max(np.abs(ycbcr_to_rgb(rgb_to_ycbcr(pix), clamp=False) - pix))
     assert worst_ycc < 1e-9
 
     # gray fixed point: the shuffled plane is bit-exactly the gray value;
@@ -274,7 +279,7 @@ def test_c05_embedding_geometry():
         grid = iops.ReplicaGrid(rows, cols, *cell)
         assert grid.count == count
         assert grid.container_shape == container_shape
-        reps = [rng.random(cell) for _ in range(count)]
+        reps = rng.random((count,) + cell)
         container = pack(reps, grid)
         back = unpack(container, grid)
         assert all(np.array_equal(a, b) for a, b in zip(reps, back))

@@ -119,6 +119,15 @@ def _op_builders():
             return ad.sq_sum(fn(x, rng)), [x]
         return builder
 
+    def with_weights(fn, count):
+        """Like `via`, with a trainable (count,) weight vector as a checked leaf."""
+        def builder(rng):
+            w = ad.Tensor(rng.uniform(0.6, 1.4, size=count) * rng.choice([-1.0, 1.0], size=count),
+                          requires_grad=True)
+            root, leaves = via(lambda x, r: fn(x, w))(rng)
+            return root, leaves + [w]
+        return builder
+
     return {
         "add": via(lambda x, r: ad.add(x, ad.scale(x, 0.5))),
         "sub": via(lambda x, r: ad.sub(ad.scale(x, 2.0), x)),
@@ -146,6 +155,8 @@ def _op_builders():
         "weighted_sum": via(lambda x, r: ad.weighted_sum(
             [x, ad.mul(x, x)], [ad.Tensor(r.normal(), requires_grad=True),
                                 ad.Tensor(r.normal(), requires_grad=True)])),
+        "replicas": with_weights(ad.replicas, 3),
+        "merge": with_weights(ad.merge, 2),
     }
 
 

@@ -9,6 +9,8 @@ from stegowav import dsp, imageops, metrics, pipeline, robustness, wavio
 from stegowav.cli import run
 from stegowav.errors import DataError, StegoError
 
+from conftest import read_pgm
+
 DESK_CFG = """# desk test profile
 method=replicate
 transform=stdct
@@ -72,7 +74,7 @@ def test_full_workflow(workspace, capsys):
     assert eval_lines[0] == metrics.METRICS_CSV_HEADER
     sweep_lines = (ws / "sweep.csv").read_text().splitlines()
     assert len(sweep_lines) == 1 + 6  # header + |fractions| x |modes|
-    raster = dsp.read_pgm(ws / "spec.pgm")
+    raster = read_pgm(ws / "spec.pgm")
     assert raster.shape == (64, 32)
 
 
@@ -254,7 +256,7 @@ def valid_files(tmp_path_factory):
     return {p.suffix: p.read_bytes() for p in d.iterdir()}
 
 
-READERS = {".ppm": imageops.read_ppm, ".pgm": dsp.read_pgm, ".wav": wavio.read_wav,
+READERS = {".ppm": imageops.read_ppm, ".pgm": read_pgm, ".wav": wavio.read_wav,
            ".pxw2": pipeline.load_checkpoint}
 
 
@@ -283,6 +285,17 @@ def test_wav_corrupt_chunk_size_is_data_error(valid_files, tmp_path):
     (tmp_path / "bad.wav").write_bytes(bytes(raw))
     with pytest.raises(DataError, match="bad.wav"):
         wavio.read_wav(tmp_path / "bad.wav")
+
+
+def test_wav_zero_sample_rate_is_data_error(valid_files, workspace, capsys):
+    raw = bytearray(valid_files[".wav"])
+    raw[24:28] = bytes(4)  # the fmt chunk's sample rate
+    bad = workspace / "bad.wav"
+    bad.write_bytes(bytes(raw))
+    with pytest.raises(DataError, match="bad.wav.*sample rate of 0"):
+        wavio.read_wav(bad)
+    assert run(["spectrogram", "--audio", str(bad), "--out", str(workspace / "s.pgm")]) == 2
+    assert "bad.wav" in capsys.readouterr().err
 
 
 def test_cover_sample_rate_mismatch_exits_1(workspace, capsys):

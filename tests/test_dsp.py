@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from stegowav import dsp
 from stegowav.errors import ConfigError, UsageError
 
-from conftest import make_waveform, nyquist_free_signal
+from conftest import make_waveform, nyquist_free_signal, read_pgm
 
 SWEEP = [(16, 4), (16, 8), (64, 16), (64, 32), (256, 64), (256, 128)]
 
@@ -249,7 +249,7 @@ def test_spectrogram_pgm_roundtrip(tmp_path):
     s = dsp.stft(make_waveform(np.random.default_rng(8).normal(size=80)), cfg)
     path = tmp_path / "spec.pgm"
     dsp.write_spectrogram_pgm(s, path)
-    raster = dsp.read_pgm(path)
+    raster = read_pgm(path)
     assert raster.shape == s.shape
     expect = np.flipud(np.round(dsp.log_view(s) * 255.0) / 255.0)
     assert np.allclose(raster, expect, atol=1e-12)

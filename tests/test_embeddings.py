@@ -12,6 +12,15 @@ def _watermark(ctx, rng):
     return ad.Tensor(rng.random(ctx.plane_hw))
 
 
+def _net_out(ctx, rng):
+    """A shape-correct fake revealing-network output."""
+    if ctx.method in ("stretch", "replicate", "w_replicate"):
+        return ad.Tensor(rng.random((1,) + ctx.container_shape))
+    if ctx.method == "ws_replicate":
+        return ad.Tensor(rng.random((1,) + ctx.plane_hw))
+    return ad.Tensor(rng.random((3,) + ctx.image_hw))
+
+
 @pytest.mark.parametrize("method", emb.METHODS)
 @pytest.mark.parametrize("large", [False, True])
 def test_shape_contracts_all_methods_both_sizes(method, large, rng):
@@ -27,16 +36,31 @@ def test_shape_contracts_all_methods_both_sizes(method, large, rng):
     else:
         assert prep.data.shape == (ctx.grid.count,) + ctx.image_hw
     # feed a shape-correct fake network output through finalize
-    if method in ("stretch", "replicate", "w_replicate"):
-        net_out = ad.Tensor(rng.random((1,) + ctx.container_shape))
-        expect = ctx.plane_hw
-    elif method == "ws_replicate":
-        net_out = ad.Tensor(rng.random((1,) + ctx.plane_hw))
-        expect = ctx.plane_hw
-    else:
-        net_out = ad.Tensor(rng.random((3,) + ctx.image_hw))
-        expect = (3,) + ctx.image_hw
-    assert emb.decode_finalize(net_out, ctx).data.shape == expect
+    expect = (3,) + ctx.image_hw if method == "multichannel" else ctx.plane_hw
+    assert emb.decode_finalize(_net_out(ctx, rng), ctx).data.shape == expect
+
+
+@pytest.mark.parametrize("method", emb.METHODS)
+def test_hook_node_counts_do_not_grow_with_replicas(method, rng, monkeypatch):
+    node = ad._node
+    ops = []
+    monkeypatch.setattr(ad, "_node", lambda *args: ops.append(args[0]) or node(*args))
+
+    def hook_counts(large):
+        ctx = emb.make_context(method, (8, 8), large)
+        counts = []
+        for hook, arg in ((emb.encode_arrange, _watermark(ctx, rng)),
+                          (emb.decode_prepare, ad.Tensor(rng.random(ctx.container_shape))),
+                          (emb.decode_finalize, _net_out(ctx, rng))):
+            ops.clear()
+            hook(arg, ctx)
+            counts.append(len(ops))
+        return counts
+
+    small, large = hook_counts(False), hook_counts(True)
+    assert emb.make_context(method, (8, 8), True).grid.count > emb.make_context(
+        method, (8, 8), False).grid.count
+    assert large == small
 
 
 def test_replica_counts_match_published_grids():

@@ -5,17 +5,17 @@ from stegowav import autodiff as ad
 from stegowav import imageops as iops
 from stegowav.errors import ConfigError, DataError
 
-from conftest import pack, unpack, unshuffle
+from conftest import pack, rgb_to_ycbcr, unpack, unshuffle, ycbcr_to_rgb
 
 
 def test_ycbcr_gray_and_black():
     for v in (0.0, 0.3, 1.0):
-        assert np.allclose(iops.rgb_to_ycbcr(np.array([v, v, v])), [v, 0.5, 0.5], atol=1e-12)
+        assert np.allclose(rgb_to_ycbcr(np.array([v, v, v])), [v, 0.5, 0.5], atol=1e-12)
 
 
 def test_ycbcr_roundtrip_1000_pixels(rng):
     p = rng.random((3, 1000))
-    back = iops.ycbcr_to_rgb(iops.rgb_to_ycbcr(p), clamp=False)
+    back = ycbcr_to_rgb(rgb_to_ycbcr(p), clamp=False)
     assert np.max(np.abs(back - p)) < 1e-9
 
 
@@ -109,9 +109,9 @@ def test_unshuffle_op_matches_function_and_grad(rng):
     # oracle: received RGB to YCbCr, average the received Y slot into the
     # luma, back to RGB unclamped
     plane = rng.random((6, 6))
-    ycc = iops.rgb_to_ycbcr(np.stack([plane[0::2, 0::2], plane[0::2, 1::2], plane[1::2, 0::2]]))
+    ycc = rgb_to_ycbcr(np.stack([plane[0::2, 0::2], plane[0::2, 1::2], plane[1::2, 0::2]]))
     ycc[0] = (ycc[0] + plane[1::2, 1::2]) / 2.0
-    assert np.allclose(unshuffle(plane), iops.ycbcr_to_rgb(ycc, clamp=False), atol=1e-12)
+    assert np.allclose(unshuffle(plane), ycbcr_to_rgb(ycc, clamp=False), atol=1e-12)
 
     def builder(r):
         x = ad.Tensor(r.uniform(0.2, 0.8, size=(6, 6)), requires_grad=True)
@@ -122,7 +122,7 @@ def test_unshuffle_op_matches_function_and_grad(rng):
 
 def test_pack_unpack_exact_partition(rng):
     grid = iops.ReplicaGrid(2, 1, 8, 8)
-    reps = [rng.random((8, 8)) for _ in range(2)]
+    reps = rng.random((2, 8, 8))
     container = pack(reps, grid)
     assert container.shape == (16, 8)
     back = unpack(container, grid)
@@ -135,13 +135,13 @@ def test_pack_unpack_exact_partition(rng):
 def test_paper_replica_counts():
     # 2 x (512 x 512) -> 1024 x 512 with replica 0 in the low-frequency half
     grid = iops.ReplicaGrid(*iops.plane_grid_shape(False), 512, 512)
-    reps = [np.zeros((512, 512)), np.ones((512, 512))]
+    reps = np.stack([np.zeros((512, 512)), np.ones((512, 512))])
     container = pack(reps, grid)
     assert container.shape == (1024, 512)
     assert np.all(container[:512] == 0.0) and np.all(container[512:] == 1.0)
     # 8 x (256 x 256) in a 4 x 2 grid -> 1024 x 512
     grid8 = iops.ReplicaGrid(*iops.channel_grid_shape(False), 256, 256)
-    container8 = pack([np.full((256, 256), i) for i in range(8)], grid8)
+    container8 = pack(np.stack([np.full((256, 256), i) for i in range(8)]), grid8)
     assert container8.shape == (1024, 512)
     assert container8[0, 0] == 0 and container8[0, 256] == 1 and container8[768, 256] == 7
 
@@ -149,9 +149,9 @@ def test_paper_replica_counts():
 def test_pack_grid_shape_errors():
     grid = iops.ReplicaGrid(2, 1, 4, 4)
     with pytest.raises(ConfigError):
-        pack([np.zeros((4, 4))], grid)
+        pack(np.zeros((1, 4, 4)), grid)
     with pytest.raises(ConfigError):
-        pack([np.zeros((4, 4)), np.zeros((3, 4))], grid)
+        pack(np.zeros((2, 3, 4)), grid)
     with pytest.raises(ConfigError):
         unpack(np.zeros((9, 4)), grid)
 
@@ -160,9 +160,9 @@ def test_pack_unpack_ops_gradient():
     def builder(rng):
         grid = iops.ReplicaGrid(2, 1, 3, 4)
         t = ad.Tensor(rng.uniform(0.5, 1.5, size=(3, 4)), requires_grad=True)
-        container = iops.pack_grid_op([t, ad.scale(t, 0.5)], grid)
+        container = iops.pack_grid_op(ad.replicas(t, [1.0, 0.5]), grid)
         parts = iops.unpack_grid_op(container, grid)
-        return ad.sq_sum(ad.add(parts[0], parts[1])), [t]
+        return ad.sq_sum(ad.merge(parts, [1.0, 1.0])), [t]
 
     assert ad.grad_check(builder, 2) < 1e-4
 

@@ -191,6 +191,23 @@ def test_no_grad_inference_matches_the_taped_path(overrides, monkeypatch):
     assert run() == lean
 
 
+def test_soft_dtw_evaluate_records_no_tape(monkeypatch):
+    cfg = pl.PipelineConfig(wave_loss="soft_dtw")
+    bundle = pl.build_model(cfg)
+    pairs = tiny_pairs(cfg, 2)
+    made = []
+    node = ad._node
+
+    def recording_node(*args):
+        made.append(node(*args))
+        return made[-1]
+
+    monkeypatch.setattr(ad, "_node", recording_node)
+    row = pl.evaluate(bundle, pairs)
+    assert made and np.isfinite(row.waveform_loss)
+    assert [t.op for t in made if t._parents] == []
+
+
 def test_training_still_records_after_failed_inference():
     cfg = pl.PipelineConfig(steps=1, batch=2)
     bundle = pl.build_model(cfg)

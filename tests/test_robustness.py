@@ -86,7 +86,7 @@ def test_identity_stub_replica_time_erasure():
     ctx = emb.make_context("replicate", (4, 4), True)
     rng = np.random.default_rng(1)
     wm = rng.random(ctx.plane_hw)
-    container = iops.pack_grid_op([ad.Tensor(wm)] * ctx.grid.count, ctx.grid).data
+    container = iops.pack_grid_op(ad.Tensor(np.stack([wm] * ctx.grid.count)), ctx.grid).data
     t = ctx.container_shape[1]
     damaged = container.copy()
     cols = np.arange(0, 3)  # inside column block 0 (width t//2)
