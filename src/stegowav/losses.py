@@ -1,9 +1,15 @@
 """Distances and composite training objectives.
 
 l1/l2 use mean reductions so the mixing weights stay comparable across
-container sizes.  Soft dynamic time warping runs a log-sum-exp softmin DP
-with an analytic backward pass; both directions are vectorized along
-anti-diagonals so chunked waveform losses stay tractable.
+container sizes.  Soft dynamic time warping (Cuturi & Blondel, arXiv
+1703.01541) runs the log-sum-exp softmin DP and its analytic backward pass
+over a batch of equal-length sequence pairs, one anti-diagonal per step.
+Cell (i, j) of pair b (0-based) sits at T[(i + j) % m, b, i]: a diagonal and
+its neighbours are contiguous slices, and a pair's n*m cells fill T once, less
+than the (n+1)^2 square table.  Boundary cells live only in rolling buffers.
+The backward pass overwrites T with the alignment weights E and reads the
+gradient through a strided view, a few rows at a time.  A chunked waveform
+loss runs its equal-length chunks as one batch in one tape node.
 """
 
 from __future__ import annotations
@@ -11,12 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import autodiff as ad
 from .errors import ConfigError, UsageError
 
 SOFT_DTW_CHUNK = 1024
 SOFT_DTW_CHUNK_THRESHOLD = 4096
+_TILE_ROWS = 64  # rows of E rebuilt per gradient gather, so the gather stays in cache
 
 
 @dataclass
@@ -34,8 +42,8 @@ class LossConfig:
             raise ConfigError(f"lambda must be >= 0, got {self.lam}")
         if not 0.0 <= self.theta <= 1.0:
             raise ConfigError(f"theta must be in [0,1], got {self.theta}")
-        if self.gamma <= 0.0:
-            raise ConfigError(f"gamma must be > 0, got {self.gamma}")
+        if not 0.0 < self.gamma < np.inf:
+            raise ConfigError(f"gamma must be finite and > 0, got {self.gamma}")
         if self.waveform_loss not in ("l1", "soft_dtw"):
             raise ConfigError(f"unknown waveform loss {self.waveform_loss!r}")
 
@@ -56,97 +64,99 @@ def l2(a, b):
 # soft dynamic time warping
 
 
-def _softmin3(a, b, c, gamma):
-    m = np.minimum(np.minimum(a, b), c)
-    # inf cells stay inf; max-shift keeps exp arguments <= 0
-    with np.errstate(invalid="ignore"):
-        s = (np.exp(np.where(np.isinf(m), 0.0, (m - a) / gamma))
-             + np.exp(np.where(np.isinf(m), 0.0, (m - b) / gamma))
-             + np.exp(np.where(np.isinf(m), 0.0, (m - c) / gamma)))
-    return np.where(np.isinf(m), m, m - gamma * np.log(s))
+def _diagonal_costs(x, y):
+    """cost(k, lo, hi) = d(i, k - i) for the 1-based rows i = lo..hi, zero past n and m."""
+    xp = np.concatenate([x, np.zeros((len(x), 1))], axis=1)
+    ypr, m = np.concatenate([np.zeros((len(y), 1)), y[:, ::-1]], axis=1), y.shape[1]
+    return lambda k, lo, hi: (xp[:, lo - 1:hi] - ypr[:, m + 1 - k + lo:m + 2 - k + hi]) ** 2
 
 
-def _sdtw_forward(x, y, gamma):
-    """DP table r[i,j] = d(i,j) + softmin(r[i-1,j], r[i,j-1], r[i-1,j-1])."""
-    n, m = x.size, y.size
-    d = (x[:, None] - y[None, :]) ** 2
-    r = np.full((n + 1, m + 1), np.inf)
-    r[0, 0] = 0.0
-    # anti-diagonal sweep: cells (i, k-i) for the k-th diagonal
-    for k in range(2, n + m + 1):
-        i0, i1 = max(1, k - m), min(n, k - 1)
-        i = np.arange(i0, i1 + 1)
-        j = k - i
-        r[i, j] = d[i - 1, j - 1] + _softmin3(r[i - 1, j], r[i, j - 1], r[i - 1, j - 1], gamma)
-    return r
+def _sdtw_forward(x, y, gamma, keep=True):
+    """T of r[i,j] = d(i,j) + softmin(r[i-1,j], r[i,j-1], r[i-1,j-1]) and r[n,m] per pair;
+    without `keep` (no backward will read T) T is one scratch row, not the table."""
+    (nb, n), m, cost = x.shape, y.shape[1], _diagonal_costs(x, y)
+    T, R = np.empty((m if keep else 1, nb, n)), np.full((3, nb, n + 2), np.inf)
+    # R: the last three diagonals by 1-based row, +inf past the edges; softmin(inf, inf, 0) == 0
+    R[2, :, 1] = T[0, :, 0] = cost(2, 1, 1)[:, 0]
+    for k in range(3, n + m + 1):
+        lo, hi = max(1, k - m), min(n, k - 1)
+        a, b, c = R[(k - 1) % 3, :, lo - 1:hi], R[(k - 1) % 3, :, lo:hi + 1], R[(k - 2) % 3, :, lo - 1:hi]
+        mn = np.minimum(np.minimum(a, b), c)
+        s = np.exp((mn - a) / gamma) + np.exp((mn - b) / gamma) + np.exp((mn - c) / gamma)
+        R[k % 3, :, lo:hi + 1] = T[(k - 2) % len(T), :, lo - 1:hi] = cost(k, lo, hi) + (mn - gamma * np.log(s))
+    return T, R[(n + m) % 3, :, n]
 
 
-def _sdtw_backward(x, y, gamma, r):
-    """Alignment-weight DP; returns E with dLoss/dD[i,j] = E[i,j]."""
-    n, m = x.size, y.size
-    d = np.zeros((n + 2, m + 2))
-    d[1:n + 1, 1:m + 1] = (x[:, None] - y[None, :]) ** 2
-    rr = np.full((n + 2, m + 2), -np.inf)
-    rr[:n + 1, :m + 1] = r
-    rr[n + 1, m + 1] = rr[n, m]
-    e = np.zeros((n + 2, m + 2))
-    e[n + 1, m + 1] = 1.0
-    with np.errstate(invalid="ignore", over="ignore"):
-        for k in range(n + m, 1, -1):
-            i0, i1 = max(1, k - m), min(n, k - 1)
-            i = np.arange(i0, i1 + 1)
-            j = k - i
-            a = np.exp((rr[i + 1, j] - rr[i, j] - d[i + 1, j]) / gamma)
-            b = np.exp((rr[i, j + 1] - rr[i, j] - d[i, j + 1]) / gamma)
-            c = np.exp((rr[i + 1, j + 1] - rr[i, j] - d[i + 1, j + 1]) / gamma)
-            e[i, j] = (np.nan_to_num(a, nan=0.0, posinf=0.0) * e[i + 1, j]
-                       + np.nan_to_num(b, nan=0.0, posinf=0.0) * e[i, j + 1]
-                       + np.nan_to_num(c, nan=0.0, posinf=0.0) * e[i + 1, j + 1])
-    return e[1:n + 1, 1:m + 1]
+def _sdtw_backward(x, y, gamma, T):
+    """Overwrite T with E[i,j] = sum over successors s of exp((r_s - r[i,j] - d_s) / gamma) * E_s
+    (r = -inf past n or m, E[n,m] = 1); return the row and column sums of E * diff."""
+    (nb, n), m, cost = x.shape, y.shape[1], _diagonal_costs(x, y)
+    R, E, D = np.full((2, nb, n + 2), -np.inf), np.zeros((2, nb, n + 2)), np.zeros((2, nb, n + 2))
+    R[(n + m) % 2, :, n] = T[(n + m - 2) % m, :, n - 1]
+    E[(n + m) % 2, :, n] = T[(n + m - 2) % m, :, n - 1] = 1.0
+    for k in range(n + m - 1, 1, -1):
+        lo, hi = max(1, k - m), min(n, k - 1)
+        r, r1, r2, e1, e2 = T[(k - 2) % m, :, lo - 1:hi], R[(k + 1) % 2], R[k % 2], E[(k + 1) % 2], E[k % 2]
+        d1 = D[(k + 1) % 2, :, lo:hi + 2] = cost(k + 1, lo, hi + 1)
+        a = np.exp((r1[:, lo + 1:hi + 2] - r - d1[:, 1:]) / gamma)
+        b = np.exp((r1[:, lo:hi + 1] - r - d1[:, :-1]) / gamma)
+        c = np.exp((r2[:, lo + 1:hi + 2] - r - D[k % 2, :, lo + 1:hi + 2]) / gamma)
+        r2[:, lo:hi + 1] = r
+        e2[:, lo:hi + 1] = T[(k - 2) % m, :, lo - 1:hi] = (
+            a * e1[:, lo + 1:hi + 2] + b * e1[:, lo:hi + 1] + c * e2[:, lo + 1:hi + 2])
+    gx, gy, rows = np.empty((nb, n)), np.empty((nb, m)), np.arange(n + m - 1) % m
+    for s in range(nb):  # p[0] carries the column sums, so the rows add in order
+        p = np.zeros((_TILE_ROWS + 1, m))
+        for i in range(0, n, _TILE_ROWS):
+            tile = T[rows[i:i + _TILE_ROWS + m - 1], s, i:i + _TILE_ROWS]
+            w = tile.shape[1]
+            np.subtract.outer(x[s, i:i + w], y[s], out=p[1:w + 1])
+            p[1:w + 1] *= as_strided(tile, (w, m), (tile.strides[0] + tile.strides[1], tile.strides[0]))
+            gx[s, i:i + w], p[0] = p[1:w + 1].sum(axis=1), p[:w + 1].sum(axis=0)
+        gy[s] = p[0] if m > 1 else gx[s].sum()  # numpy sums one column pairwise
+    return gx, gy
 
 
-def soft_dtw(x, y, gamma=1.0):
-    """Soft-DTW discrepancy with squared-difference cell cost, on the tape."""
+def _soft_dtw(x, y, gamma, chunk=0):
+    """One `soft_dtw` node: the DP over aligned `chunk`-sample pieces (default: whole
+    sequences) as a batch plus a shorter tail, the values added in piece order."""
     x, y = ad._as_tensor(x), ad._as_tensor(y)
     if x.data.ndim != 1 or y.data.ndim != 1 or x.data.size == 0 or y.data.size == 0:
         raise UsageError("soft_dtw expects non-empty 1-D sequences")
-    if gamma <= 0:
-        raise UsageError(f"soft_dtw smoothing gamma must be > 0, got {gamma}")
-    cache = {}
+    if not 0.0 < gamma < np.inf:
+        raise UsageError(f"soft_dtw smoothing gamma must be finite and > 0, got {gamma}")
+    cx, cy, cache = chunk or x.data.size, chunk or y.data.size, {}
+
+    def batches():
+        q = x.data.size // cx
+        whole = [(x.data[:q * cx].reshape(q, cx), y.data[:q * cy].reshape(q, cy))]
+        return whole + ([(x.data[None, q * cx:], y.data[None, q * cy:])] if q * cx < x.data.size else [])
 
     def fwd():
-        r = _sdtw_forward(x.data, y.data, gamma)
-        cache["r"] = r
-        return np.asarray(r[x.data.size, y.data.size])
+        cache["t"] = [_sdtw_forward(a, b, gamma, ad._recording) for a, b in batches()]
+        return np.asarray(np.cumsum(np.concatenate([v for _, v in cache["t"]]))[-1])
 
-    def bwd(g, acc):
-        e = _sdtw_backward(x.data, y.data, gamma, cache["r"])
-        diff = x.data[:, None] - y.data[None, :]
-        acc(x, float(g) * 2.0 * (e * diff).sum(axis=1))
-        acc(y, float(g) * -2.0 * (e * diff).sum(axis=0))
+    def bwd(g, acc):  # E overwrites the tables, so a second backward rebuilds them
+        tables = cache.pop("t", None) or [_sdtw_forward(a, b, gamma) for a, b in batches()]
+        grads = [_sdtw_backward(a, b, gamma, t) for (a, b), (t, _) in zip(batches(), tables)]
+        acc(x, float(g) * 2.0 * np.concatenate([gx.ravel() for gx, _ in grads]))
+        acc(y, float(g) * -2.0 * np.concatenate([gy.ravel() for _, gy in grads]))
 
     return ad.register_op("soft_dtw", (x, y), fwd, bwd)
 
 
-def soft_dtw_chunked(x, y, gamma=1.0, chunk=SOFT_DTW_CHUNK, threshold=SOFT_DTW_CHUNK_THRESHOLD):
-    """Soft-DTW, split into consecutive same-position chunks past `threshold`.
+def soft_dtw(x, y, gamma=1.0):
+    """Soft-DTW discrepancy with squared-difference cell cost, on the tape."""
+    return _soft_dtw(x, y, gamma)
 
-    The O(n^2) DP is intractable on long waveforms; the documented fallback
-    sums soft-DTW over aligned non-overlapping chunks of `chunk` samples
-    (trailing remainder included).
-    """
+
+def soft_dtw_chunked(x, y, gamma=1.0):
+    """Soft-DTW summed over aligned SOFT_DTW_CHUNK-sample chunks (tail included) past
+    SOFT_DTW_CHUNK_THRESHOLD samples, where the O(n^2) DP grows intractable."""
     x, y = ad._as_tensor(x), ad._as_tensor(y)
     if x.data.size != y.data.size:
         raise ConfigError(f"soft_dtw_chunked: lengths differ: {x.data.size} vs {y.data.size}")
-    n = x.data.size
-    if n <= threshold:
-        return soft_dtw(x, y, gamma)
-    total = None
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        piece = soft_dtw(ad.slice_axis(x, start, stop), ad.slice_axis(y, start, stop), gamma)
-        total = piece if total is None else ad.add(total, piece)
-    return total
+    return _soft_dtw(x, y, gamma, SOFT_DTW_CHUNK if x.data.size > SOFT_DTW_CHUNK_THRESHOLD else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,57 @@ def hard_dtw(x, y):
     return r[n, m]
 
 
+# The square-table soft-DTW DP that `losses` used before its diagonal-major
+# kernel: the byte-for-byte oracle for that kernel's value and gradients.
+def _softmin3(a, b, c, gamma):
+    m = np.minimum(np.minimum(a, b), c)
+    # inf cells stay inf; max-shift keeps exp arguments <= 0
+    with np.errstate(invalid="ignore"):
+        s = (np.exp(np.where(np.isinf(m), 0.0, (m - a) / gamma))
+             + np.exp(np.where(np.isinf(m), 0.0, (m - b) / gamma))
+             + np.exp(np.where(np.isinf(m), 0.0, (m - c) / gamma)))
+    return np.where(np.isinf(m), m, m - gamma * np.log(s))
+
+
+def _sdtw_forward(x, y, gamma):
+    """DP table r[i,j] = d(i,j) + softmin(r[i-1,j], r[i,j-1], r[i-1,j-1])."""
+    n, m = x.size, y.size
+    d = (x[:, None] - y[None, :]) ** 2
+    r = np.full((n + 1, m + 1), np.inf)
+    r[0, 0] = 0.0
+    # anti-diagonal sweep: cells (i, k-i) for the k-th diagonal
+    for k in range(2, n + m + 1):
+        i0, i1 = max(1, k - m), min(n, k - 1)
+        i = np.arange(i0, i1 + 1)
+        j = k - i
+        r[i, j] = d[i - 1, j - 1] + _softmin3(r[i - 1, j], r[i, j - 1], r[i - 1, j - 1], gamma)
+    return r
+
+
+def _sdtw_backward(x, y, gamma, r):
+    """Alignment-weight DP; returns E with dLoss/dD[i,j] = E[i,j]."""
+    n, m = x.size, y.size
+    d = np.zeros((n + 2, m + 2))
+    d[1:n + 1, 1:m + 1] = (x[:, None] - y[None, :]) ** 2
+    rr = np.full((n + 2, m + 2), -np.inf)
+    rr[:n + 1, :m + 1] = r
+    rr[n + 1, m + 1] = rr[n, m]
+    e = np.zeros((n + 2, m + 2))
+    e[n + 1, m + 1] = 1.0
+    with np.errstate(invalid="ignore", over="ignore"):
+        for k in range(n + m, 1, -1):
+            i0, i1 = max(1, k - m), min(n, k - 1)
+            i = np.arange(i0, i1 + 1)
+            j = k - i
+            a = np.exp((rr[i + 1, j] - rr[i, j] - d[i + 1, j]) / gamma)
+            b = np.exp((rr[i, j + 1] - rr[i, j] - d[i, j + 1]) / gamma)
+            c = np.exp((rr[i + 1, j + 1] - rr[i, j] - d[i + 1, j + 1]) / gamma)
+            e[i, j] = (np.nan_to_num(a, nan=0.0, posinf=0.0) * e[i + 1, j]
+                       + np.nan_to_num(b, nan=0.0, posinf=0.0) * e[i, j + 1]
+                       + np.nan_to_num(c, nan=0.0, posinf=0.0) * e[i + 1, j + 1])
+    return e[1:n + 1, 1:m + 1]
+
+
 def read_pgm(path):
     """Read a binary P5 pixmap back into a [0,1] float plane (top row first)."""
     return iops.read_pnm(path, b"P5")[:, :, 0].astype(np.float64) / 255.0

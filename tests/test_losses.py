@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stegowav import autodiff as ad
 from stegowav import losses as lo
 from stegowav.errors import ConfigError, UsageError
 
-from conftest import hard_dtw
+from conftest import _sdtw_backward, _sdtw_forward, hard_dtw
 
 
 def brute_force_soft_dtw(x, y, gamma):
@@ -49,6 +53,89 @@ def test_soft_dtw_rejects_bad_input():
         lo.soft_dtw(ad.Tensor(np.zeros(0)), ad.Tensor(np.ones(3)), 1.0)
     with pytest.raises(UsageError):
         lo.soft_dtw(ad.Tensor(np.ones(3)), ad.Tensor(np.ones(3)), 0.0)
+
+
+@pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
+def test_soft_dtw_rejects_nonfinite_gamma(gamma):
+    with pytest.raises(UsageError, match="finite"):
+        lo.soft_dtw(ad.Tensor(np.ones(3)), ad.Tensor(np.ones(4)), gamma)
+
+
+@st.composite
+def sdtw_case(draw, batch=1):
+    """(x, y, gamma) with n, m in 1..48 (n != m included) and gamma in [0.01, 5];
+    half the cases draw from a coarse grid, so minima tie and differences are 0."""
+    n, m = draw(st.integers(1, 48), label="n"), draw(st.integers(1, 48), label="m")
+    gamma = draw(st.floats(0.01, 5.0), label="gamma")
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    if draw(st.booleans(), label="grid"):
+        return rng.integers(-2, 3, size=(batch, n)) / 2.0, rng.integers(-2, 3, size=(batch, m)) / 2.0, gamma
+    return rng.normal(size=(batch, n)), rng.normal(size=(batch, m)), gamma
+
+
+def assert_matches_oracle(x, y, gamma):
+    r = _sdtw_forward(x, y, gamma)
+    e = _sdtw_backward(x, y, gamma, r)
+    diff = x[:, None] - y[None, :]
+    xt, yt = ad.Tensor(x, requires_grad=True), ad.Tensor(y, requires_grad=True)
+    value = lo.soft_dtw(xt, yt, gamma)
+    ad.backward(value)
+    assert np.asarray(value.data).tobytes() == r[x.size, y.size].tobytes()
+    assert xt.grad.tobytes() == (2.0 * (e * diff).sum(axis=1)).tobytes()
+    assert yt.grad.tobytes() == (-2.0 * (e * diff).sum(axis=0)).tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=sdtw_case())
+def test_soft_dtw_bytes_match_square_table_oracle(case):
+    (x,), (y,), gamma = case
+    assert_matches_oracle(x, y, gamma)
+
+
+@pytest.mark.parametrize("n, m", [(150, 70), (70, 150), (130, 1), (1, 130), (200, 200)])
+def test_soft_dtw_bytes_match_oracle_past_one_gradient_tile(n, m):
+    rng = np.random.default_rng(n * 1000 + m)
+    assert_matches_oracle(rng.normal(size=n), rng.normal(size=m), 0.3)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(case=sdtw_case(batch=4))
+def test_soft_dtw_batch_equals_its_rows(case):
+    x, y, gamma = case
+    table, values = lo._sdtw_forward(x, y, gamma)
+    grads = lo._sdtw_backward(x, y, gamma, table)
+    for b in range(len(x)):
+        table_b, value_b = lo._sdtw_forward(x[b:b + 1], y[b:b + 1], gamma)
+        assert values[b].tobytes() == value_b[0].tobytes()
+        for batched, row in zip(grads, lo._sdtw_backward(x[b:b + 1], y[b:b + 1], gamma, table_b)):
+            assert batched[b].tobytes() == row[0].tobytes()
+
+
+def test_soft_dtw_backward_twice_accumulates_exactly():
+    rng = np.random.default_rng(6)
+    x, y = ad.Tensor(rng.normal(size=9), requires_grad=True), ad.Tensor(rng.normal(size=7))
+    value = lo.soft_dtw(x, y, 0.5)
+    ad.backward(value)
+    once = x.grad.copy()
+    ad.backward(value)  # the first backward overwrote the DP tables with E
+    assert np.array_equal(x.grad, once + once)
+
+
+def peak_bytes(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_soft_dtw_peak_memory_is_bounded():
+    rng = np.random.default_rng(7)
+    x, y = ad.Tensor(rng.normal(size=1024), requires_grad=True), ad.Tensor(rng.normal(size=1024))
+    # one 1,024-sample forward + backward: the square-table DP peaked at
+    # 32.2 MiB; skewed (2n+1) x (n+1) r and E tables alone would take 32 MiB
+    assert peak_bytes(lambda: ad.backward(lo.soft_dtw(x, y, 1.0))) <= 34 * 2 ** 20
 
 
 def test_soft_dtw_matches_brute_force_enumeration():
@@ -106,12 +193,48 @@ def test_soft_dtw_chunking_matches_manual_sum():
     rng = np.random.default_rng(5)
     x = rng.normal(size=5000)
     y = x + 0.01 * rng.normal(size=5000)
-    total = float(lo.soft_dtw_chunked(ad.Tensor(x), ad.Tensor(y), 1.0).data)
+    xt = ad.Tensor(x, requires_grad=True)
+    chunked = lo.soft_dtw_chunked(xt, ad.Tensor(y), 1.0)
+    ad.backward(chunked)
+    total = float(chunked.data)
     manual = sum(sdtw_value(x[s:s + 1024], y[s:s + 1024], 1.0) for s in range(0, 5000, 1024))
     assert abs(total - manual) < 1e-12
+    assert total == manual
+    pieces = [ad.Tensor(x[s:s + 1024], requires_grad=True) for s in range(0, 5000, 1024)]
+    for s, piece in zip(range(0, 5000, 1024), pieces):
+        ad.backward(lo.soft_dtw(piece, ad.Tensor(y[s:s + 1024]), 1.0))
+    assert np.array_equal(xt.grad, np.concatenate([piece.grad for piece in pieces]))
     # short inputs bypass chunking
     short = float(lo.soft_dtw_chunked(ad.Tensor(x[:100]), ad.Tensor(y[:100]), 1.0).data)
     assert abs(short - sdtw_value(x[:100], y[:100], 1.0)) < 1e-12
+
+
+def test_soft_dtw_chunked_records_one_node(monkeypatch):
+    rng = np.random.default_rng(8)
+    x, y = ad.Tensor(rng.normal(size=5000), requires_grad=True), ad.Tensor(rng.normal(size=5000))
+    made = []
+    node = ad._node
+
+    def recording_node(*args):
+        made.append(node(*args))
+        return made[-1]
+
+    monkeypatch.setattr(ad, "_node", recording_node)
+    total = lo.soft_dtw_chunked(x, y, 1.0)
+    assert [t.op for t in made] == ["soft_dtw"] and total._parents == (x, y)
+
+
+def test_soft_dtw_chunked_inference_keeps_no_tables():
+    rng = np.random.default_rng(9)
+    x, y = ad.Tensor(rng.normal(size=10000)), ad.Tensor(rng.normal(size=10000))
+
+    def run():
+        with ad.no_grad():
+            lo.soft_dtw_chunked(x, y, 1.0)
+
+    # ten chunks: kept DP tables would take 77 MiB; the per-chunk square-table
+    # DP peaked at 16.1 MiB, the one scratch row reads 0.8 MiB
+    assert peak_bytes(run) <= 4 * 2 ** 20
 
 
 def _zero_args(planes):
@@ -195,3 +318,9 @@ def test_loss_config_validation():
         lo.LossConfig(gamma=0.0)
     with pytest.raises(ConfigError):
         lo.LossConfig(waveform_loss="l7")
+
+
+@pytest.mark.parametrize("gamma", [np.nan, np.inf])
+def test_loss_config_rejects_nonfinite_gamma(gamma):
+    with pytest.raises(ConfigError, match="finite"):
+        lo.LossConfig(waveform_loss="soft_dtw", gamma=gamma)
