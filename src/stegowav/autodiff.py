@@ -16,6 +16,9 @@ exits, also on an exception.
 
 Tapes are single-threaded.  Tensor data must not be mutated once the tensor
 participates in a graph; all ops allocate fresh output buffers.
+
+:func:`conv2d` runs over tiles of whole output rows, with one correlate kernel
+for its forward pass and its input gradient (one channel included).
 """
 
 from __future__ import annotations
@@ -209,6 +212,14 @@ def leaky_relu(a, slope=0.2):
     return _node("leaky_relu", (a,), lambda: np.where(a.data > 0, a.data, slope * a.data), bwd)
 
 
+def _block_sums(a):
+    """Sums over 2x2 blocks of the trailing two axes, (a00 + a01) + (a10 + a11).
+
+    That is numpy's pairwise order: the bytes equal a reshape-sum if the width is >= 4."""
+    s = a[..., 0::2] + a[..., 1::2]
+    return s[..., 0::2, :] + s[..., 1::2, :]
+
+
 def nearest_upsample2(a):
     """Duplicate every value of the trailing two axes into a 2x2 block."""
     a = _as_tensor(a)
@@ -219,9 +230,7 @@ def nearest_upsample2(a):
         return np.repeat(np.repeat(a.data, 2, axis=-2), 2, axis=-1)
 
     def bwd(g, acc):
-        s = g.shape
-        blocks = g.reshape(s[:-2] + (s[-2] // 2, 2, s[-1] // 2, 2))
-        acc(a, blocks.sum(axis=(-3, -1)))
+        acc(a, _block_sums(g))
 
     return _node("nearest_upsample2", (a,), fwd, bwd)
 
@@ -233,14 +242,10 @@ def avg_pool2(a):
     if h % 2 or w % 2:
         raise ConfigError(f"avg_pool2: trailing extents must be even, got {a.data.shape}")
 
-    def fwd():
-        s = a.data.shape
-        return a.data.reshape(s[:-2] + (h // 2, 2, w // 2, 2)).mean(axis=(-3, -1))
-
     def bwd(g, acc):
         acc(a, np.repeat(np.repeat(g, 2, axis=-2), 2, axis=-1) * 0.25)
 
-    return _node("avg_pool2", (a,), fwd, bwd)
+    return _node("avg_pool2", (a,), lambda: _block_sums(a.data) * 0.25, bwd)
 
 
 def mean(a):
@@ -363,70 +368,95 @@ def merge(stack, w):
     return _node("merge", (stack, w), lambda: _weighted_rows(stack.data, w.data), bwd)
 
 
+_TILE_POSITIONS = 8192  # output positions per conv row tile: a tile's buffers stay cache-sized
+
+
+def _row_tiles(src, k):
+    """Blocks of whole output rows of a 'same' k x k correlation over src (C, H, W).
+
+    Yields (rows, n, flat) per block of about _TILE_POSITIONS output positions:
+    the output row slice, n = len(rows)*Wp (Wp = W + k - 1), and the block's
+    input rows zero-padded by k//2 on each side plus a spare bottom row, each
+    channel flattened into one reused buffer.  Tap (dy, dx) then reads the
+    contiguous window flat[:, o:o + n], o = dy*Wp + dx."""
+    c, h, w = src.shape
+    pad = k // 2
+    wp = w + 2 * pad
+    step = max(1, min(h, _TILE_POSITIONS // wp))
+    buf = np.zeros((c, step + 2 * pad + 1, wp))
+    for r0 in range(0, h, step):
+        r1 = min(r0 + step, h)
+        lo, hi = max(r0 - pad, 0), min(r1 + pad, h)
+        buf[:, lo - r0 + pad:hi - r0 + pad, pad:pad + w] = src[:, lo:hi]
+        buf[:, hi - r0 + pad:] = 0
+        yield slice(r0, r1), (r1 - r0) * wp, buf.reshape(c, -1)
+
+
+def _correlate(src, taps, k, bias):
+    """'Same' k x k correlation of src (C_in, H, W): bias + sum of m @ window(dy, dx).
+
+    `taps` lists (m, dy, dx), m (C_out, C_in), added in list order in a tile-sized
+    accumulator whose 2*(k//2) wrapped columns per row are cropped.  Over one
+    input channel m @ window is an outer product: a broadcast multiply gives the
+    same bytes, faster."""
+    cout, cin = taps[0][0].shape
+    _, h, w = src.shape
+    wp = w + k - 1
+    product = np.multiply if cin == 1 else np.matmul
+    out = np.empty((cout, h, w))
+    for rows, n, flat in _row_tiles(src, k):
+        acc, prod = np.empty((cout, n)), np.empty((cout, n))
+        acc[:] = bias[:, None]
+        for m, dy, dx in taps:
+            o = dy * wp + dx
+            np.add(acc, product(m, flat[:, o:o + n], out=prod), out=acc)
+        out[:, rows] = acc.reshape(cout, -1, wp)[:, :, :w]
+    return out
+
+
 def conv2d(x, kernel, bias):
     """2-D convolution, stride 1, odd square kernel, zero 'same' padding.
 
     x: (C_in, H, W); kernel: (C_out, C_in, k, k); bias: (C_out,).
 
-    No im2col buffer is built.  `x` is zero-padded by k//2 on each side plus
-    one spare row at the bottom, and each channel's rows are flattened, so
-    the window of tap (dy, dx) over every output position is the contiguous
-    slice at offset dy*Wp + dx, n = H*Wp long (Wp = W + 2*(k//2)).  The
-    forward pass sums one (C_out, C_in) @ (C_in, n) product per tap and crops
-    the 2*(k//2) columns per row that wrapped into the next row; the backward
-    pass runs over the same slices with the gradient zero-extended to Wp.
+    No im2col buffer and no padded copy of the whole input are built: every
+    pass runs over tiles of whole output rows (:func:`_row_tiles`).  The forward
+    pass is :func:`_correlate`, and so is the input gradient: the correlation of
+    the output gradient with the flipped, transposed kernel, its taps added in
+    the forward's order.  The kernel gradient adds, per tile and tap, the output
+    gradient (zero-extended to Wp columns) times the tap's input window.
     """
     x, kernel, bias = _as_tensor(x), _as_tensor(kernel), _as_tensor(bias)
     if x.data.ndim != 3:
         raise ConfigError(f"conv2d: input must be (C,H,W), got {x.data.shape}")
     if kernel.data.ndim != 4:
         raise ConfigError(f"conv2d: kernel must be (Cout,Cin,k,k), got {kernel.data.shape}")
-    cout, cin, kh, kw = kernel.data.shape
-    if kh != kw or kh % 2 == 0:
-        raise ConfigError(f"conv2d: kernel must be odd square, got {kh}x{kw}")
+    cout, cin, k, kw = kernel.data.shape
+    if k != kw or k % 2 == 0:
+        raise ConfigError(f"conv2d: kernel must be odd square, got {k}x{kw}")
     if cin != x.data.shape[0]:
         raise ConfigError(f"conv2d: input depth {x.data.shape[0]} does not match kernel depth {cin}")
     if bias.data.shape != (cout,):
         raise ConfigError(f"conv2d: bias shape {bias.data.shape} does not match {cout} output channels")
-    k = kh
-    pad = k // 2
-    _, h, w = x.data.shape
-    hp, wp = h + 2 * pad + 1, w + 2 * pad
-    n = h * wp
-    taps = [(dy, dx, dy * wp + dx) for dy in range(k) for dx in range(k)]
-
-    def padded_rows():
-        xp = np.zeros((cin, hp, wp))
-        xp[:, pad:pad + h, pad:pad + w] = x.data
-        return xp.reshape(cin, -1)
+    w = x.data.shape[2]
+    wp = w + k - 1
+    grid = [(dy, dx) for dy in range(k) for dx in range(k)]
 
     def fwd():
-        xf = padded_rows()
-        out = np.empty((cout, n))
-        prod = np.empty((cout, n))
-        out[:] = bias.data[:, None]
-        for dy, dx, o in taps:
-            np.add(out, np.matmul(kernel.data[:, :, dy, dx], xf[:, o:o + n], out=prod), out=out)
-        return out.reshape(cout, h, wp)[:, :, :w].copy()
+        return _correlate(x.data, [(kernel.data[:, :, dy, dx], dy, dx) for dy, dx in grid], k, bias.data)
 
     def bwd(g, acc):
         acc(bias, g.sum(axis=(1, 2)))
-        xf = padded_rows()
-        gf = np.zeros((cout, h, wp))
-        gf[:, :, :w] = g
-        gf = gf.reshape(cout, n)
-        dk = np.empty(kernel.data.shape)
-        for dy, dx, o in taps:
-            dk[:, :, dy, dx] = gf @ xf[:, o:o + n].T
+        dk = np.zeros(kernel.data.shape)
+        for rows, n, flat in _row_tiles(x.data, k):
+            gf = np.zeros((cout, n))
+            gf.reshape(cout, -1, wp)[:, :, :w] = g[:, rows]
+            for dy, dx in grid:
+                dk[:, :, dy, dx] += gf @ flat[:, dy * wp + dx:dy * wp + dx + n].T
         acc(kernel, dk)
-        if not x.requires_grad:
-            return
-        dxf = np.zeros_like(xf)
-        prod = np.empty_like(xf)[:, :n]  # same row stride as the dxf slices: a faster add
-        for dy, dx, o in taps:
-            view = dxf[:, o:o + n]
-            np.add(view, np.matmul(kernel.data[:, :, dy, dx].T, gf, out=prod), out=view)
-        acc(x, dxf.reshape(cin, hp, wp)[:, pad:pad + h, pad:pad + w])
+        if x.requires_grad:
+            taps = [(kernel.data[:, :, dy, dx].T, k - 1 - dy, k - 1 - dx) for dy, dx in grid]
+            acc(x, _correlate(g, taps, k, np.zeros(cin)))
 
     return _node("conv2d", (x, kernel, bias), fwd, bwd)
 

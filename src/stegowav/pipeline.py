@@ -16,6 +16,7 @@ from __future__ import annotations
 import io
 import math
 import struct
+import zlib
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -31,7 +32,7 @@ from .dsp import istdct_op, istft_op, stdct_fwd_op, stft_mag_op, stft_phase_op
 from .errors import ConfigError, DataError, NumericError, UsageError
 
 CHECKPOINT_MAGIC = b"PXW2"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # 2 adds a CRC-32; version 1 files still load
 
 
 # ---------------------------------------------------------------------------
@@ -606,12 +607,14 @@ def evaluate(bundle, dataset):
 
 
 def save_checkpoint(bundle, path):
+    """Magic, version, config text, a CRC-32 over every other byte, then the parameters."""
     buf = io.BytesIO()
     buf.write(CHECKPOINT_MAGIC)
     buf.write(struct.pack("<I", CHECKPOINT_VERSION))
     config = config_to_text(bundle.cfg).encode("utf-8")
     buf.write(struct.pack("<I", len(config)))
     buf.write(config)
+    crc_at = buf.tell()
     buf.write(struct.pack("<I", len(bundle.params)))
     for name, tensor in bundle.params.items():
         encoded = name.encode("utf-8")
@@ -621,8 +624,10 @@ def save_checkpoint(bundle, path):
         for dim in tensor.data.shape:
             buf.write(struct.pack("<I", dim))
         buf.write(tensor.data.astype("<f8").tobytes())
+    raw = buf.getvalue()
+    crc = zlib.crc32(raw[crc_at:], zlib.crc32(raw[:crc_at]))
     with open(path, "wb") as f:
-        f.write(buf.getvalue())
+        f.write(raw[:crc_at] + struct.pack("<I", crc) + raw[crc_at:])
 
 
 class _Reader:
@@ -656,10 +661,12 @@ def load_checkpoint(path):
     if magic != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: bad magic {magic!r} at byte 0 (expected {CHECKPOINT_MAGIC!r})")
     (version,) = reader.unpack("<I", "version")
-    if version != CHECKPOINT_VERSION:
+    if version not in (1, CHECKPOINT_VERSION):
         raise DataError(f"{path}: unsupported checkpoint version {version} at byte 4")
     (config_len,) = reader.unpack("<I", "config length")
     config_text = reader.text(config_len, "config text")
+    crc_at = reader.pos
+    (crc,) = reader.unpack("<I", "checksum") if version > 1 else (None,)
     try:
         bundle = build_model(parse_config_text(config_text, source=str(path)))
     except (UsageError, ConfigError) as exc:
@@ -687,4 +694,6 @@ def load_checkpoint(path):
         tensor.data = values.reshape(shape).astype(np.float64)
     if reader.pos != len(reader.data):
         raise DataError(f"{path}: {len(reader.data) - reader.pos} trailing bytes at byte {reader.pos}")
+    if crc is not None and crc != zlib.crc32(reader.data[crc_at + 4:], zlib.crc32(reader.data[:crc_at])):
+        raise DataError(f"{path}: checksum mismatch: the CRC-32 at byte {crc_at} does not match the file")
     return bundle

@@ -153,3 +153,35 @@ def _sdtw_backward(x, y, gamma, r):
 def read_pgm(path):
     """Read a binary P5 pixmap back into a [0,1] float plane (top row first)."""
     return iops.read_pnm(path, b"P5")[:, :, 0].astype(np.float64) / 255.0
+
+
+def conv2d_single_block(x, kernel, bias):
+    """'Same' conv2d forward over the whole input as one block (one tap GEMM each).
+
+    `x` is zero-padded by k//2 on each side plus one spare row at the bottom
+    and each channel flattened, so tap (dy, dx) reads the contiguous slice at
+    offset dy*Wp + dx, n = H*Wp long; the bias plus the tap products add up in
+    tap order, and the wrapped 2*(k//2) columns per row are cropped.
+    """
+    cout, cin, k, _ = kernel.shape
+    pad = k // 2
+    _, h, w = x.shape
+    hp, wp = h + 2 * pad + 1, w + 2 * pad
+    n = h * wp
+    xp = np.zeros((cin, hp, wp))
+    xp[:, pad:pad + h, pad:pad + w] = x
+    xf = xp.reshape(cin, -1)
+    out = np.empty((cout, n))
+    prod = np.empty((cout, n))
+    out[:] = bias[:, None]
+    for dy in range(k):
+        for dx in range(k):
+            o = dy * wp + dx
+            np.add(out, np.matmul(kernel[:, :, dy, dx], xf[:, o:o + n], out=prod), out=out)
+    return out.reshape(cout, h, wp)[:, :, :w].copy()
+
+
+def block_sums_reshaped(a):
+    """Sums over 2x2 blocks of the trailing two axes, as a reshape-sum."""
+    s = a.shape
+    return a.reshape(s[:-2] + (s[-2] // 2, 2, s[-1] // 2, 2)).sum(axis=(-3, -1))

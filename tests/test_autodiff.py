@@ -1,9 +1,13 @@
+import contextlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import correlate
 
+from conftest import block_sums_reshaped, conv2d_single_block
 from stegowav import autodiff as ad
 from stegowav.errors import ConfigError, UsageError
 
@@ -190,22 +194,17 @@ def conv_case(draw):
     return rng.normal(size=(cin, h, w)), rng.normal(size=(cout, cin, k, k)), rng.normal(size=cout), rng
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(case=conv_case())
-def test_conv2d_matches_scipy_correlate(case):
-    x, kernel, bias, _ = case
+def check_matches_scipy_correlate(x, kernel, bias):
     y = ad.conv2d(ad.Tensor(x), ad.Tensor(kernel), ad.Tensor(bias)).data
     expect = np.stack([bias[o] + sum(correlate(x[i], kernel[o, i], mode="same", method="direct")
                                      for i in range(x.shape[0]))
                        for o in range(kernel.shape[0])])
     assert y.shape == expect.shape
     assert np.max(np.abs(y - expect)) <= 1e-12
+    return y
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(case=conv_case())
-def test_conv2d_backward_adjoint_identities(case):
-    x, kernel, bias, rng = case
+def check_adjoint_identities(x, kernel, bias, rng):
     xt, kt = ad.Tensor(x, requires_grad=True), ad.Tensor(kernel, requires_grad=True)
     bt = ad.Tensor(np.zeros_like(bias), requires_grad=True)
     out = ad.conv2d(xt, kt, bt)
@@ -218,6 +217,113 @@ def test_conv2d_backward_adjoint_identities(case):
     assert abs(np.sum(x * xt.grad) - inner) <= tol
     assert abs(np.sum(kernel * kt.grad) - inner) <= tol
     assert np.allclose(bt.grad, g.sum(axis=(1, 2)), rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=conv_case())
+def test_conv2d_matches_scipy_correlate(case):
+    x, kernel, bias, _ = case
+    y = check_matches_scipy_correlate(x, kernel, bias)
+    # every case fits one row tile, which gives the bytes of the single-block formula
+    assert np.array_equal(y, conv2d_single_block(x, kernel, bias))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=conv_case())
+def test_conv2d_backward_adjoint_identities(case):
+    check_adjoint_identities(*case)
+
+
+# Rows per tile for an input of h rows: one row each, or a ragged last tile
+# (any h >= 3 splits into a full tile and a shorter one).
+TILINGS = {"one_row": lambda h: 1, "ragged": lambda h: h // 2 + 1}
+
+
+@contextlib.contextmanager
+def row_tiles(tiling, shape, k):
+    """Run conv2d (and its backward) in tiles of TILINGS[tiling] rows for inputs of `shape`."""
+    _, h, w = shape
+    rows = min(h, TILINGS[tiling](h))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ad, "_TILE_POSITIONS", rows * (w + k - 1))
+        assert len(list(ad._row_tiles(np.zeros(shape), k))) == -(-h // rows)
+        yield
+
+
+@pytest.mark.parametrize("tiling", sorted(TILINGS))
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=conv_case())
+def test_conv2d_matches_scipy_correlate_in_row_tiles(tiling, case):
+    x, kernel, bias, _ = case
+    with row_tiles(tiling, x.shape, kernel.shape[-1]):
+        check_matches_scipy_correlate(x, kernel, bias)
+
+
+@pytest.mark.parametrize("tiling", sorted(TILINGS))
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=conv_case())
+def test_conv2d_adjoint_identities_in_row_tiles(tiling, case):
+    x, kernel, _, _ = case
+    with row_tiles(tiling, x.shape, kernel.shape[-1]):
+        check_adjoint_identities(*case)
+
+
+@pytest.mark.parametrize("tiling", sorted(TILINGS))
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("cin,cout", [(1, 3), (2, 1), (2, 3)])
+def test_conv2d_grad_checks_in_row_tiles(tiling, k, cin, cout):
+    def builder(rng):
+        x = ad.Tensor(rng.uniform(0.6, 1.4, size=(cin, 5, 4)) * rng.choice([-1.0, 1.0], size=(cin, 5, 4)),
+                      requires_grad=True)
+        kernel = ad.Tensor(rng.normal(size=(cout, cin, k, k)) / k, requires_grad=True)
+        bias = ad.Tensor(rng.normal(size=cout), requires_grad=True)
+        return ad.sq_sum(ad.conv2d(x, kernel, bias)), [x, kernel, bias]
+
+    with row_tiles(tiling, (cin, 5, 4), k):
+        for seed in range(3):
+            err = ad.grad_check(builder, seed)
+            assert err < 1e-4, f"seed {seed}: {err}"
+
+
+@pytest.mark.parametrize("cin,cout,k,h,w", [(1, 8, 3, 64, 32), (8, 16, 3, 32, 16), (24, 8, 3, 64, 32),
+                                            (48, 16, 3, 32, 16), (8, 1, 1, 64, 32)])
+def test_conv2d_desk_layers_fit_one_tile_and_match_single_block_oracle(cin, cout, k, h, w):
+    rng = np.random.default_rng(cin * cout)
+    x, kernel, bias = rng.normal(size=(cin, h, w)), rng.normal(size=(cout, cin, k, k)), rng.normal(size=cout)
+    assert len(list(ad._row_tiles(x, k))) == 1
+    y = ad.conv2d(ad.Tensor(x), ad.Tensor(kernel), ad.Tensor(bias)).data
+    assert np.array_equal(y, conv2d_single_block(x, kernel, bias))
+
+
+def test_conv2d_peak_memory_is_tile_sized():
+    rng = np.random.default_rng(0)
+    x = ad.Tensor(rng.normal(size=(24, 256, 128)), requires_grad=True)
+    kernel = ad.Tensor(rng.normal(size=(8, 24, 3, 3)), requires_grad=True)
+    bias = ad.Tensor(rng.normal(size=8), requires_grad=True)
+    tracemalloc.start()
+    try:
+        ad.backward(ad.sq_sum(ad.conv2d(x, kernel, bias)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # A single-block conv (a padded copy of the whole input, 6.5 MiB, and
+    # whole-input product buffers) peaks at 30.6 MiB here; row tiles peak at
+    # 18.2 MiB, most of it x.grad (6 MiB) and its copy in the tape's accumulator.
+    assert peak < 22 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 2), (2, 2, 2), (6, 2), (5, 4, 4), (3, 8, 6), (2, 64, 32), (16, 8)])
+def test_pool_and_upsample_adjoint_match_reshape_sum_oracle(shape):
+    a = np.random.default_rng(10 * len(shape) + shape[-1]).normal(size=shape)
+    expect = block_sums_reshaped(a)
+    small = ad.Tensor(np.zeros(expect.shape), requires_grad=True)
+    # d/d(up) of size * mean(up * a) is exactly a, so small.grad is a's block sums
+    ad.backward(ad.scale(ad.mean(ad.mul(ad.nearest_upsample2(small), ad.Tensor(a))), a.size))
+    for got, want in ((ad.avg_pool2(ad.Tensor(a)).data, expect / 4), (small.grad, expect)):
+        if shape[-1] >= 4:
+            assert np.array_equal(got, want)
+        else:  # width 2: numpy sums the pairs in another order
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-15
 
 
 def test_no_grad_records_no_tape():

@@ -1,4 +1,5 @@
 import contextlib
+import struct
 import tracemalloc
 
 import numpy as np
@@ -422,6 +423,62 @@ def test_checkpoint_corruption_detected(tmp_path):
     truncated.write_bytes(bytes(raw[:len(raw) // 2]))
     with pytest.raises(DataError, match="byte"):
         pl.load_checkpoint(truncated)
+
+
+def _v1_bytes(raw):
+    """The version-1 layout of a checkpoint: no CRC-32 after the config text."""
+    (config_len,) = struct.unpack("<I", raw[8:12])
+    crc_at = 12 + config_len
+    return raw[:4] + struct.pack("<I", 1) + raw[8:crc_at] + raw[crc_at + 4:]
+
+
+def test_checkpoint_version_1_still_loads(tmp_path):
+    cfg = pl.PipelineConfig(method="w_replicate", steps=2, batch=2)
+    bundle, _ = pl.train(tiny_pairs(cfg), cfg)
+    pl.save_checkpoint(bundle, tmp_path / "m.pxw2")
+    raw = (tmp_path / "m.pxw2").read_bytes()
+    assert struct.unpack("<I", raw[4:8]) == (pl.CHECKPOINT_VERSION,) == (2,)
+    (tmp_path / "v1.pxw2").write_bytes(_v1_bytes(raw))
+    loaded = pl.load_checkpoint(tmp_path / "v1.pxw2")
+    assert loaded.cfg == bundle.cfg
+    for k in bundle.params:
+        assert np.array_equal(loaded.params[k].data, bundle.params[k].data)
+    pl.save_checkpoint(loaded, tmp_path / "again.pxw2")
+    assert (tmp_path / "again.pxw2").read_bytes() == raw
+
+
+def test_checkpoint_single_bit_flips_all_raise(tmp_path):
+    """Every bit of the header and config text, and a fixed sample of the
+    parameter bytes (the CRC-32 itself included), flipped one at a time."""
+    pl.save_checkpoint(pl.build_model(pl.PipelineConfig(channels=2)), tmp_path / "m.pxw2")
+    raw = (tmp_path / "m.pxw2").read_bytes()
+    (config_len,) = struct.unpack("<I", raw[8:12])
+    flips = [(pos, bit) for pos in range(12 + config_len) for bit in range(8)]
+    flips += [(pos, pos % 8) for pos in range(12 + config_len, len(raw), 37)]
+    assert len(flips) > 2000
+    bad = tmp_path / "bad.pxw2"
+    loaded = []
+    for pos, bit in flips:
+        flipped = bytearray(raw)
+        flipped[pos] ^= 1 << bit
+        bad.write_bytes(bytes(flipped))
+        try:
+            pl.load_checkpoint(bad)
+        except DataError as exc:
+            assert "bad.pxw2" in str(exc)
+        else:
+            loaded.append((pos, bit))
+    assert loaded == []
+
+
+def test_checkpoint_checksum_mismatch_names_the_crc(tmp_path):
+    pl.save_checkpoint(pl.build_model(DESK), tmp_path / "m.pxw2")
+    raw = bytearray((tmp_path / "m.pxw2").read_bytes())
+    (config_len,) = struct.unpack("<I", raw[8:12])
+    raw[-8] ^= 0x01  # the lowest mantissa bit of the last value: still finite
+    (tmp_path / "bad.pxw2").write_bytes(bytes(raw))
+    with pytest.raises(DataError, match=f"checksum mismatch.*byte {12 + config_len}"):
+        pl.load_checkpoint(tmp_path / "bad.pxw2")
 
 
 def test_best_constant_baseline_is_channel_median():
