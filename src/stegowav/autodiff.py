@@ -17,8 +17,8 @@ exits, also on an exception.
 Tapes are single-threaded.  Tensor data must not be mutated once the tensor
 participates in a graph; all ops allocate fresh output buffers.
 
-:func:`conv2d` runs over tiles of whole output rows, with one correlate kernel
-for its forward pass and its input gradient (one channel included).
+:func:`conv2d` runs one correlate kernel over output row tiles (forward pass,
+input gradient, optional leaky ReLU per tile); :func:`upsample_concat` fills one buffer.
 """
 
 from __future__ import annotations
@@ -202,14 +202,21 @@ def reshape(a, shape):
     return _node("reshape", (a,), lambda: a.data.reshape(shape).copy(), bwd)
 
 
+def _leaky(a, slope, out):
+    """max(a, slope * a) into out (not a): the bytes of np.where(a > 0, a, slope * a) for 0 <= slope <= 1."""
+    return np.maximum(a, np.multiply(a, slope, out=out), out=out)
+
+
 def leaky_relu(a, slope=0.2):
     a = _as_tensor(a)
     slope = float(slope)
+    if not 0.0 <= slope <= 1.0:
+        raise ConfigError(f"leaky_relu: slope must lie in [0, 1], got {slope}")
 
     def bwd(g, acc):
         acc(a, g * np.where(a.data > 0, 1.0, slope))
 
-    return _node("leaky_relu", (a,), lambda: np.where(a.data > 0, a.data, slope * a.data), bwd)
+    return _node("leaky_relu", (a,), lambda: _leaky(a.data, slope, np.empty_like(a.data)), bwd)
 
 
 def _block_sums(a):
@@ -220,19 +227,44 @@ def _block_sums(a):
     return s[..., 0::2, :] + s[..., 1::2, :]
 
 
+def _upsample_into(a, out):
+    """Write each value of a's trailing two axes into a 2x2 block of out: a width repeat, a row-pair broadcast."""
+    *lead, h, w = a.shape
+    out.reshape(*lead, h, 2, 2 * w, copy=False)[:] = np.repeat(a, 2, axis=-1)[..., None, :]
+    return out
+
+
 def nearest_upsample2(a):
     """Duplicate every value of the trailing two axes into a 2x2 block."""
     a = _as_tensor(a)
     if a.data.ndim not in (2, 3):
         raise ConfigError(f"nearest_upsample2: expected 2-D or 3-D input, got shape {a.data.shape}")
-
-    def fwd():
-        return np.repeat(np.repeat(a.data, 2, axis=-2), 2, axis=-1)
+    *lead, h, w = a.data.shape
 
     def bwd(g, acc):
         acc(a, _block_sums(g))
 
-    return _node("nearest_upsample2", (a,), fwd, bwd)
+    return _node("nearest_upsample2", (a,), lambda: _upsample_into(a.data, np.empty((*lead, 2 * h, 2 * w))), bwd)
+
+
+def upsample_concat(a, skip):
+    """concat_depth([nearest_upsample2(a), skip]) in one buffer; a (C, H, W), skip (C', 2H, 2W)."""
+    a, skip = _as_tensor(a), _as_tensor(skip)
+    if a.data.ndim != 3 or skip.data.ndim != 3 or skip.data.shape[1:] != tuple(2 * n for n in a.data.shape[1:]):
+        raise ConfigError(f"upsample_concat: want (C, H, W) and (C', 2H, 2W), got {a.data.shape}, {skip.data.shape}")
+    c, h, w = a.data.shape
+
+    def fwd():
+        out = np.empty((c + skip.data.shape[0], 2 * h, 2 * w))
+        _upsample_into(a.data, out[:c])
+        out[c:] = skip.data
+        return out
+
+    def bwd(g, acc):
+        acc(a, _block_sums(g[:c]))
+        acc(skip, g[c:])
+
+    return _node("upsample_concat", (a, skip), fwd, bwd)
 
 
 def avg_pool2(a):
@@ -392,13 +424,13 @@ def _row_tiles(src, k):
         yield slice(r0, r1), (r1 - r0) * wp, buf.reshape(c, -1)
 
 
-def _correlate(src, taps, k, bias):
+def _correlate(src, taps, k, bias, slope=None):
     """'Same' k x k correlation of src (C_in, H, W): bias + sum of m @ window(dy, dx).
 
     `taps` lists (m, dy, dx), m (C_out, C_in), added in list order in a tile-sized
     accumulator whose 2*(k//2) wrapped columns per row are cropped.  Over one
     input channel m @ window is an outer product: a broadcast multiply gives the
-    same bytes, faster."""
+    same bytes, faster.  With a slope, each tile goes through a leaky ReLU before the crop."""
     cout, cin = taps[0][0].shape
     _, h, w = src.shape
     wp = w + k - 1
@@ -410,14 +442,16 @@ def _correlate(src, taps, k, bias):
         for m, dy, dx in taps:
             o = dy * wp + dx
             np.add(acc, product(m, flat[:, o:o + n], out=prod), out=acc)
+        acc = acc if slope is None else _leaky(acc, slope, prod)
         out[:, rows] = acc.reshape(cout, -1, wp)[:, :, :w]
     return out
 
 
-def conv2d(x, kernel, bias):
+def conv2d(x, kernel, bias, slope=None):
     """2-D convolution, stride 1, odd square kernel, zero 'same' padding.
 
-    x: (C_in, H, W); kernel: (C_out, C_in, k, k); bias: (C_out,).
+    x: (C_in, H, W); kernel: (C_out, C_in, k, k); bias: (C_out,); a slope in
+    [0, 1] gives leaky_relu(conv2d(x, kernel, bias), slope), bytes and gradients.
 
     No im2col buffer and no padded copy of the whole input are built: every
     pass runs over tiles of whole output rows (:func:`_row_tiles`).  The forward
@@ -427,6 +461,8 @@ def conv2d(x, kernel, bias):
     gradient (zero-extended to Wp columns) times the tap's input window.
     """
     x, kernel, bias = _as_tensor(x), _as_tensor(kernel), _as_tensor(bias)
+    if slope is not None and not 0.0 <= slope <= 1.0:
+        raise ConfigError(f"conv2d: leaky slope must lie in [0, 1], got {slope}")
     if x.data.ndim != 3:
         raise ConfigError(f"conv2d: input must be (C,H,W), got {x.data.shape}")
     if kernel.data.ndim != 4:
@@ -441,11 +477,15 @@ def conv2d(x, kernel, bias):
     w = x.data.shape[2]
     wp = w + k - 1
     grid = [(dy, dx) for dy in range(k) for dx in range(k)]
+    y = None  # the latest output, an array: a closure over the output Tensor would be a cycle
 
     def fwd():
-        return _correlate(x.data, [(kernel.data[:, :, dy, dx], dy, dx) for dy, dx in grid], k, bias.data)
+        nonlocal y
+        y = _correlate(x.data, [(kernel.data[:, :, dy, dx], dy, dx) for dy, dx in grid], k, bias.data, slope)
+        return y
 
     def bwd(g, acc):
+        g = g if slope is None else g * np.where(y > 0, 1.0, slope)
         acc(bias, g.sum(axis=(1, 2)))
         dk = np.zeros(kernel.data.shape)
         for rows, n, flat in _row_tiles(x.data, k):

@@ -1,8 +1,9 @@
 """U-Net style hiding/revealing networks and the dual-container coupler.
 
-Down path: conv -> leaky_relu -> 2x mean-pool per level; bottleneck conv;
-up path: nearest upsample -> concat skip -> conv -> leaky_relu; final 1x1
-linear conv.  Channel widths double per level from ``base_channels``.  The
+Down path: conv+leaky ReLU -> 2x mean-pool per level; bottleneck conv+leaky
+ReLU; up path: nearest upsample+concat skip (one op) -> conv+leaky ReLU; final
+1x1 linear conv.  Each leaky ReLU runs in its conv's row tiles.  Channel
+widths double per level from ``base_channels``.  The
 layer schedule is the single source of truth shared by initialization,
 forward, and the analytic parameter/MAC accounting in :mod:`costing`.
 """
@@ -96,21 +97,20 @@ def unet_forward(cfg, params, x, prefix):
     if x.data.shape[0] != cfg.in_depth:
         raise ConfigError(f"unet input depth {x.data.shape[0]} != configured {cfg.in_depth}")
 
-    def conv(t, name):
-        return ad.conv2d(t, params[f"{prefix}.{name}.w"], params[f"{prefix}.{name}.b"])
+    def conv(t, name, slope=LEAKY_SLOPE):
+        return ad.conv2d(t, params[f"{prefix}.{name}.w"], params[f"{prefix}.{name}.b"], slope)
 
     skips = []
     t = x
     for i in range(cfg.depth):
-        t = ad.leaky_relu(conv(t, f"enc{i}"), LEAKY_SLOPE)
+        t = conv(t, f"enc{i}")
         skips.append(t)
         t = ad.avg_pool2(t)
-    t = ad.leaky_relu(conv(t, "bottleneck"), LEAKY_SLOPE)
+    t = conv(t, "bottleneck")
     for i in reversed(range(cfg.depth)):
-        t = ad.nearest_upsample2(t)
-        t = ad.concat_depth([t, skips[i]])
-        t = ad.leaky_relu(conv(t, f"dec{i}"), LEAKY_SLOPE)
-    return conv(t, "head")
+        t = ad.upsample_concat(t, skips.pop())  # popped: without a tape, freed once copied
+        t = conv(t, f"dec{i}")
+    return conv(t, "head", None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -185,3 +188,22 @@ def block_sums_reshaped(a):
     """Sums over 2x2 blocks of the trailing two axes, as a reshape-sum."""
     s = a.shape
     return a.reshape(s[:-2] + (s[-2] // 2, 2, s[-1] // 2, 2)).sum(axis=(-3, -1))
+
+
+def assert_freed_by_refcount(build):
+    """Every value a taped graph computed dies with the graph, without the cycle collector.
+
+    A closure that holds its own node's output Tensor makes a reference cycle,
+    and the values of every node such a cycle reaches stay alive until a
+    collection: a taped training step then keeps its whole graph for a while."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        root = build()
+        ad.backward(root)
+        refs = [weakref.ref(node.data) for node in ad._topo(root, grad_only=False) if not node.is_leaf()]
+        del root
+        assert len(refs) > 1 and all(ref() is None for ref in refs)
+    finally:
+        if enabled:
+            gc.enable()

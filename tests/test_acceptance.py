@@ -145,9 +145,13 @@ def _registered_op_builders():
         "reshape": lambda rng: (lambda x: (ad.sq_sum(ad.reshape(x, (4, 8))), [x]))(leaf(rng, (2, 4, 4))),
         "conv2d": lambda rng: (lambda x, k, b: (ad.sq_sum(ad.conv2d(x, k, b)), [x, k, b]))(
             leaf(rng, (2, 4, 4)), leaf(rng, (3, 2, 3, 3)), leaf(rng, (3,))),
+        "conv2d_leaky": lambda rng: (lambda x, k, b: (ad.sq_sum(ad.conv2d(x, k, b, 0.2)), [x, k, b]))(
+            leaf(rng, (2, 4, 4)), leaf(rng, (3, 2, 3, 3)), leaf(rng, (3,))),
         "leaky_relu": lambda rng: (lambda x: (ad.sq_sum(ad.leaky_relu(x, 0.2)), [x]))(leaf(rng, (2, 4, 4))),
         "nearest_upsample2": lambda rng: (lambda x: (ad.sq_sum(ad.nearest_upsample2(x)), [x]))(
             leaf(rng, (2, 4, 4))),
+        "upsample_concat": lambda rng: (lambda a, s: (ad.sq_sum(ad.upsample_concat(a, s)), [a, s]))(
+            leaf(rng, (2, 2, 3)), leaf(rng, (3, 4, 6))),
         "avg_pool2": lambda rng: (lambda x: (ad.sq_sum(ad.avg_pool2(x)), [x]))(leaf(rng, (2, 4, 4))),
         "mean": lambda rng: (lambda x: (ad.scale(ad.mean(x), 7.0), [x]))(leaf(rng, (2, 4, 4))),
         "abs_sum": lambda rng: (lambda x: (ad.scale(ad.abs_sum(x), 0.5), [x]))(leaf(rng, (2, 4, 4))),

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import correlate
 
-from conftest import block_sums_reshaped, conv2d_single_block
+from conftest import assert_freed_by_refcount, block_sums_reshaped, conv2d_single_block
 from stegowav import autodiff as ad
 from stegowav.errors import ConfigError, UsageError
 
@@ -48,6 +48,34 @@ def test_conv2d_shape_errors_name_operands():
 def test_leaky_relu_definition():
     y = ad.leaky_relu(ad.Tensor([-1.0, 2.0]), slope=0.2)
     assert np.allclose(y.data, [-0.2, 2.0])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(shape=st.lists(st.integers(1, 5), min_size=1, max_size=3), slope=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_leaky_relu_matches_where_oracle(shape, slope, seed):
+    a = np.random.default_rng(seed).normal(size=shape)
+    a.flat[0] = -0.0
+    for s in (slope, 0.0, 1.0):
+        assert ad.leaky_relu(ad.Tensor(a), s).data.tobytes() == np.where(a > 0, a, s * a).tobytes()
+
+
+@pytest.mark.parametrize("slope", [-0.1, 1.5, np.nan])
+def test_leaky_slope_outside_unit_interval_rejected(slope):
+    x, kernel, bias = ad.Tensor(np.ones((1, 3, 3))), ad.Tensor(np.ones((1, 1, 3, 3))), ad.Tensor(np.zeros(1))
+    with pytest.raises(ConfigError, match="slope"):
+        ad.leaky_relu(x, slope)
+    with pytest.raises(ConfigError, match="slope"):
+        ad.conv2d(x, kernel, bias, slope)
+
+
+def test_upsample_concat_rejects_mismatched_shapes():
+    a = ad.Tensor(np.ones((2, 3, 4)))
+    for skip in (np.ones((1, 6, 7)), np.ones((1, 3, 4)), np.ones((6, 8))):
+        with pytest.raises(ConfigError, match="upsample_concat"):
+            ad.upsample_concat(a, ad.Tensor(skip))
+    with pytest.raises(ConfigError, match="upsample_concat"):
+        ad.upsample_concat(ad.Tensor(np.ones((3, 4))), ad.Tensor(np.ones((1, 6, 8))))
 
 
 def test_nearest_upsample2_blocks():
@@ -148,8 +176,11 @@ def _op_builders():
         "conv2d_cin1": via(lambda x, r: ad.conv2d(ad.reshape(x, (1, 8, 4)),
                                                   ad.Tensor(r.normal(size=(3, 1, 3, 3)) * 0.6, requires_grad=True),
                                                   ad.Tensor(r.normal(size=3), requires_grad=True))),
+        "conv2d_leaky": via(lambda x, r: ad.conv2d(x, ad.Tensor(r.normal(size=(3, 2, 3, 3)) * 0.4, requires_grad=True),
+                                                   ad.Tensor(r.normal(size=3), requires_grad=True), 0.2)),
         "leaky_relu": via(lambda x, r: ad.leaky_relu(x, 0.2)),
         "nearest_upsample2": via(lambda x, r: ad.nearest_upsample2(x)),
+        "upsample_concat": via(lambda x, r: ad.upsample_concat(ad.avg_pool2(x), ad.scale(x, 0.5))),
         "avg_pool2": via(lambda x, r: ad.avg_pool2(x)),
         "mean": via(lambda x, r: ad.scale(ad.mean(x), 5.0)),
         "abs_sum": via(lambda x, r: ad.scale(ad.abs_sum(x), 0.25)),
@@ -266,6 +297,47 @@ def test_conv2d_adjoint_identities_in_row_tiles(tiling, case):
     x, kernel, _, _ = case
     with row_tiles(tiling, x.shape, kernel.shape[-1]):
         check_adjoint_identities(*case)
+
+
+def check_fused_matches_composed(build_fused, build_composed, arrays, g):
+    """The fused op's value and the gradients of all its inputs have the bytes of the composed ops'."""
+    results = []
+    for build in (build_fused, build_composed):
+        leaves = [ad.Tensor(a, requires_grad=True) for a in arrays]
+        y = build(*leaves)
+        # d/d(y) of size * mean(y * g) is exactly g
+        ad.backward(ad.scale(ad.mean(ad.mul(y, ad.Tensor(g))), y.data.size))
+        results.append([y.data] + [t.grad for t in leaves])
+    for got, want in zip(*results):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("tiling", sorted(TILINGS))
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=conv_case(), slope=st.sampled_from([0.0, 0.2, 1.0]) | st.floats(0.0, 1.0))
+def test_conv2d_leaky_matches_leaky_relu_of_conv2d_in_row_tiles(tiling, case, slope):
+    x, kernel, bias, rng = case
+    g = rng.normal(size=(kernel.shape[0],) + x.shape[1:])
+    with row_tiles(tiling, x.shape, kernel.shape[-1]):
+        check_fused_matches_composed(lambda *t: ad.conv2d(*t, slope),
+                                     lambda *t: ad.leaky_relu(ad.conv2d(*t), slope), (x, kernel, bias), g)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(c=st.integers(1, 3), c_skip=st.integers(1, 3), h=st.integers(1, 5), w=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_upsample_concat_matches_concat_of_nearest_upsample2(c, c_skip, h, w, seed):
+    rng = np.random.default_rng(seed)
+    a, skip, g = (rng.normal(size=(n, f * h, f * w)) for n, f in ((c, 1), (c_skip, 2), (c + c_skip, 2)))
+    assert ad.nearest_upsample2(a).data.tobytes() == np.repeat(np.repeat(a, 2, axis=-2), 2, axis=-1).tobytes()
+    check_fused_matches_composed(ad.upsample_concat, lambda a, s: ad.concat_depth([ad.nearest_upsample2(a), s]),
+                                 (a, skip), g)
+
+
+def test_conv2d_leaky_graph_freed_by_refcount():
+    rng = np.random.default_rng(0)
+    x, kernel, bias = (ad.Tensor(rng.normal(size=s), requires_grad=True) for s in ((2, 5, 4), (3, 2, 3, 3), (3,)))
+    assert_freed_by_refcount(lambda: ad.sq_sum(ad.conv2d(x, kernel, bias, 0.2)))
 
 
 @pytest.mark.parametrize("tiling", sorted(TILINGS))

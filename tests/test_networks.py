@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from conftest import assert_freed_by_refcount
 from stegowav import autodiff as ad
 from stegowav import networks as nets
 from stegowav.errors import ConfigError
@@ -74,6 +77,30 @@ def test_unet_grad_check_desk_scale():
         return ad.sq_sum(y), [x] + list(params.values())
 
     assert ad.grad_check(builder, 0) < 1e-4
+
+
+def test_unet_graph_freed_by_refcount():
+    cfg = nets.UNetConfig(1, 1, depth=2, base_channels=4)
+    params = nets.init_unet(cfg, np.random.default_rng(0), "u")
+    x = ad.Tensor(np.random.default_rng(1).normal(size=(1, 16, 8)))
+    assert_freed_by_refcount(lambda: ad.sq_sum(nets.unet_forward(cfg, params, x, "u")))
+
+
+def test_unet_inference_peak_memory():
+    cfg = nets.UNetConfig(1, 1)
+    params = nets.init_unet(cfg, np.random.default_rng(0), "u")
+    x = ad.Tensor(np.random.default_rng(1).normal(size=(1, 256, 128)))
+    tracemalloc.start()
+    try:
+        with ad.no_grad():
+            nets.unet_forward(cfg, params, x, "u")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Separate leaky ReLU, upsample and concat ops, with the skips held to the
+    # end, peak at 15.26 MiB here; with the leaky ReLU in the conv tiles and one
+    # upsample-concat op that frees its inputs, 11.08 MiB.
+    assert peak < 13 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
 
 
 def test_couple_projection_and_average(rng):
