@@ -17,8 +17,9 @@ exits, also on an exception.
 Tapes are single-threaded.  Tensor data must not be mutated once the tensor
 participates in a graph; all ops allocate fresh output buffers.
 
-:func:`conv2d` runs one correlate kernel over output row tiles (forward pass,
-input gradient, optional leaky ReLU per tile); :func:`upsample_concat` fills one buffer.
+Every op here is one the pipeline records.  :func:`conv2d` runs one correlate
+kernel over output row tiles (forward, input gradient, np.where(z > 0, z, slope * z));
+one 2x2 block-sum and one 2x2 block-fill kernel serve avg_pool2 and upsample_concat.
 """
 
 from __future__ import annotations
@@ -146,52 +147,6 @@ def scale(a, s):
     return _node("scale", (a,), lambda: a.data * s, bwd)
 
 
-def mul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    _same_shape("mul", a, b)
-
-    def bwd(g, acc):
-        acc(a, g * b.data)
-        acc(b, g * a.data)
-
-    return _node("mul", (a, b), lambda: a.data * b.data, bwd)
-
-
-def concat_depth(tensors):
-    """Concatenate 3-D (C,H,W) tensors along the channel axis."""
-    ts = [_as_tensor(t) for t in tensors]
-    if not ts:
-        raise UsageError("concat_depth: empty input list")
-    hw = ts[0].data.shape[1:]
-    for t in ts:
-        if t.data.ndim != 3 or t.data.shape[1:] != hw:
-            raise ConfigError(f"concat_depth: incompatible shape {t.data.shape}, expected (*, {hw[0]}, {hw[1]})")
-    splits = np.cumsum([t.data.shape[0] for t in ts])[:-1]
-
-    def bwd(g, acc):
-        for t, piece in zip(ts, np.split(g, splits, axis=0)):
-            acc(t, piece)
-
-    return _node("concat_depth", ts, lambda: np.concatenate([t.data for t in ts], axis=0), bwd)
-
-
-def slice_axis(a, start, stop, axis=0):
-    a = _as_tensor(a)
-    if not (0 <= axis < a.data.ndim):
-        raise ConfigError(f"slice: axis {axis} out of range for shape {a.data.shape}")
-    n = a.data.shape[axis]
-    if not (0 <= start < stop <= n):
-        raise ConfigError(f"slice: range [{start},{stop}) invalid for extent {n}")
-    sel = tuple(slice(None) if d != axis else slice(start, stop) for d in range(a.data.ndim))
-
-    def bwd(g, acc):
-        buf = np.zeros_like(a.data)
-        buf[sel] = g
-        acc(a, buf)
-
-    return _node("slice", (a,), lambda: a.data[sel].copy(), bwd)
-
-
 def reshape(a, shape):
     a = _as_tensor(a)
     shape = tuple(shape)
@@ -200,23 +155,6 @@ def reshape(a, shape):
         acc(a, g.reshape(a.data.shape))
 
     return _node("reshape", (a,), lambda: a.data.reshape(shape).copy(), bwd)
-
-
-def _leaky(a, slope, out):
-    """max(a, slope * a) into out (not a): the bytes of np.where(a > 0, a, slope * a) for 0 <= slope <= 1."""
-    return np.maximum(a, np.multiply(a, slope, out=out), out=out)
-
-
-def leaky_relu(a, slope=0.2):
-    a = _as_tensor(a)
-    slope = float(slope)
-    if not 0.0 <= slope <= 1.0:
-        raise ConfigError(f"leaky_relu: slope must lie in [0, 1], got {slope}")
-
-    def bwd(g, acc):
-        acc(a, g * np.where(a.data > 0, 1.0, slope))
-
-    return _node("leaky_relu", (a,), lambda: _leaky(a.data, slope, np.empty_like(a.data)), bwd)
 
 
 def _block_sums(a):
@@ -234,21 +172,10 @@ def _upsample_into(a, out):
     return out
 
 
-def nearest_upsample2(a):
-    """Duplicate every value of the trailing two axes into a 2x2 block."""
-    a = _as_tensor(a)
-    if a.data.ndim not in (2, 3):
-        raise ConfigError(f"nearest_upsample2: expected 2-D or 3-D input, got shape {a.data.shape}")
-    *lead, h, w = a.data.shape
-
-    def bwd(g, acc):
-        acc(a, _block_sums(g))
-
-    return _node("nearest_upsample2", (a,), lambda: _upsample_into(a.data, np.empty((*lead, 2 * h, 2 * w))), bwd)
-
-
 def upsample_concat(a, skip):
-    """concat_depth([nearest_upsample2(a), skip]) in one buffer; a (C, H, W), skip (C', 2H, 2W)."""
+    """np.concatenate([np.repeat(np.repeat(a, 2, 1), 2, 2), skip]) in one buffer; a (C, H, W), skip (C', 2H, 2W).
+
+    The gradient of a is the 2x2 block sums of g's first C channels."""
     a, skip = _as_tensor(a), _as_tensor(skip)
     if a.data.ndim != 3 or skip.data.ndim != 3 or skip.data.shape[1:] != tuple(2 * n for n in a.data.shape[1:]):
         raise ConfigError(f"upsample_concat: want (C, H, W) and (C', 2H, 2W), got {a.data.shape}, {skip.data.shape}")
@@ -275,7 +202,7 @@ def avg_pool2(a):
         raise ConfigError(f"avg_pool2: trailing extents must be even, got {a.data.shape}")
 
     def bwd(g, acc):
-        acc(a, np.repeat(np.repeat(g, 2, axis=-2), 2, axis=-1) * 0.25)
+        acc(a, _upsample_into(g * 0.25, np.empty(a.data.shape)))
 
     return _node("avg_pool2", (a,), lambda: _block_sums(a.data) * 0.25, bwd)
 
@@ -430,7 +357,8 @@ def _correlate(src, taps, k, bias, slope=None):
     `taps` lists (m, dy, dx), m (C_out, C_in), added in list order in a tile-sized
     accumulator whose 2*(k//2) wrapped columns per row are cropped.  Over one
     input channel m @ window is an outer product: a broadcast multiply gives the
-    same bytes, faster.  With a slope, each tile goes through a leaky ReLU before the crop."""
+    same bytes, faster.  With a slope, each tile becomes max(acc, slope * acc) before
+    the crop: the bytes of np.where(acc > 0, acc, slope * acc) for 0 <= slope <= 1."""
     cout, cin = taps[0][0].shape
     _, h, w = src.shape
     wp = w + k - 1
@@ -442,7 +370,7 @@ def _correlate(src, taps, k, bias, slope=None):
         for m, dy, dx in taps:
             o = dy * wp + dx
             np.add(acc, product(m, flat[:, o:o + n], out=prod), out=acc)
-        acc = acc if slope is None else _leaky(acc, slope, prod)
+        acc = acc if slope is None else np.maximum(acc, np.multiply(acc, slope, out=prod), out=prod)
         out[:, rows] = acc.reshape(cout, -1, wp)[:, :, :w]
     return out
 
@@ -450,8 +378,9 @@ def _correlate(src, taps, k, bias, slope=None):
 def conv2d(x, kernel, bias, slope=None):
     """2-D convolution, stride 1, odd square kernel, zero 'same' padding.
 
-    x: (C_in, H, W); kernel: (C_out, C_in, k, k); bias: (C_out,); a slope in
-    [0, 1] gives leaky_relu(conv2d(x, kernel, bias), slope), bytes and gradients.
+    x: (C_in, H, W); kernel: (C_out, C_in, k, k); bias: (C_out,).  A slope in
+    [0, 1] applies the leaky ReLU y = np.where(z > 0, z, slope * z) to the
+    convolution z; the backward pass scales g by np.where(y > 0, 1.0, slope).
 
     No im2col buffer and no padded copy of the whole input are built: every
     pass runs over tiles of whole output rows (:func:`_row_tiles`).  The forward

@@ -43,15 +43,12 @@ def hann_window(n):
 class StftConfig:
     frame_length: int
     hop: int
-    window: str = "hann_periodic"
 
     def __post_init__(self):
         if self.frame_length < 4 or self.frame_length % 2:
             raise ConfigError(f"frame length must be even and >= 4, got {self.frame_length}")
         if not (1 <= self.hop <= self.frame_length):
             raise ConfigError(f"hop must be in [1, {self.frame_length}], got {self.hop}")
-        if self.window != "hann_periodic":
-            raise ConfigError(f"unknown window {self.window!r}")
 
     @property
     def freq_bins(self):

@@ -31,7 +31,6 @@ class DropoutSpec:
     keep_fraction: float
     mode: str = "sequential"
     seed: int = 0
-    offset: int | None = None  # sequential start frame; None = drop the tail
 
     def __post_init__(self):
         if not 0.0 < self.keep_fraction <= 1.0:
@@ -43,16 +42,13 @@ class DropoutSpec:
 
 
 def apply_frame_dropout(spec, drop):
-    """Zero the magnitude of round((1-p)*T) frames; phase untouched."""
+    """Zero the magnitude of round((1-p)*T) frames, the last ones or a seeded random set; phase untouched."""
     frames = spec.shape[1]
     n_drop = int(round((1.0 - drop.keep_fraction) * frames))
     if n_drop == 0:
         return replace(spec, magnitude=spec.magnitude.copy())
     if drop.mode == "sequential":
-        start = frames - n_drop if drop.offset is None else drop.offset
-        if not 0 <= start <= frames - n_drop:
-            raise UsageError(f"dropout offset {start} out of range for {frames} frames")
-        cols = np.arange(start, start + n_drop)
+        cols = np.arange(frames - n_drop, frames)
     else:
         rng = np.random.default_rng(drop.seed)
         cols = rng.choice(frames, size=n_drop, replace=False)

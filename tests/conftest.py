@@ -190,6 +190,48 @@ def block_sums_reshaped(a):
     return a.reshape(s[:-2] + (s[-2] // 2, 2, s[-1] // 2, 2)).sum(axis=(-3, -1))
 
 
+# numpy-formula tape ops: the oracles the fused ops are compared against, and
+# the adapters tests use to feed or cut a graph
+
+
+def leaky_oracle(a, slope):
+    """Leaky ReLU as np.where, with gradient g * np.where(a > 0, 1, slope)."""
+    def bwd(g, acc):
+        acc(a, g * np.where(a.data > 0, 1.0, slope))
+
+    return ad.register_op("leaky_oracle", (a,), lambda: np.where(a.data > 0, a.data, slope * a.data), bwd)
+
+
+def upsample_concat_oracle(a, skip):
+    """Each value of a (C, H, W) as a 2x2 block, then skip, along the channels."""
+    c = a.data.shape[0]
+
+    def bwd(g, acc):
+        acc(a, block_sums_reshaped(g[:c]))
+        acc(skip, g[c:])
+
+    return ad.register_op("upsample_concat_oracle", (a, skip), lambda: np.concatenate(
+        [np.repeat(np.repeat(a.data, 2, axis=-2), 2, axis=-1), skip.data]), bwd)
+
+
+def take_rows(a, stop):
+    """a[:stop] along the leading axis."""
+    def bwd(g, acc):
+        full = np.zeros_like(a.data)
+        full[:stop] = g
+        acc(a, full)
+
+    return ad.register_op("take_rows", (a,), lambda: a.data[:stop].copy(), bwd)
+
+
+def inject(y, g):
+    """The scalar <y, g>: backward from it hands y exactly the upstream gradient g."""
+    def bwd(up, acc):
+        acc(y, float(up) * g)
+
+    return ad.register_op("inject", (y,), lambda: np.asarray(np.sum(y.data * g)), bwd)
+
+
 def assert_freed_by_refcount(build):
     """Every value a taped graph computed dies with the graph, without the cycle collector.
 

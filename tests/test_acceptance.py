@@ -136,20 +136,11 @@ def _registered_op_builders():
         "add": lambda rng: (lambda x: (ad.sq_sum(ad.add(x, ad.scale(x, 0.5))), [x]))(leaf(rng, (2, 4, 4))),
         "sub": lambda rng: (lambda x: (ad.sq_sum(ad.sub(ad.scale(x, 2.0), x)), [x]))(leaf(rng, (2, 4, 4))),
         "scale": lambda rng: (lambda x: (ad.sq_sum(ad.scale(x, -1.3)), [x]))(leaf(rng, (2, 4, 4))),
-        "mul": lambda rng: (lambda x, y: (ad.sq_sum(ad.mul(x, y)), [x, y]))(
-            leaf(rng, (3, 3)), leaf(rng, (3, 3))),
-        "concat_depth": lambda rng: (lambda x: (ad.sq_sum(ad.concat_depth([x, ad.scale(x, 0.3)])), [x]))(
-            leaf(rng, (2, 4, 4))),
-        "slice": lambda rng: (lambda x: (ad.add(ad.sq_sum(ad.slice_axis(x, 0, 1)),
-                                                ad.sq_sum(ad.scale(x, 0.5))), [x]))(leaf(rng, (2, 4, 4))),
         "reshape": lambda rng: (lambda x: (ad.sq_sum(ad.reshape(x, (4, 8))), [x]))(leaf(rng, (2, 4, 4))),
         "conv2d": lambda rng: (lambda x, k, b: (ad.sq_sum(ad.conv2d(x, k, b)), [x, k, b]))(
             leaf(rng, (2, 4, 4)), leaf(rng, (3, 2, 3, 3)), leaf(rng, (3,))),
         "conv2d_leaky": lambda rng: (lambda x, k, b: (ad.sq_sum(ad.conv2d(x, k, b, 0.2)), [x, k, b]))(
             leaf(rng, (2, 4, 4)), leaf(rng, (3, 2, 3, 3)), leaf(rng, (3,))),
-        "leaky_relu": lambda rng: (lambda x: (ad.sq_sum(ad.leaky_relu(x, 0.2)), [x]))(leaf(rng, (2, 4, 4))),
-        "nearest_upsample2": lambda rng: (lambda x: (ad.sq_sum(ad.nearest_upsample2(x)), [x]))(
-            leaf(rng, (2, 4, 4))),
         "upsample_concat": lambda rng: (lambda a, s: (ad.sq_sum(ad.upsample_concat(a, s)), [a, s]))(
             leaf(rng, (2, 2, 3)), leaf(rng, (3, 4, 6))),
         "avg_pool2": lambda rng: (lambda x: (ad.sq_sum(ad.avg_pool2(x)), [x]))(leaf(rng, (2, 4, 4))),

@@ -32,15 +32,6 @@ def test_sequential_drops_trailing_half():
     assert np.array_equal(out.phase, spec.phase)  # phase untouched
 
 
-def test_sequential_offset_configurable():
-    spec = make_spec(t=32)
-    out = rob.apply_frame_dropout(spec, rob.DropoutSpec(0.75, "sequential", offset=4))
-    assert np.all(out.magnitude[:, 4:12] == 0.0)
-    assert np.array_equal(out.magnitude[:, :4], spec.magnitude[:, :4])
-    with pytest.raises(UsageError):
-        rob.apply_frame_dropout(spec, rob.DropoutSpec(0.5, "sequential", offset=30))
-
-
 def test_random_mode_seeded_and_counted():
     spec = make_spec(t=32)
     a = rob.apply_frame_dropout(spec, rob.DropoutSpec(0.75, "random", seed=3))
