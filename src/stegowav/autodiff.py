@@ -460,7 +460,10 @@ def _topo(root, grad_only):
 def backward(root):
     """Populate .grad on every requires_grad leaf reachable from a scalar root.
 
-    Accumulation is additive: leaf gradients are never reset here.
+    Accumulation is additive: leaf gradients are never reset here.  A node's
+    first gradient is kept as handed over, not copied, so every backward
+    closure must treat its `g` as read-only: no op writes into `g` in place.
+    A leaf copies its gradient once, so no two `.grad` arrays share memory.
     """
     if root.data.size != 1:
         raise UsageError(f"backward: root must be scalar, got shape {root.data.shape}")
@@ -473,17 +476,14 @@ def backward(root):
         if not parent.requires_grad:
             return
         key = id(parent)
-        if key in pending:
-            pending[key] = pending[key] + g
-        else:
-            pending[key] = np.array(g, dtype=parent.data.dtype, copy=True)
+        pending[key] = pending[key] + g if key in pending else g
 
     for node in reversed(order):
         g = pending.pop(id(node), None)
         if g is None:
             continue
         if node.is_leaf():
-            node.grad = g if node.grad is None else node.grad + g
+            node.grad = g.copy() if node.grad is None else node.grad + g
         elif node._backward is not None:
             node._backward(g, acc)
 

@@ -14,9 +14,9 @@ The framing lives here alone, as one adjoint pair: `_frame_signal` (pad,
 slice, window) and `_scatter_frames` (window, overlap-add, trim).
 `_overlap_add` divides the scatter by the squared-window sum (memoized per
 config, frame count and length), and `_gather_frames` is its adjoint.  Each
-transform has one numpy kernel, called by the plain function (`stft`,
-`istdct`, ...) and by the tape op over raw arrays (`stft_mag_op`, `istdct_op`,
-...) that pipeline training records.
+transform has one numpy kernel, called by `transform`/`inverse_transform` and
+by the tape op over raw arrays (`stft_mag_op`, `istdct_op`, ...) that pipeline
+training records.
 """
 
 from __future__ import annotations
@@ -192,45 +192,6 @@ def _istdct_samples(coeff, cfg, num_samples):
     return _overlap_add(frames, cfg, num_samples)
 
 
-def stft(w, cfg):
-    """Windowed per-frame DFT; bins 0..N/2-1 kept (Nyquist dropped)."""
-    z = _stft_bins(w.samples, cfg)
-    return Spectrogram(
-        magnitude=np.abs(z).T.copy(),
-        phase=np.angle(z).T.copy(),
-        config=cfg,
-        kind="stft",
-        num_samples=len(w),
-        sample_rate=w.sample_rate,
-    )
-
-
-def istft(s):
-    """Inverse STFT via weighted overlap-add; the dropped Nyquist bin is zero."""
-    if s.kind != "stft":
-        raise UsageError(f"istft expects kind='stft', got {s.kind!r}")
-    return Waveform(_istft_samples(s.magnitude, s.phase, s.config, s.num_samples), s.sample_rate)
-
-
-def stdct(w, cfg):
-    """Short-time orthonormal DCT-II; all N bins kept as a signed plane."""
-    coeff = _stdct_coeff(w.samples, cfg)
-    return Spectrogram(
-        magnitude=coeff,
-        phase=None,
-        config=cfg,
-        kind="stdct",
-        num_samples=len(w),
-        sample_rate=w.sample_rate,
-    )
-
-
-def istdct(s):
-    if s.kind != "stdct":
-        raise UsageError(f"istdct expects kind='stdct', got {s.kind!r}")
-    return Waveform(_istdct_samples(s.magnitude, s.config, s.num_samples), s.sample_rate)
-
-
 # ---------------------------------------------------------------------------
 # tape transforms: the kernels above as differentiable ops over raw arrays
 
@@ -313,15 +274,29 @@ def stdct_fwd_op(wave, cfg):
 
 
 def transform(w, cfg, kind):
+    """Analyse a waveform into a `kind` spectrogram ("stft" or "stdct").
+
+    STFT keeps bins 0..N/2-1 (the Nyquist bin is dropped) as magnitude and
+    phase planes; STDCT keeps all N orthonormal DCT-II bins as one signed
+    plane and has no phase.
+    """
     if kind == "stft":
-        return stft(w, cfg)
-    if kind == "stdct":
-        return stdct(w, cfg)
-    raise UsageError(f"unknown transform kind {kind!r}")
+        z = _stft_bins(w.samples, cfg)
+        magnitude, phase = np.abs(z).T.copy(), np.angle(z).T.copy()
+    elif kind == "stdct":
+        magnitude, phase = _stdct_coeff(w.samples, cfg), None
+    else:
+        raise UsageError(f"unknown transform kind {kind!r}")
+    return Spectrogram(magnitude, phase, cfg, kind, len(w), w.sample_rate)
 
 
 def inverse_transform(s):
-    return istft(s) if s.kind == "stft" else istdct(s)
+    """Weighted overlap-add synthesis of `s`; a dropped Nyquist bin reads as zero."""
+    if s.kind == "stft":
+        x = _istft_samples(s.magnitude, s.phase, s.config, s.num_samples)
+    else:
+        x = _istdct_samples(s.magnitude, s.config, s.num_samples)
+    return Waveform(x, s.sample_rate)
 
 
 def log_view(s):

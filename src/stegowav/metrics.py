@@ -7,7 +7,7 @@ densities and a large L1 gap to the secret's histograms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -123,20 +123,4 @@ class MetricsRow:
     histogram_l1: float
 
     def to_csv(self):
-        return ",".join([
-            self.method,
-            self.container,
-            _fmt(self.beta),
-            _fmt(self.lam),
-            _fmt(self.revealed_ssim),
-            _fmt(self.revealed_psnr),
-            _fmt(self.stego_snr),
-            _fmt(self.waveform_loss),
-            _fmt(self.histogram_l1),
-        ])
-
-
-def _fmt(x):
-    if x == float("inf"):
-        return "inf"
-    return format(float(x), ".12g")
+        return ",".join([self.method, self.container] + [format(float(v), ".12g") for v in astuple(self)[2:]])

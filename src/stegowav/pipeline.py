@@ -581,13 +581,8 @@ def evaluate(bundle, dataset):
         psnrs.append(me.psnr_db(pair.secret, revealed))
         snrs.append(diag["stego_snr_db"])
         cover_trim = pair.cover.samples[:cfg.required_samples()]
-        if loss_cfg.waveform_loss == "soft_dtw":
-            with ad.no_grad():
-                wave = float(lo.soft_dtw_chunked(ad.Tensor(cover_trim), ad.Tensor(stego.samples),
-                                                 loss_cfg.gamma).data)
-        else:
-            wave = float(np.mean(np.abs(cover_trim - stego.samples)))
-        waves.append(wave)
+        with ad.no_grad():
+            waves.append(float(lo.waveform_term(loss_cfg, ad.Tensor(cover_trim), ad.Tensor(stego.samples)).data))
         hists.append(me.histogram_l1(me.rgb_histogram(pair.secret), me.rgb_histogram(revealed)))
     return me.MetricsRow(
         method=cfg.method,

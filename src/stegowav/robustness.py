@@ -114,6 +114,6 @@ def sweep_to_csv(rows):
             row["mode"],
             format(row["keep_fraction"], ".12g"),
             format(row["mean_ssim"], ".12g"),
-            format(row["mean_psnr_db"], ".12g") if np.isfinite(row["mean_psnr_db"]) else "inf",
+            format(row["mean_psnr_db"], ".12g"),
         ]))
     return "\n".join(lines) + "\n"

@@ -63,10 +63,10 @@ def test_c01_transform_round_trips():
             for seed in range(10):
                 rng = np.random.default_rng(seed)
                 x = nyquist_free_signal(8 * n, cfg, rng)
-                back = dsp.istft(dsp.stft(dsp.Waveform(x, 8000), cfg))
+                back = dsp.inverse_transform(dsp.transform(dsp.Waveform(x, 8000), cfg, "stft"))
                 worst_stft = max(worst_stft, np.linalg.norm(back.samples - x) / np.linalg.norm(x))
                 y = rng.normal(size=5 * n + 7)
-                back2 = dsp.istdct(dsp.stdct(dsp.Waveform(y, 8000), cfg))
+                back2 = dsp.inverse_transform(dsp.transform(dsp.Waveform(y, 8000), cfg, "stdct"))
                 worst_stdct = max(worst_stdct, np.linalg.norm(back2.samples - y) / np.linalg.norm(y))
     elapsed = time.monotonic() - start
     assert worst_stft < 1e-8 and worst_stdct < 1e-8

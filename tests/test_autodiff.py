@@ -115,6 +115,30 @@ def test_shared_parent_accumulates():
     assert np.allclose(x.grad, [16.0])
 
 
+def test_backward_hands_a_non_leaf_its_gradient_uncopied():
+    x = ad.Tensor(np.ones(3), requires_grad=True)
+    handed, seen = np.full(3, 2.0), []
+
+    def inner_bwd(g, acc):
+        seen.append(g)
+        acc(x, g)
+
+    inner = ad.register_op("probe_inner", (x,), lambda: x.data.copy(), inner_bwd)
+    root = ad.register_op("probe_outer", (inner,), lambda: np.asarray(inner.data.sum()),
+                          lambda g, acc: acc(inner, handed))
+    ad.backward(root)
+    assert len(seen) == 1 and seen[0] is handed
+    assert np.array_equal(x.grad, handed) and not np.shares_memory(x.grad, handed)
+
+
+def test_leaf_gradients_of_add_do_not_share_memory():
+    x = ad.Tensor(np.ones(3), requires_grad=True)
+    y = ad.Tensor(np.ones(3), requires_grad=True)
+    ad.backward(ad.sq_sum(ad.add(x, y)))
+    assert np.array_equal(x.grad, np.full(3, 4.0)) and np.array_equal(y.grad, x.grad)
+    assert not np.shares_memory(x.grad, y.grad)
+
+
 def test_grad_check_linear_chain_is_exact():
     def builder(rng):
         x = ad.Tensor(rng.normal(size=12), requires_grad=True)

@@ -1,4 +1,7 @@
+import ast
+import inspect
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,7 +43,7 @@ def test_hann_cola_sum_at_quarter_hop():
 
 def test_stft_zero_waveform():
     cfg = dsp.StftConfig(64, 16)
-    s = dsp.stft(make_waveform(np.zeros(300)), cfg)
+    s = dsp.transform(make_waveform(np.zeros(300)), cfg, "stft")
     assert np.all(s.magnitude == 0.0)
     assert s.kind == "stft"
     assert s.magnitude.shape[0] == 32
@@ -49,9 +52,9 @@ def test_stft_zero_waveform():
 def test_stft_rejects_empty_and_short():
     cfg = dsp.StftConfig(64, 16)
     with pytest.raises(UsageError):
-        dsp.stft(make_waveform(np.zeros(0)), cfg)
+        dsp.transform(make_waveform(np.zeros(0)), cfg, "stft")
     with pytest.raises(UsageError):
-        dsp.stft(make_waveform(np.zeros(10)), cfg)
+        dsp.transform(make_waveform(np.zeros(10)), cfg, "stft")
 
 
 def test_cosine_at_bin_center_energy():
@@ -68,7 +71,7 @@ def test_cosine_at_bin_center_energy():
 
     cfg = dsp.StftConfig(n, n // 4)
     x = np.cos(2.0 * np.pi * 3.0 * np.arange(8 * n) / n)
-    s = dsp.stft(make_waveform(x), cfg)
+    s = dsp.transform(make_waveform(x), cfg, "stft")
     interior = s.magnitude[:, 4:-4] ** 2
     shares = interior[3] / interior.sum(axis=0)
     assert np.all(np.argmax(interior, axis=0) == 3)
@@ -81,7 +84,7 @@ def test_stft_roundtrip_nyquist_free(n, hop):
     for seed in range(10):
         x = nyquist_free_signal(8 * n, cfg, np.random.default_rng(seed))
         w = make_waveform(x)
-        back = dsp.istft(dsp.stft(w, cfg))
+        back = dsp.inverse_transform(dsp.transform(w, cfg, "stft"))
         err = np.linalg.norm(back.samples - x) / np.linalg.norm(x)
         assert err < 1e-8
 
@@ -91,31 +94,27 @@ def test_stdct_roundtrip_arbitrary(n, hop):
     cfg = dsp.StftConfig(n, hop)
     for seed in range(10):
         x = np.random.default_rng(seed).normal(size=5 * n + 7)
-        back = dsp.istdct(dsp.stdct(make_waveform(x), cfg))
+        back = dsp.inverse_transform(dsp.transform(make_waveform(x), cfg, "stdct"))
         err = np.linalg.norm(back.samples - x) / np.linalg.norm(x)
         assert err < 1e-8
 
 
 def test_istft_zero_spectrogram():
     cfg = dsp.StftConfig(64, 16)
-    s = dsp.stft(make_waveform(np.zeros(256)), cfg)
-    assert np.all(dsp.istft(s).samples == 0.0)
+    s = dsp.transform(make_waveform(np.zeros(256)), cfg, "stft")
+    assert np.all(dsp.inverse_transform(s).samples == 0.0)
 
 
-def test_istft_kind_checked():
-    cfg = dsp.StftConfig(16, 8)
-    s = dsp.stdct(make_waveform(np.ones(64)), cfg)
-    with pytest.raises(UsageError):
-        dsp.istft(s)
-    with pytest.raises(UsageError):
-        dsp.istdct(dsp.stft(make_waveform(np.ones(64)), cfg))
+def test_transform_rejects_unknown_kind():
+    with pytest.raises(UsageError, match="unknown transform kind 'dft'"):
+        dsp.transform(make_waveform(np.ones(64)), dsp.StftConfig(16, 8), "dft")
 
 
 def test_istft_hop_equal_frame_fails():
     cfg = dsp.StftConfig(16, 16)
-    s = dsp.stft(make_waveform(np.ones(64)), cfg)
+    s = dsp.transform(make_waveform(np.ones(64)), cfg, "stft")
     with pytest.raises(ConfigError, match="hop"):
-        dsp.istft(s)
+        dsp.inverse_transform(s)
 
 
 def test_ola_denominator_is_cached_read_only():
@@ -135,14 +134,14 @@ def test_ola_denominator_is_cached_read_only():
 def test_istft_linearity():
     cfg = dsp.StftConfig(64, 16)
     rng = np.random.default_rng(3)
-    s1 = dsp.stft(make_waveform(rng.normal(size=256)), cfg)
-    s2 = dsp.stft(make_waveform(rng.normal(size=256)), cfg)
+    s1 = dsp.transform(make_waveform(rng.normal(size=256)), cfg, "stft")
+    s2 = dsp.transform(make_waveform(rng.normal(size=256)), cfg, "stft")
     z1 = s1.magnitude * np.exp(1j * s1.phase)
     z2 = s2.magnitude * np.exp(1j * s2.phase)
     zsum = z1 + z2
     ssum = replace(s1, magnitude=np.abs(zsum), phase=np.angle(zsum))
-    lhs = dsp.istft(ssum).samples
-    rhs = dsp.istft(s1).samples + dsp.istft(s2).samples
+    lhs = dsp.inverse_transform(ssum).samples
+    rhs = dsp.inverse_transform(s1).samples + dsp.inverse_transform(s2).samples
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -153,7 +152,7 @@ def test_stft_complex_linearity():
     a, b = 1.7, -0.4
 
     def complex_of(w):
-        s = dsp.stft(make_waveform(w), cfg)
+        s = dsp.transform(make_waveform(w), cfg, "stft")
         return s.magnitude * np.exp(1j * s.phase)
 
     lhs = complex_of(a * x + b * y)
@@ -179,8 +178,8 @@ def test_nyquist_drop_harmless_for_lowpassed():
     # compare the pipeline against a keep-Nyquist variant on band-limited input
     cfg = dsp.StftConfig(64, 16)
     x = nyquist_free_signal(8 * 64, cfg, np.random.default_rng(6))
-    s = dsp.stft(make_waveform(x), cfg)
-    dropped = dsp.istft(s).samples
+    s = dsp.transform(make_waveform(x), cfg, "stft")
+    dropped = dsp.inverse_transform(s).samples
 
     frames = dsp._frame_signal(x, cfg)
     full = np.fft.rfft(frames, axis=1)
@@ -195,7 +194,7 @@ def test_stdct_constant_frame_concentrates_at_dc():
     # whose orthonormal DCT lives in the first few coefficients with the DC
     # term dominant (2/3 of the energy)
     cfg = dsp.StftConfig(16, 8)
-    s = dsp.stdct(make_waveform(np.ones(64)), cfg)
+    s = dsp.transform(make_waveform(np.ones(64)), cfg, "stdct")
     energy = s.magnitude ** 2
     interior = energy[:, 3:-3]
     assert np.all(np.argmax(interior, axis=0) == 0)
@@ -206,15 +205,15 @@ def test_stdct_constant_frame_concentrates_at_dc():
 
 def test_stdct_zero_signal():
     cfg = dsp.StftConfig(16, 8)
-    assert np.all(dsp.stdct(make_waveform(np.zeros(64)), cfg).magnitude == 0.0)
+    assert np.all(dsp.transform(make_waveform(np.zeros(64)), cfg, "stdct").magnitude == 0.0)
 
 
 def test_stdct_has_no_phase_plane():
     cfg = dsp.StftConfig(16, 8)
     w = make_waveform(np.ones(64))
-    spec = dsp.stdct(w, cfg)
+    spec = dsp.transform(w, cfg, "stdct")
     assert spec.phase is None
-    stft = dsp.stft(w, cfg)
+    stft = dsp.transform(w, cfg, "stft")
     with pytest.raises(ConfigError, match="stft spectrogram needs a phase plane"):
         replace(stft, phase=None)
     with pytest.raises(ConfigError, match="stdct spectrogram cannot have a phase plane"):
@@ -226,16 +225,16 @@ def test_paper_scale_container_shape():
     cfg = dsp.StftConfig(2048, 128)
     length = cfg.samples_for_frames(512)
     assert 1.4 < length / 44100 < 1.6
-    s = dsp.stft(dsp.Waveform(np.zeros(length), 44100), cfg)
+    s = dsp.transform(dsp.Waveform(np.zeros(length), 44100), cfg, "stft")
     assert s.shape == (1024, 512)
 
 
 def test_log_view_properties():
     cfg = dsp.StftConfig(16, 8)
-    zero = dsp.stft(make_waveform(np.zeros(64)), cfg)
+    zero = dsp.transform(make_waveform(np.zeros(64)), cfg, "stft")
     assert np.all(dsp.log_view(zero) == 0.0)
     rng = np.random.default_rng(7)
-    s = dsp.stft(make_waveform(rng.normal(size=100)), cfg)
+    s = dsp.transform(make_waveform(rng.normal(size=100)), cfg, "stft")
     view = dsp.log_view(s)
     assert view.min() >= 0.0 and view.max() <= 1.0
     flat_mag = s.magnitude.ravel()
@@ -246,7 +245,7 @@ def test_log_view_properties():
 
 def test_spectrogram_pgm_roundtrip(tmp_path):
     cfg = dsp.StftConfig(16, 4)
-    s = dsp.stft(make_waveform(np.random.default_rng(8).normal(size=80)), cfg)
+    s = dsp.transform(make_waveform(np.random.default_rng(8).normal(size=80)), cfg, "stft")
     path = tmp_path / "spec.pgm"
     dsp.write_spectrogram_pgm(s, path)
     raster = read_pgm(path)
@@ -302,5 +301,33 @@ def test_gather_is_adjoint_of_overlap_add(case):
 def test_stdct_roundtrip_exact(case):
     cfg, num_samples, rng = case
     x = rng.normal(size=num_samples)
-    back = dsp.istdct(dsp.stdct(make_waveform(x), cfg))
+    back = dsp.inverse_transform(dsp.transform(make_waveform(x), cfg, "stdct"))
     assert np.max(np.abs(back.samples - x)) <= 1e-9
+
+
+# -- one entry point per direction ------------------------------------------
+
+# public helpers that only dsp itself calls: StftConfig.window_weights and
+# write_spectrogram_pgm
+DSP_HELPERS = {"hann_window", "log_view"}
+
+
+def _referenced_names(path):
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_every_public_dsp_function_has_a_src_caller():
+    public = {name for name, fn in vars(dsp).items()
+              if inspect.isfunction(fn) and fn.__module__ == dsp.__name__ and not name.startswith("_")}
+    dsp_path = Path(dsp.__file__)
+    outside = set().union(*(_referenced_names(p) for p in dsp_path.parent.glob("*.py") if p != dsp_path))
+    assert DSP_HELPERS <= _referenced_names(dsp_path)
+    assert public - outside - DSP_HELPERS == set()
