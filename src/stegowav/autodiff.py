@@ -20,6 +20,10 @@ participates in a graph; all ops allocate fresh output buffers.
 Every op here is one the pipeline records.  :func:`conv2d` runs one correlate
 kernel over output row tiles (forward, input gradient, np.where(z > 0, z, slope * z));
 one 2x2 block-sum and one 2x2 block-fill kernel serve avg_pool2 and upsample_concat.
+
+A batch of B images travels as (C, B*H, W), the samples stacked along the
+rows: the 2x2 ops never mix two samples (H is even), and :func:`conv2d` pads
+each sample on its own.  abs_sum and sq_sum can sum each sample on its own.
 """
 
 from __future__ import annotations
@@ -217,22 +221,24 @@ def mean(a):
     return _node("mean", (a,), lambda: np.asarray(a.data.mean()), bwd)
 
 
-def abs_sum(a):
+def abs_sum(a, axis=None):
+    """Sum of |a| over `axis` (numpy's meaning; all axes by default)."""
     a = _as_tensor(a)
 
     def bwd(g, acc):
-        acc(a, float(g) * np.sign(a.data))
+        acc(a, (g if axis is None else np.expand_dims(g, axis)) * np.sign(a.data))
 
-    return _node("abs_sum", (a,), lambda: np.asarray(np.abs(a.data).sum()), bwd)
+    return _node("abs_sum", (a,), lambda: np.asarray(np.abs(a.data).sum(axis=axis)), bwd)
 
 
-def sq_sum(a):
+def sq_sum(a, axis=None):
+    """Sum of a*a over `axis` (numpy's meaning; all axes by default)."""
     a = _as_tensor(a)
 
     def bwd(g, acc):
-        acc(a, float(g) * 2.0 * a.data)
+        acc(a, (g if axis is None else np.expand_dims(g, axis)) * 2.0 * a.data)
 
-    return _node("sq_sum", (a,), lambda: np.asarray((a.data * a.data).sum()), bwd)
+    return _node("sq_sum", (a,), lambda: np.asarray((a.data * a.data).sum(axis=axis)), bwd)
 
 
 def sqrt(a):
@@ -328,72 +334,97 @@ def merge(stack, w):
 
 
 _TILE_POSITIONS = 8192  # output positions per conv row tile: a tile's buffers stay cache-sized
+_TILE_FLOATS = 60_000  # floats of padded input and output up to which one tile holds several whole samples
 
 
-def _row_tiles(src, k):
-    """Blocks of whole output rows of a 'same' k x k correlation over src (C, H, W).
+def _row_tiles(src, k, samples=1, out_channels=0):
+    """Tiles of a 'same' k x k correlation over src (C, B*H, W), B = `samples` stacked along rows.
 
-    Yields (rows, n, flat) per block of about _TILE_POSITIONS output positions:
-    the output row slice, n = len(rows)*Wp (Wp = W + k - 1), and the block's
-    input rows zero-padded by k//2 on each side plus a spare bottom row, each
-    channel flattened into one reused buffer.  Tap (dy, dx) then reads the
-    contiguous window flat[:, o:o + n], o = dy*Wp + dx."""
-    c, h, w = src.shape
-    pad = k // 2
+    Yields (rows, n, flat, cells) per tile: the output row slice, the tile's n
+    output positions, its input zero-padded by k//2 on each side (each sample
+    on its own) plus spare bottom rows, every channel flattened into one reused
+    buffer, and `cells`, which views a (C', n) tile array as the (C', S, rows, W)
+    outputs of its S samples.  Tap (dy, dx) reads the contiguous window
+    flat[:, o:o + n], o = dy*Wp + dx (Wp = W + k - 1).
+
+    While the tile's input and output floats, (C + out_channels) times the
+    padded positions, stay within _TILE_FLOATS for several samples, a tile
+    holds whole samples, their padded blocks one after another, and the output
+    rows facing the 2*(k//2) halo rows of each block are cropped.  Otherwise a
+    tile holds about _TILE_POSITIONS output positions of one sample's rows, so
+    with one sample every tile is the same."""
+    c, total, w = src.shape
+    h, pad = total // samples, k // 2
     wp = w + 2 * pad
-    step = max(1, min(h, _TILE_POSITIONS // wp))
-    buf = np.zeros((c, step + 2 * pad + 1, wp))
-    for r0 in range(0, h, step):
-        r1 = min(r0 + step, h)
-        lo, hi = max(r0 - pad, 0), min(r1 + pad, h)
-        buf[:, lo - r0 + pad:hi - r0 + pad, pad:pad + w] = src[:, lo:hi]
-        buf[:, hi - r0 + pad:] = 0
-        yield slice(r0, r1), (r1 - r0) * wp, buf.reshape(c, -1)
+    per = max(1, min(samples, _TILE_FLOATS // ((c + out_channels) * (h + 2 * pad) * wp)))
+    step = h if per > 1 else max(1, min(h, _TILE_POSITIONS // wp))
+    block = step + 2 * pad
+    buf = np.zeros((c, per * block + 1 + (2 * pad if per > 1 else 0), wp))
+    flat = buf.reshape(c, -1)
+    for s0 in range(0, samples, per):
+        s = min(per, samples - s0)
+        for r0 in range(0, h, step):
+            r1 = min(r0 + step, h)
+            if per > 1:  # whole samples: the halo rows are never written, so they stay zero
+                blocks = buf[:, :s * block].reshape(c, s, block, wp)
+                blocks[:, :, pad:pad + h, pad:pad + w] = src[:, s0 * h:(s0 + s) * h].reshape(c, s, h, w)
+            else:
+                lo, hi = max(r0 - pad, 0), min(r1 + pad, h)
+                if r0 == 0 < s0:  # the last tiles of the sample before wrote the top rows
+                    buf[:, :pad] = 0
+                buf[:, lo - r0 + pad:hi - r0 + pad, pad:pad + w] = src[:, s0 * h + lo:s0 * h + hi]
+                buf[:, hi - r0 + pad:] = 0
+            n = (s * block if per > 1 else r1 - r0) * wp  # whole blocks reshape to (C', s, block, Wp)
+            yield (slice(s0 * h + r0, (s0 + s - 1) * h + r1), n, flat,
+                   lambda a, s=s, rows=r1 - r0: a.reshape(len(a), s, -1, wp, copy=False)[:, :, :rows, :w])
 
 
-def _correlate(src, taps, k, bias, slope=None):
-    """'Same' k x k correlation of src (C_in, H, W): bias + sum of m @ window(dy, dx).
+def _correlate(src, taps, k, bias, slope=None, samples=1):
+    """'Same' k x k correlation of src (C_in, B*H, W): bias + sum of m @ window(dy, dx).
 
     `taps` lists (m, dy, dx), m (C_out, C_in), added in list order in a tile-sized
-    accumulator whose 2*(k//2) wrapped columns per row are cropped.  Over one
-    input channel m @ window is an outer product: a broadcast multiply gives the
-    same bytes, faster.  With a slope, each tile becomes max(acc, slope * acc) before
-    the crop: the bytes of np.where(acc > 0, acc, slope * acc) for 0 <= slope <= 1."""
+    accumulator whose wrapped columns and rows between samples are cropped.  Over
+    one input channel m @ window is an outer product: a broadcast multiply gives
+    the same bytes, faster.  With a slope, each tile becomes max(acc, slope * acc)
+    before the crop: the bytes of np.where(acc > 0, acc, slope * acc) for 0 <= slope <= 1."""
     cout, cin = taps[0][0].shape
-    _, h, w = src.shape
-    wp = w + k - 1
+    wp = src.shape[2] + k - 1
     product = np.multiply if cin == 1 else np.matmul
-    out = np.empty((cout, h, w))
-    for rows, n, flat in _row_tiles(src, k):
-        acc, prod = np.empty((cout, n)), np.empty((cout, n))
+    out, buffers = np.empty((cout,) + src.shape[1:]), None
+    for rows, n, flat, cells in _row_tiles(src, k, samples, cout):
+        buffers = buffers or (np.empty((cout, n)), np.empty((cout, n)))  # the first tile is the largest
+        acc, prod = buffers[0][:, :n], buffers[1][:, :n]
         acc[:] = bias[:, None]
         for m, dy, dx in taps:
             o = dy * wp + dx
             np.add(acc, product(m, flat[:, o:o + n], out=prod), out=acc)
         acc = acc if slope is None else np.maximum(acc, np.multiply(acc, slope, out=prod), out=prod)
-        out[:, rows] = acc.reshape(cout, -1, wp)[:, :, :w]
+        tile = cells(acc)
+        out[:, rows].reshape(tile.shape, copy=False)[...] = tile
     return out
 
 
-def conv2d(x, kernel, bias, slope=None):
+def conv2d(x, kernel, bias, slope=None, samples=1):
     """2-D convolution, stride 1, odd square kernel, zero 'same' padding.
 
-    x: (C_in, H, W); kernel: (C_out, C_in, k, k); bias: (C_out,).  A slope in
-    [0, 1] applies the leaky ReLU y = np.where(z > 0, z, slope * z) to the
+    x: (C_in, B*H, W), B = `samples` images stacked along the rows, each padded
+    on its own; kernel: (C_out, C_in, k, k); bias: (C_out,).  A slope in [0, 1]
+    applies the leaky ReLU y = np.where(z > 0, z, slope * z) to the
     convolution z; the backward pass scales g by np.where(y > 0, 1.0, slope).
 
     No im2col buffer and no padded copy of the whole input are built: every
-    pass runs over tiles of whole output rows (:func:`_row_tiles`).  The forward
-    pass is :func:`_correlate`, and so is the input gradient: the correlation of
-    the output gradient with the flipped, transposed kernel, its taps added in
-    the forward's order.  The kernel gradient adds, per tile and tap, the output
-    gradient (zero-extended to Wp columns) times the tap's input window.
+    pass runs over tiles (:func:`_row_tiles`), of whole samples where they are
+    small and of one sample's rows otherwise.  The forward pass is
+    :func:`_correlate`, and so is the input gradient: the correlation of the
+    output gradient with the flipped, transposed kernel, its taps added in the
+    forward's order.  The kernel gradient adds, per tile and tap, the output
+    gradient (zero at the cropped positions) times the tap's input window.
     """
     x, kernel, bias = _as_tensor(x), _as_tensor(kernel), _as_tensor(bias)
     if slope is not None and not 0.0 <= slope <= 1.0:
         raise ConfigError(f"conv2d: leaky slope must lie in [0, 1], got {slope}")
-    if x.data.ndim != 3:
-        raise ConfigError(f"conv2d: input must be (C,H,W), got {x.data.shape}")
+    if x.data.ndim != 3 or samples < 1 or x.data.shape[1] % samples:
+        raise ConfigError(f"conv2d: input must be (C, B*H, W) with B = {samples}, got {x.data.shape}")
     if kernel.data.ndim != 4:
         raise ConfigError(f"conv2d: kernel must be (Cout,Cin,k,k), got {kernel.data.shape}")
     cout, cin, k, kw = kernel.data.shape
@@ -403,29 +434,35 @@ def conv2d(x, kernel, bias, slope=None):
         raise ConfigError(f"conv2d: input depth {x.data.shape[0]} does not match kernel depth {cin}")
     if bias.data.shape != (cout,):
         raise ConfigError(f"conv2d: bias shape {bias.data.shape} does not match {cout} output channels")
-    w = x.data.shape[2]
-    wp = w + k - 1
+    wp = x.data.shape[2] + k - 1
     grid = [(dy, dx) for dy in range(k) for dx in range(k)]
     y = None  # the latest output, an array: a closure over the output Tensor would be a cycle
 
     def fwd():
         nonlocal y
-        y = _correlate(x.data, [(kernel.data[:, :, dy, dx], dy, dx) for dy, dx in grid], k, bias.data, slope)
+        y = _correlate(x.data, [(kernel.data[:, :, dy, dx], dy, dx) for dy, dx in grid], k, bias.data, slope,
+                       samples)
         return y
 
     def bwd(g, acc):
-        g = g if slope is None else g * np.where(y > 0, 1.0, slope)
+        if slope is not None:  # g * np.where(y > 0, 1.0, slope) in one buffer: g * 1.0 is g
+            scaled = g * slope
+            np.copyto(scaled, g, where=y > 0)
+            g = scaled
         acc(bias, g.sum(axis=(1, 2)))
-        dk = np.zeros(kernel.data.shape)
-        for rows, n, flat in _row_tiles(x.data, k):
-            gf = np.zeros((cout, n))
-            gf.reshape(cout, -1, wp)[:, :, :w] = g[:, rows]
+        dk, buffer = np.zeros(kernel.data.shape), None
+        for rows, n, flat, cells in _row_tiles(x.data, k, samples, cout):
+            buffer = np.empty((cout, n)) if buffer is None else buffer
+            gf = buffer[:, :n]
+            gf[:] = 0
+            tile = cells(gf)
+            tile[...] = g[:, rows].reshape(tile.shape)
             for dy, dx in grid:
                 dk[:, :, dy, dx] += gf @ flat[:, dy * wp + dx:dy * wp + dx + n].T
         acc(kernel, dk)
         if x.requires_grad:
             taps = [(kernel.data[:, :, dy, dx].T, k - 1 - dy, k - 1 - dx) for dy, dx in grid]
-            acc(x, _correlate(g, taps, k, np.zeros(cin)))
+            acc(x, _correlate(g, taps, k, np.zeros(cin), samples=samples))
 
     return _node("conv2d", (x, kernel, bias), fwd, bwd)
 
@@ -463,6 +500,7 @@ def backward(root):
     Accumulation is additive: leaf gradients are never reset here.  A node's
     first gradient is kept as handed over, not copied, so every backward
     closure must treat its `g` as read-only: no op writes into `g` in place.
+    The closure holds the only reference to its `g`, so it can drop it early.
     A leaf copies its gradient once, so no two `.grad` arrays share memory.
     """
     if root.data.size != 1:
@@ -479,13 +517,14 @@ def backward(root):
         pending[key] = pending[key] + g if key in pending else g
 
     for node in reversed(order):
-        g = pending.pop(id(node), None)
-        if g is None:
+        key = id(node)
+        if key not in pending:
             continue
         if node.is_leaf():
+            g = pending.pop(key)
             node.grad = g.copy() if node.grad is None else node.grad + g
         elif node._backward is not None:
-            node._backward(g, acc)
+            node._backward(pending.pop(key), acc)
 
 
 def replay_forward(root):

@@ -186,12 +186,21 @@ def _cmd_eval(args):
     return 0
 
 
-def _cmd_robustness(args):
+def _cell_list(flag, text, parse):
+    """The values of a comma-separated list; an empty list or a repeated value is a usage error."""
     try:
-        fractions = [float(x) for x in args.fractions.split(",") if x.strip()]
+        values = [parse(x.strip()) for x in text.split(",") if x.strip()]
     except ValueError:
-        raise UsageError(f"bad --fractions list: {args.fractions!r}") from None
-    modes = [m.strip() for m in args.modes.split(",") if m.strip()]
+        raise UsageError(f"bad {flag} list: {text!r}") from None
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if not values or repeated:
+        raise UsageError(f"{flag} list {text!r} " + (f"repeats {repeated[0]!r}" if values else "is empty"))
+    return values
+
+
+def _cmd_robustness(args):
+    fractions = _cell_list("--fractions", args.fractions, float)
+    modes = _cell_list("--modes", args.modes, str)
     for mode in modes:
         if mode not in robustness.MODES:
             raise UsageError(f"unknown mode {mode!r}; choose from {robustness.MODES}")

@@ -16,7 +16,8 @@ slice, window) and `_scatter_frames` (window, overlap-add, trim).
 config, frame count and length), and `_gather_frames` is its adjoint.  Each
 transform has one numpy kernel, called by `transform`/`inverse_transform` and
 by the tape op over raw arrays (`stft_mag_op`, `istdct_op`, ...) that pipeline
-training records.
+training records.  The kernels and tape ops take any leading axes: a batch of
+B waveforms is a (B, L) array and its planes are (B, F, T).
 """
 
 from __future__ import annotations
@@ -123,24 +124,31 @@ class Spectrogram:
 
 
 def _frame_signal(x, cfg):
-    """Window the front/tail padded signal into (T, N) frames."""
-    n, r = cfg.frame_length, cfg.hop
-    t = cfg.frame_count(x.size)
-    padded = np.zeros((t - 1) * r + n)
-    padded[r:r + x.size] = x
-    idx = np.arange(n)[None, :] + (np.arange(t) * r)[:, None]
-    return padded[idx] * cfg.window_weights()
+    """Window the front/tail padded signal (..., L) into (..., T, N) frames."""
+    n, r, size = cfg.frame_length, cfg.hop, x.shape[-1]
+    t = cfg.frame_count(size)
+    padded = np.zeros(x.shape[:-1] + ((t - 1) * r + n,))
+    padded[..., r:r + size] = x
+    step = padded.strides[-1]  # frame m is the view of padded[..., m*r:m*r + n]
+    frames = np.ndarray(padded.shape[:-1] + (t, n), padded.dtype, padded, 0, padded.strides[:-1] + (r * step, step))
+    return frames * cfg.window_weights()
 
 
 def _scatter_frames(frames, cfg, num_samples):
-    """Adjoint of _frame_signal: window, overlap-add, trim the pads back off."""
-    t, n = frames.shape
+    """Adjoint of _frame_signal: window, overlap-add, trim the pads back off.
+
+    Block j (hop-long, the last zero-filled) of every frame adds in one slice,
+    last block first, so that each sample adds its frames in frame order."""
+    *lead, t, n = frames.shape
     r = cfg.hop
-    acc = np.zeros((t - 1) * r + n)
-    windowed = frames * cfg.window_weights()
-    for m in range(t):
-        acc[m * r:m * r + n] += windowed[m]
-    return acc[r:r + num_samples]
+    q = -(-n // r)
+    windowed = np.zeros((*lead, t, q * r))
+    np.multiply(frames, cfg.window_weights(), out=windowed[..., :n])
+    blocks = windowed.reshape(*lead, t, q, r)
+    acc = np.zeros((*lead, t + q - 1, r))
+    for j in reversed(range(q)):
+        acc[..., j:j + t, :] += blocks[..., j, :]
+    return acc.reshape(*lead, -1)[..., r:r + num_samples]
 
 
 @functools.lru_cache(maxsize=32)
@@ -162,33 +170,34 @@ def _ola_denominator(cfg, count, num_samples):
 def _overlap_add(frames, cfg, num_samples):
     """Squared-window-normalized overlap-add; trims the pads back off."""
     return _scatter_frames(frames, cfg, num_samples) / _ola_denominator(
-        cfg, frames.shape[0], num_samples)
+        cfg, frames.shape[-2], num_samples)
 
 
 def _gather_frames(grad, cfg):
-    """Adjoint of _overlap_add: per-sample gradient -> (T, N) frame gradient."""
-    return _frame_signal(grad / _ola_denominator(cfg, cfg.frame_count(grad.size), grad.size), cfg)
+    """Adjoint of _overlap_add: per-sample gradient (..., L) -> (..., T, N) frame gradient."""
+    size = grad.shape[-1]
+    return _frame_signal(grad / _ola_denominator(cfg, cfg.frame_count(size), size), cfg)
 
 
 def _stft_bins(x, cfg):
-    """(T, F) complex spectrum of the framed signal, Nyquist bin dropped."""
-    return np.fft.rfft(_frame_signal(x, cfg), axis=1)[:, :cfg.freq_bins]
+    """(..., T, F) complex spectrum of the framed signal, Nyquist bin dropped."""
+    return np.fft.rfft(_frame_signal(x, cfg), axis=-1)[..., :cfg.freq_bins]
 
 
 def _istft_samples(mag, phase, cfg, num_samples):
     # irfft zero-fills the dropped Nyquist bin
     z = mag * np.exp(1j * phase)
-    frames = np.fft.irfft(z.T, n=cfg.frame_length, axis=1)
+    frames = np.fft.irfft(z.swapaxes(-1, -2), n=cfg.frame_length, axis=-1)
     return _overlap_add(frames, cfg, num_samples)
 
 
 def _stdct_coeff(x, cfg):
-    """(N, T) orthonormal DCT-II coefficients of the framed signal."""
-    return scipy.fft.dct(_frame_signal(x, cfg), type=2, axis=1, norm="ortho").T.copy()
+    """(..., N, T) orthonormal DCT-II coefficients of the framed signal."""
+    return scipy.fft.dct(_frame_signal(x, cfg), type=2, axis=-1, norm="ortho").swapaxes(-1, -2).copy()
 
 
 def _istdct_samples(coeff, cfg, num_samples):
-    frames = scipy.fft.idct(coeff.T, type=2, axis=1, norm="ortho")
+    frames = scipy.fft.idct(coeff.swapaxes(-1, -2), type=2, axis=-1, norm="ortho")
     return _overlap_add(frames, cfg, num_samples)
 
 
@@ -197,15 +206,15 @@ def _istdct_samples(coeff, cfg, num_samples):
 
 
 def istft_op(mag, phase, cfg, num_samples):
-    """Tape-registered inverse STFT over (F, T) magnitude/phase tensors."""
+    """Tape-registered inverse STFT over (..., F, T) magnitude/phase tensors."""
     if mag.data.shape != phase.data.shape:
         raise ConfigError(f"istft: magnitude/phase shapes differ: {mag.data.shape} vs {phase.data.shape}")
 
     def bwd(g, acc):
         n = cfg.frame_length
-        c = np.fft.rfft(_gather_frames(g, cfg), axis=1)[:, :cfg.freq_bins].T
+        c = np.fft.rfft(_gather_frames(g, cfg), axis=-1)[..., :cfg.freq_bins].swapaxes(-1, -2)
         d_re = (2.0 / n) * c.real
-        d_re[0] *= 0.5
+        d_re[..., 0, :] *= 0.5
         d_im = (2.0 / n) * c.imag
         cosp, sinp = np.cos(phase.data), np.sin(phase.data)
         acc(mag, d_re * cosp + d_im * sinp)
@@ -217,10 +226,10 @@ def istft_op(mag, phase, cfg, num_samples):
 
 
 def istdct_op(coeff, cfg, num_samples):
-    """Tape-registered inverse STDCT over an (N, T) coefficient tensor."""
+    """Tape-registered inverse STDCT over an (..., N, T) coefficient tensor."""
 
     def bwd(g, acc):
-        acc(coeff, scipy.fft.dct(_gather_frames(g, cfg), type=2, axis=1, norm="ortho").T)
+        acc(coeff, scipy.fft.dct(_gather_frames(g, cfg), type=2, axis=-1, norm="ortho").swapaxes(-1, -2))
 
     return ad.register_op(
         "istdct", (coeff,), lambda: _istdct_samples(coeff.data, cfg, num_samples), bwd)
@@ -231,24 +240,24 @@ def _stft_plane_op(kind, wave, cfg):
 
     def fwd():
         z = _stft_bins(wave.data, cfg)
-        return (np.abs(z) if kind == "stft_mag" else np.angle(z)).T.copy()
+        return (np.abs(z) if kind == "stft_mag" else np.angle(z)).swapaxes(-1, -2).copy()
 
     def bwd(g, acc):
         z = _stft_bins(wave.data, cfg)
-        phi = np.angle(z)
+        phi, g = np.angle(z), g.swapaxes(-1, -2)
         if kind == "stft_mag":
-            d_re = g.T * np.cos(phi)
-            d_im = g.T * np.sin(phi)
+            d_re = g * np.cos(phi)
+            d_im = g * np.sin(phi)
         else:
             mag = np.maximum(np.abs(z), 1e-12)  # guard near zero magnitude
-            d_re = -g.T * np.sin(phi) / mag
-            d_im = g.T * np.cos(phi) / mag
+            d_re = -g * np.sin(phi) / mag
+            d_im = g * np.cos(phi) / mag
         # transpose of frame -> one-sided DFT: undo irfft's hermitian
         # doubling of the interior bins (the dropped Nyquist bin is zero)
         dz = d_re + 1j * d_im
-        dz[:, 1:] *= 0.5
-        frames = np.fft.irfft(dz, n=cfg.frame_length, axis=1) * cfg.frame_length
-        acc(wave, _scatter_frames(frames, cfg, wave.data.size))
+        dz[..., 1:] *= 0.5
+        frames = np.fft.irfft(dz, n=cfg.frame_length, axis=-1) * cfg.frame_length
+        acc(wave, _scatter_frames(frames, cfg, wave.data.shape[-1]))
 
     return ad.register_op(kind, (wave,), fwd, bwd)
 
@@ -267,8 +276,8 @@ def stdct_fwd_op(wave, cfg):
     """Tape-registered short-time DCT-II of a waveform tensor."""
 
     def bwd(g, acc):
-        frames = scipy.fft.idct(g.T, type=2, axis=1, norm="ortho")
-        acc(wave, _scatter_frames(frames, cfg, wave.data.size))
+        frames = scipy.fft.idct(g.swapaxes(-1, -2), type=2, axis=-1, norm="ortho")
+        acc(wave, _scatter_frames(frames, cfg, wave.data.shape[-1]))
 
     return ad.register_op("stdct_fwd", (wave,), lambda: _stdct_coeff(wave.data, cfg), bwd)
 
@@ -282,7 +291,7 @@ def transform(w, cfg, kind):
     """
     if kind == "stft":
         z = _stft_bins(w.samples, cfg)
-        magnitude, phase = np.abs(z).T.copy(), np.angle(z).T.copy()
+        magnitude, phase = np.abs(z).swapaxes(-1, -2).copy(), np.angle(z).swapaxes(-1, -2).copy()
     elif kind == "stdct":
         magnitude, phase = _stdct_coeff(w.samples, cfg), None
     else:

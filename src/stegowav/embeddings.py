@@ -18,6 +18,8 @@ resizes the output down, which keeps its MAC count equal to ``replicate``'s,
 and ``replicate``/``w_replicate`` merge the unpacked stack in one weighted sum
 over the replica axis, by 1/count or by the trained ``dec_weights``
 normalised by their sum.
+A batch of B samples enters ``encode_arrange`` with a batch axis and leaves
+as (B, *container_shape); the reveal hooks keep the U-Net's (C, B*H, W).
 """
 
 from __future__ import annotations
@@ -93,12 +95,15 @@ def net_depths(cfg, n):
 
 
 def _check_shape(t, want, what):
-    if t.data.shape != want:
-        raise ConfigError(f"{what}: expected shape {want}, got {t.data.shape}")
+    """t's shape is `want` after any leading axes, or (C, B*H, W) for want = (C, H, W)."""
+    shape = t.data.shape
+    stacked = len(shape) == len(want) == 3 and shape[::2] == want[::2] and shape[1] % want[1] == 0
+    if shape[-len(want):] != want and not stacked:
+        raise ConfigError(f"{what}: expected shape {want}, with samples stacked, got {shape}")
 
 
 def encode_arrange(wmark, ctx):
-    """Watermark -> container-shaped tensor (2-D), differentiable."""
+    """Watermark (..., 2h, 2w), or multichannel (count, ..., h, w) -> (..., *container_shape), differentiable."""
     if ctx.method == "multichannel":
         return iops.pack_grid_op(wmark, ctx.grid)
     _check_shape(wmark, ctx.plane_hw, "encode_arrange")
@@ -109,31 +114,32 @@ def encode_arrange(wmark, ctx):
 
 
 def decode_prepare(container, ctx):
-    """Container plane -> (C, H, W) revealing-network input, differentiable."""
+    """Containers (..., *container_shape) -> (C, B*H, W) revealing-network input, differentiable."""
     _check_shape(container, ctx.container_shape, "decode_prepare")
     if ctx.method in CONTAINER_REVEAL:
-        return ad.reshape(container, (1,) + ctx.container_shape)
+        return ad.reshape(container, (1, -1, ctx.container_shape[1]))
     return iops.unpack_grid_op(container, ctx.grid)
 
 
 def decode_finalize(net_out, ctx):
-    """Revealing-network output -> plane (2H, 2W) or RGB (3, H, W) tensor."""
+    """Revealing-network output (C, B*H, W) -> planes (B*2h, 2w) or RGB images (3, B*h, w)."""
     method = ctx.method
     if method == "multichannel":
         _check_shape(net_out, (3,) + ctx.image_hw, "decode_finalize")
         return net_out
+    plane_w = ctx.plane_hw[1]
     if method == "ws_replicate":
         _check_shape(net_out, (1,) + ctx.plane_hw, "decode_finalize")
-        return ad.reshape(net_out, ctx.plane_hw)
+        return ad.reshape(net_out, (-1, plane_w))
 
     _check_shape(net_out, (1,) + ctx.container_shape, "decode_finalize")
-    plane = ad.reshape(net_out, ctx.container_shape)
     if method == "stretch":
-        return iops.bilinear_resize_op(plane, *ctx.plane_hw)
+        planes = iops.bilinear_resize_op(ad.reshape(net_out, (-1,) + ctx.container_shape), *ctx.plane_hw)
+        return ad.reshape(planes, (-1, plane_w))
     n = ctx.grid.count
     if method == "replicate":
         weights = np.full(n, 1.0 / n)
     else:
         # w_replicate: trained weights normalised by their sum
         weights = ad.replicas(ad.recip(ad.scale(ad.mean(ctx.dec_weights), n)), ctx.dec_weights)
-    return ad.merge(iops.unpack_grid_op(plane, ctx.grid), weights)
+    return ad.merge(iops.unpack_grid_op(net_out, ctx.grid), weights)

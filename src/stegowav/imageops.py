@@ -11,6 +11,8 @@ the container and ``ReplicaGrid.unpack`` cuts it back out; the two are
 reshape/transpose copies and each other's inverse.  Since the tiling is a
 permutation, they are also each other's adjoint, so ``pack_grid_op`` and
 ``unpack_grid_op`` each record one node whose backward pass is the other.
+A batch goes after a stack's replica axis and in front of a plane; unpacking
+and the unshuffle give the U-Net's layout, samples stacked along the rows.
 """
 
 from __future__ import annotations
@@ -77,23 +79,24 @@ _UNSHUFFLE_ZERO = _unshuffle_matrix(False)
 
 
 def _cells(plane):
-    return plane[0::2, 0::2], plane[0::2, 1::2], plane[1::2, 0::2], plane[1::2, 1::2]
+    return plane[..., 0::2, 0::2], plane[..., 0::2, 1::2], plane[..., 1::2, 0::2], plane[..., 1::2, 1::2]
 
 
 def unshuffle_op(t, use_luma=True):
-    """Tape-registered unshuffle (linear, unclamped) for the training path."""
+    """Tape-registered unshuffle (linear, unclamped): (..., 2h, 2w) or (B*2h, 2w) planes -> (3, B*h, w)."""
     a = _UNSHUFFLE_LUMA if use_luma else _UNSHUFFLE_ZERO
+    w = t.data.shape[-1] // 2
 
     def fwd():
-        return np.tensordot(a, np.stack(_cells(t.data)), axes=(1, 0))
+        return np.tensordot(a, np.stack(_cells(t.data)), axes=(1, 0)).reshape(3, -1, w)
 
     def bwd(g, acc):
-        dslots = np.tensordot(a.T, g, axes=(1, 0))
+        dslots = np.tensordot(a.T, g.reshape((3,) + t.data.shape[:-2] + (-1, w)), axes=(1, 0))
         buf = np.empty_like(t.data)
-        buf[0::2, 0::2] = dslots[0]
-        buf[0::2, 1::2] = dslots[1]
-        buf[1::2, 0::2] = dslots[2]
-        buf[1::2, 1::2] = dslots[3]
+        buf[..., 0::2, 0::2] = dslots[0]
+        buf[..., 0::2, 1::2] = dslots[1]
+        buf[..., 1::2, 0::2] = dslots[2]
+        buf[..., 1::2, 1::2] = dslots[3]
         acc(t, buf)
 
     return ad.register_op("luma_unshuffle", (t,), fwd, bwd)
@@ -118,10 +121,11 @@ def _interp_matrix(src, dst):
 
 
 def bilinear_resize_op(t, out_h, out_w):
+    """Tape op: (..., H, W) planes -> (..., out_h, out_w)."""
     if out_h < 1 or out_w < 1:
         raise UsageError(f"resize target must be positive, got {out_h}x{out_w}")
-    mr = _interp_matrix(t.data.shape[0], out_h)
-    mc = _interp_matrix(t.data.shape[1], out_w)
+    mr = _interp_matrix(t.data.shape[-2], out_h)
+    mc = _interp_matrix(t.data.shape[-1], out_w)
 
     def bwd(g, acc):
         acc(t, mr.T @ g @ mc)
@@ -159,19 +163,19 @@ class ReplicaGrid:
         return (self.rows * self.cell_h, self.cols * self.cell_w)
 
     def _cells(self, container):
-        """(rows, cols, cell_h, cell_w) view of a container array."""
-        return container.reshape(self.rows, self.cell_h, self.cols, self.cell_w).swapaxes(1, 2)
+        """(rows, cols, B, cell_h, cell_w) view of B containers, however they stack."""
+        return container.reshape(-1, self.rows, self.cell_h, self.cols, self.cell_w).transpose(1, 3, 0, 2, 4)
 
     def pack(self, stack):
-        """(count, cell_h, cell_w) stack -> new container array."""
-        out = np.empty(self.container_shape)
-        self._cells(out)[...] = stack.reshape(self.rows, self.cols, self.cell_h, self.cell_w)
+        """(count, ..., cell_h, cell_w) stack -> new (..., *container_shape) array."""
+        out = np.empty(stack.shape[1:-2] + self.container_shape)
+        self._cells(out)[...] = stack.reshape(self.rows, self.cols, -1, self.cell_h, self.cell_w)
         return out
 
     def unpack(self, container):
-        """Container array -> new (count, cell_h, cell_w) stack."""
-        out = np.empty((self.count, self.cell_h, self.cell_w))
-        out.reshape(self.rows, self.cols, self.cell_h, self.cell_w)[...] = self._cells(container)
+        """Containers (..., *container_shape) or stacked along the rows -> new (count, B*cell_h, cell_w) stack."""
+        out = np.empty((self.count, container.size // (self.count * self.cell_w), self.cell_w))
+        out.reshape(self.rows, self.cols, -1, self.cell_h, self.cell_w)[...] = self._cells(container)
         return out
 
 
@@ -186,21 +190,22 @@ def channel_grid_shape(large):
 
 
 def pack_grid_op(stack, grid):
-    """Tape op: (count, cell_h, cell_w) replica stack -> container plane."""
-    want = (grid.count, grid.cell_h, grid.cell_w)
-    if stack.data.shape != want:
-        raise ConfigError(f"pack_grid: expected a {want} replica stack, got {stack.data.shape}")
+    """Tape op: (count, ..., cell_h, cell_w) replica stack -> (..., *container_shape) containers."""
+    shape = stack.data.shape
+    if shape[:1] + shape[-2:] != (grid.count, grid.cell_h, grid.cell_w):
+        raise ConfigError(f"pack_grid: expected a ({grid.count}, ..., {grid.cell_h}, {grid.cell_w}) stack, got {shape}")
     return ad.register_op("pack_grid", (stack,), lambda: grid.pack(stack.data),
-                          lambda g, acc: acc(stack, grid.unpack(g)))
+                          lambda g, acc: acc(stack, grid.unpack(g).reshape(shape)))
 
 
 def unpack_grid_op(container, grid):
-    """Tape op: container plane -> (count, cell_h, cell_w) replica stack."""
-    if container.data.shape != grid.container_shape:
-        raise ConfigError(
-            f"unpack_grid: container shape {container.data.shape} does not match grid {grid.container_shape}")
+    """Tape op: containers (..., *container_shape), or stacked along the rows, -> (count, B*cell_h, cell_w)."""
+    shape, (f, t) = container.data.shape, grid.container_shape
+    if shape[-1] != t or container.data.size // t % f:
+        raise ConfigError(f"unpack_grid: container shape {shape} does not match grid {grid.container_shape}")
     return ad.register_op("unpack_grid", (container,), lambda: grid.unpack(container.data),
-                          lambda g, acc: acc(container, grid.pack(g)))
+                          lambda g, acc: acc(container, grid.pack(
+                              g.reshape(grid.count, -1, grid.cell_h, grid.cell_w)).reshape(shape)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Distances and composite training objectives.
 
 l1/l2 use mean reductions so the mixing weights stay comparable across
-container sizes.  Soft dynamic time warping (Cuturi & Blondel, arXiv
-1703.01541) runs the log-sum-exp softmin DP and its analytic backward pass
-over a batch of equal-length sequence pairs, one anti-diagonal per step.
+container sizes, one per sample in a batch.  Soft dynamic time warping
+(Cuturi & Blondel, arXiv 1703.01541) runs the log-sum-exp softmin DP and its
+analytic backward pass over a batch of equal-length sequence pairs, one
+anti-diagonal per step.
 Cell (i, j) of pair b (0-based) sits at T[(i + j) % m, b, i]: a diagonal and
 its neighbours are contiguous slices, and a pair's n*m cells fill T once, less
 than the (n+1)^2 square table.  Boundary cells live only in rolling buffers.
@@ -48,16 +49,18 @@ class LossConfig:
             raise ConfigError(f"unknown waveform loss {self.waveform_loss!r}")
 
 
-def l1(a, b):
-    """Mean absolute difference, on the tape."""
+def l1(a, b, axis=None):
+    """Mean absolute difference over `axis` (all axes by default), on the tape."""
     d = ad.sub(a, b)
-    return ad.scale(ad.abs_sum(d), 1.0 / d.data.size)
+    s = ad.abs_sum(d, axis)
+    return ad.scale(s, 1.0 / (d.data.size // s.data.size))
 
 
-def l2(a, b):
-    """Root of the mean squared difference, on the tape."""
+def l2(a, b, axis=None):
+    """Root of the mean squared difference over `axis` (all axes by default), on the tape."""
     d = ad.sub(a, b)
-    return ad.sqrt(ad.scale(ad.sq_sum(d), 1.0 / d.data.size))
+    s = ad.sq_sum(d, axis)
+    return ad.sqrt(ad.scale(s, 1.0 / (d.data.size // s.data.size)))
 
 
 # ---------------------------------------------------------------------------
@@ -119,28 +122,32 @@ def _sdtw_backward(x, y, gamma, T):
 
 def _soft_dtw(x, y, gamma, chunk=0):
     """One `soft_dtw` node: the DP over aligned `chunk`-sample pieces (default: whole
-    sequences) as a batch plus a shorter tail, the values added in piece order."""
+    sequences) as a batch plus a shorter tail, the values added in piece order;
+    x and y are sequences, or rows of them with one value per row."""
     x, y = ad._as_tensor(x), ad._as_tensor(y)
-    if x.data.ndim != 1 or y.data.ndim != 1 or x.data.size == 0 or y.data.size == 0:
-        raise UsageError("soft_dtw expects non-empty 1-D sequences")
+    if x.data.ndim not in (1, 2) or x.data.shape[:-1] != y.data.shape[:-1] or 0 in x.data.shape + y.data.shape:
+        raise UsageError("soft_dtw expects non-empty 1-D sequences or rows of them")
     if not 0.0 < gamma < np.inf:
         raise UsageError(f"soft_dtw smoothing gamma must be finite and > 0, got {gamma}")
-    cx, cy, cache = chunk or x.data.size, chunk or y.data.size, {}
+    (*lead, n), m, cache = x.data.shape, y.data.shape[-1], {}
+    cx, cy, rows, q = chunk or n, chunk or m, x.data.size // n, n // (chunk or n)
 
     def batches():
-        q = x.data.size // cx
-        whole = [(x.data[:q * cx].reshape(q, cx), y.data[:q * cy].reshape(q, cy))]
-        return whole + ([(x.data[None, q * cx:], y.data[None, q * cy:])] if q * cx < x.data.size else [])
+        xs, ys = x.data.reshape(rows, n), y.data.reshape(rows, m)
+        whole = [(xs[:, :q * cx].reshape(-1, cx), ys[:, :q * cy].reshape(-1, cy))]
+        return whole + ([(xs[:, q * cx:], ys[:, q * cy:])] if q * cx < n else [])
 
     def fwd():
         cache["t"] = [_sdtw_forward(a, b, gamma, ad._recording) for a, b in batches()]
-        return np.asarray(np.cumsum(np.concatenate([v for _, v in cache["t"]]))[-1])
+        values = np.concatenate([v.reshape(rows, -1) for _, v in cache["t"]], axis=1)
+        return np.cumsum(values, axis=1)[:, -1].reshape(lead)
 
     def bwd(g, acc):  # E overwrites the tables, so a second backward rebuilds them
         tables = cache.pop("t", None) or [_sdtw_forward(a, b, gamma) for a, b in batches()]
         grads = [_sdtw_backward(a, b, gamma, t) for (a, b), (t, _) in zip(batches(), tables)]
-        acc(x, float(g) * 2.0 * np.concatenate([gx.ravel() for gx, _ in grads]))
-        acc(y, float(g) * -2.0 * np.concatenate([gy.ravel() for _, gy in grads]))
+        g = np.asarray(g)[..., None]
+        acc(x, g * 2.0 * np.concatenate([gx.reshape(rows, -1) for gx, _ in grads], axis=1).reshape(x.data.shape))
+        acc(y, g * -2.0 * np.concatenate([gy.reshape(rows, -1) for _, gy in grads], axis=1).reshape(y.data.shape))
 
     return ad.register_op("soft_dtw", (x, y), fwd, bwd)
 
@@ -152,11 +159,11 @@ def soft_dtw(x, y, gamma=1.0):
 
 def soft_dtw_chunked(x, y, gamma=1.0):
     """Soft-DTW summed over aligned SOFT_DTW_CHUNK-sample chunks (tail included) past
-    SOFT_DTW_CHUNK_THRESHOLD samples, where the O(n^2) DP grows intractable."""
+    SOFT_DTW_CHUNK_THRESHOLD samples, where the O(n^2) DP grows intractable; one value per row."""
     x, y = ad._as_tensor(x), ad._as_tensor(y)
-    if x.data.size != y.data.size:
-        raise ConfigError(f"soft_dtw_chunked: lengths differ: {x.data.size} vs {y.data.size}")
-    return _soft_dtw(x, y, gamma, SOFT_DTW_CHUNK if x.data.size > SOFT_DTW_CHUNK_THRESHOLD else 0)
+    if x.data.shape != y.data.shape:
+        raise ConfigError(f"soft_dtw_chunked: shapes differ: {x.data.shape} vs {y.data.shape}")
+    return _soft_dtw(x, y, gamma, SOFT_DTW_CHUNK if x.data.shape[-1] > SOFT_DTW_CHUNK_THRESHOLD else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -164,18 +171,20 @@ def soft_dtw_chunked(x, y, gamma=1.0):
 
 
 def waveform_term(cfg, w, w_stego):
+    """The waveform term of a waveform (L,), or of each row of (B, L) waveforms."""
     if cfg.waveform_loss == "soft_dtw":
         return soft_dtw_chunked(w, w_stego, cfg.gamma)
-    return l1(w, w_stego)
+    return l1(w, w_stego, -1)
 
 
 def composite_loss(cfg, secret, revealed, wave, wave_stego, planes):
-    """Total objective plus a float breakdown of its terms.
+    """Mean over the samples of their objectives, plus each term's mean as a float.
 
     beta*l1(s,s') + lambda*wave(w,w') + spectral, where `planes` maps each
     active plane name to its (cover, stego) tensors.  One plane adds
     (1-beta)*l2(P,P'); two planes split (1-beta) as (1-theta) for the
-    magnitude and theta for the phase.
+    magnitude and theta for the phase.  A batch holds waveforms (B, L), planes
+    (B, F, T) and images (3, B, h*w); with 1-D waveforms all is one sample.
     """
     if not planes or not set(planes) <= {"magnitude", "phase"}:
         raise UsageError(f"composite_loss: planes must be magnitude and/or phase, got {list(planes)}")
@@ -184,16 +193,16 @@ def composite_loss(cfg, secret, revealed, wave, wave_stego, planes):
     else:
         weights = {"magnitude": (1.0 - cfg.beta) * (1.0 - cfg.theta),
                    "phase": (1.0 - cfg.beta) * cfg.theta}
-    img = l1(secret, revealed)
+    img = l1(secret, revealed, (0, 2) if wave.data.ndim == 2 else None)
     wav = waveform_term(cfg, wave, wave_stego)
-    dists = {plane: l2(cover, stego) for plane, (cover, stego) in planes.items()}
+    dists = {plane: l2(cover, stego, (-2, -1)) for plane, (cover, stego) in planes.items()}
     head = ad.add(ad.scale(img, cfg.beta), ad.scale(wav, cfg.lam))
     scaled = [ad.scale(dists[plane], weights[plane]) for plane in dists]
-    total = ad.add(head, scaled[0] if len(scaled) == 1 else ad.add(*scaled))
+    total = ad.mean(ad.add(head, scaled[0] if len(scaled) == 1 else ad.add(*scaled)))
     terms = {
-        "image_l1": float(img.data),
-        "wave_term": float(wav.data),
-        "mag_l2": float(dists["magnitude"].data) if "magnitude" in dists else 0.0,
-        "phase_l2": float(dists["phase"].data) if "phase" in dists else 0.0,
+        "image_l1": float(img.data.mean()),
+        "wave_term": float(wav.data.mean()),
+        "mag_l2": float(dists["magnitude"].data.mean()) if "magnitude" in dists else 0.0,
+        "phase_l2": float(dists["phase"].data.mean()) if "phase" in dists else 0.0,
     }
     return total, terms

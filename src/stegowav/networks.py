@@ -3,7 +3,8 @@
 Down path: conv+leaky ReLU -> 2x mean-pool per level; bottleneck conv+leaky
 ReLU; up path: nearest upsample+concat skip (one op) -> conv+leaky ReLU; final
 1x1 linear conv.  Each leaky ReLU runs in its conv's row tiles.  Channel
-widths double per level from ``base_channels``.  The
+widths double per level from ``base_channels``.  A batch of B inputs runs as
+one (C, B*H, W) array, samples stacked along the rows, in every layer.  The
 layer schedule is the single source of truth shared by initialization,
 forward, and the analytic parameter/MAC accounting in :mod:`costing`.
 """
@@ -88,17 +89,17 @@ def init_unet(cfg, rng, prefix):
     return params
 
 
-def unet_forward(cfg, params, x, prefix):
-    """Forward pass; spatial extents must be divisible by 2**depth."""
-    _, h, w = x.data.shape
-    div = 2 ** cfg.depth
-    if h % div or w % div:
-        raise ConfigError(f"unet input {h}x{w} not divisible by 2^{cfg.depth}")
+def unet_forward(cfg, params, x, prefix, samples=1):
+    """Forward pass over x (C, B*H, W), B = `samples`; H and W must be divisible by 2**depth."""
+    _, rows, w = x.data.shape
+    h, div = rows // samples, 2 ** cfg.depth
+    if rows % samples or h % div or w % div:
+        raise ConfigError(f"unet input {rows}x{w} is not {samples} sample(s) with extents divisible by 2^{cfg.depth}")
     if x.data.shape[0] != cfg.in_depth:
         raise ConfigError(f"unet input depth {x.data.shape[0]} != configured {cfg.in_depth}")
 
     def conv(t, name, slope=LEAKY_SLOPE):
-        return ad.conv2d(t, params[f"{prefix}.{name}.w"], params[f"{prefix}.{name}.b"], slope)
+        return ad.conv2d(t, params[f"{prefix}.{name}.w"], params[f"{prefix}.{name}.b"], slope, samples)
 
     skips = []
     t = x

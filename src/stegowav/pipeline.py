@@ -9,6 +9,10 @@ differentiable inverse transform.  At inference the revealing side starts
 from the received waveform's own transform, and `embed` and
 `reveal_from_spectrogram` run the same graph under `autodiff.no_grad`, so no
 tape is kept.
+
+The graph runs B pairs at once, one pair being a batch of one: waveforms are
+(B, L), planes (B, F, T), and the U-Nets stack samples along the rows (see
+`networks`).  A training step records one graph over its minibatch.
 """
 
 from __future__ import annotations
@@ -229,30 +233,44 @@ def _validate_geometry(cfg, ctx):
 # forward data flow
 
 
-def _secret_tensor(bundle, secret):
-    secret = np.asarray(secret, dtype=np.float64)
-    want = (3, bundle.cfg.image, bundle.cfg.image)
-    if secret.shape != want:
-        raise UsageError(f"secret image shape {secret.shape}, expected {want}")
+def _check_pair(bundle, index, pair):
+    """Reject a pair whose secret shape, cover length or sample rate the model cannot take; name the pair."""
+    cfg, cover = bundle.cfg, pair.cover
+    want, shape, need = (3, cfg.image, cfg.image), np.shape(pair.secret), cfg.required_samples()
+    if shape != want:
+        raise UsageError(f"pair {index}: secret image shape {shape}, expected {want}")
+    if len(cover) < need:
+        raise UsageError(f"pair {index}: cover has {len(cover)} samples; this model requires {need}")
+    if cover.sample_rate != cfg.sample_rate:
+        raise UsageError(f"pair {index}: cover is sampled at {cover.sample_rate} Hz; "
+                         f"this model requires {cfg.sample_rate} Hz")
+
+
+def _secret_images(pairs):
+    """The secrets as one (3, B*h, w) array, stacked along the rows like the U-Net's samples."""
+    secrets = np.stack([np.asarray(pair.secret, dtype=np.float64) for pair in pairs], axis=1)
+    return secrets.reshape(3, -1, secrets.shape[-1])
+
+
+def _secret_tensor(bundle, pairs):
+    """The hiding network's input: (3, B*h, w) images, or (1, B*2h, 2w) pixel-shuffled planes."""
     if bundle.cfg.method == "multichannel":
-        return ad.Tensor(secret)
-    return ad.Tensor(iops.shuffle_with_luma(secret, use_luma=bundle.cfg.luma))
+        return ad.Tensor(_secret_images(pairs))
+    planes = [iops.shuffle_with_luma(pair.secret, use_luma=bundle.cfg.luma) for pair in pairs]
+    return ad.Tensor(np.concatenate(planes)[None])
 
 
-def _hide_branch(bundle, secret_t, prefix):
+def _hide_branch(bundle, secret_t, prefix, samples):
     ctx = bundle.ctx
-    if bundle.cfg.method == "multichannel":
-        wm = nets.unet_forward(bundle.hide_cfg, bundle.params, secret_t, prefix)
-    else:
-        x = ad.reshape(secret_t, (1,) + ctx.plane_hw)
-        out = nets.unet_forward(bundle.hide_cfg, bundle.params, x, prefix)
-        wm = ad.reshape(out, ctx.plane_hw)
-    return emb.encode_arrange(wm, ctx)
+    out = nets.unet_forward(bundle.hide_cfg, bundle.params, secret_t, prefix, samples)
+    # (count, B, h, w) replicas or (B, 2h, 2w) planes
+    lead = (ctx.grid.count, samples) if bundle.cfg.method == "multichannel" else (samples,)
+    return emb.encode_arrange(ad.reshape(out, lead + (-1, out.data.shape[-1])), ctx)
 
 
 def _reveal_branch(bundle, container_t, prefix):
     xin = emb.decode_prepare(container_t, bundle.ctx)
-    return nets.unet_forward(bundle.reveal_cfg, bundle.params, xin, prefix)
+    return nets.unet_forward(bundle.reveal_cfg, bundle.params, xin, prefix, len(container_t.data))
 
 
 def _finalize(bundle, net_out):
@@ -263,34 +281,33 @@ def _finalize(bundle, net_out):
 
 
 def _cover_spectrogram(bundle, cover):
+    """The cover trimmed to the model's length, and its spectrogram."""
     cfg = bundle.cfg
     need = cfg.required_samples()
-    if len(cover) < need:
-        raise UsageError(f"cover has {len(cover)} samples; this model requires {need}")
-    if cover.sample_rate != cfg.sample_rate:
-        raise UsageError(f"cover is sampled at {cover.sample_rate} Hz; this model requires {cfg.sample_rate} Hz")
     if len(cover) > need:
         cover = dsp.Waveform(cover.samples[:need].copy(), cover.sample_rate)
     return cover, dsp.transform(cover, cfg.stft_config(), cfg.transform)
 
 
-def run_pipeline(bundle, secret, cover, with_reveal=True):
-    """Build the full differentiable graph for one sample.
+def run_pipeline(bundle, pairs, with_reveal=True):
+    """Build the full differentiable graph for a batch of B pairs.
 
-    Returns a dict with the trimmed cover waveform, its spectrogram, the
-    cover and stego plane tensors keyed by plane name (every plane of the
-    transform; only the active ones carry the watermark), the stego waveform
-    tensor, and (optionally) the revealed image tensor.
+    Returns a dict with the trimmed covers as (B, L) rows, their spectrograms,
+    the cover and stego plane tensors (B, F, T) keyed by plane name (every
+    plane of the transform; only the active ones carry the watermark), the
+    stego waveform tensor, and (optionally) the revealed (3, B*h, w) images.
     """
     cfg = bundle.cfg
-    cover, spec = _cover_spectrogram(bundle, cover)
-    secret_t = _secret_tensor(bundle, secret)
-    cover_planes = {"magnitude": ad.Tensor(spec.magnitude)}
-    if spec.phase is not None:
-        cover_planes["phase"] = ad.Tensor(spec.phase)
+    for index, pair in enumerate(pairs):
+        _check_pair(bundle, index, pair)
+    covers, specs = zip(*(_cover_spectrogram(bundle, pair.cover) for pair in pairs))
+    spec = specs[0]
+    secret_t = _secret_tensor(bundle, pairs)
+    cover_planes = {plane: ad.Tensor(np.stack([getattr(s, plane) for s in specs]))
+                    for plane in ("magnitude", "phase") if getattr(spec, plane) is not None}
     stego_planes = dict(cover_planes)
     for plane, prefix in _net_prefixes(cfg, "hide").items():
-        stego_planes[plane] = ad.add(cover_planes[plane], _hide_branch(bundle, secret_t, prefix))
+        stego_planes[plane] = ad.add(cover_planes[plane], _hide_branch(bundle, secret_t, prefix, len(pairs)))
 
     if cfg.transform == "stft":
         stego_wave = istft_op(stego_planes["magnitude"], stego_planes["phase"],
@@ -299,8 +316,8 @@ def run_pipeline(bundle, secret, cover, with_reveal=True):
         stego_wave = istdct_op(stego_planes["magnitude"], spec.config, spec.num_samples)
 
     out = {
-        "cover": cover,
-        "spec": spec,
+        "cover": np.stack([cover.samples for cover in covers]),
+        "specs": specs,
         "cover_planes": cover_planes,
         "stego_planes": stego_planes,
         "stego_wave": stego_wave,
@@ -326,11 +343,11 @@ def _reveal_from_planes(bundle, planes):
 def embed(secret, cover, bundle):
     """Hide `secret` in `cover`; returns (stego waveform, diagnostics)."""
     with ad.no_grad():
-        out = run_pipeline(bundle, secret, cover, with_reveal=False)
-    spec = out["spec"]
-    stego = dsp.Waveform(out["stego_wave"].data.copy(), out["cover"].sample_rate)
+        out = run_pipeline(bundle, [SamplePair(secret, cover)], with_reveal=False)
+    spec = out["specs"][0]
+    stego = dsp.Waveform(out["stego_wave"].data[0].copy(), cover.sample_rate)
     base = dsp.inverse_transform(spec)
-    pert = float(np.sqrt(sum(np.mean((out["stego_planes"][plane].data - getattr(spec, plane)) ** 2)
+    pert = float(np.sqrt(sum(np.mean((out["stego_planes"][plane].data[0] - getattr(spec, plane)) ** 2)
                              for plane in bundle.cfg.planes())))
     diag = {
         "stego_snr_db": me.snr_db(base.samples, stego.samples),
@@ -359,7 +376,7 @@ def reveal_from_spectrogram(spec, bundle):
             f"{bundle.ctx.container_shape}")
     with ad.no_grad():
         revealed = _reveal_from_planes(
-            bundle, {plane: ad.Tensor(getattr(spec, plane)) for plane in bundle.cfg.planes()})
+            bundle, {plane: ad.Tensor(getattr(spec, plane)[None]) for plane in bundle.cfg.planes()})
     return np.clip(revealed.data, 0.0, 1.0)
 
 
@@ -500,37 +517,45 @@ class Adam:
         self.v = {k: np.zeros_like(t.data) for k, t in params.items()}
         self.t = 0
 
-    def step(self, grad_scale):
+    def step(self):
+        """One update from the parameters' gradients; m and v are updated in place."""
         self.t += 1
         for name, p in self.params.items():
-            g = (p.grad if p.grad is not None else np.zeros_like(p.data)) * grad_scale
-            self.m[name] = self.b1 * self.m[name] + (1 - self.b1) * g
-            self.v[name] = self.b2 * self.v[name] + (1 - self.b2) * g * g
-            mhat = self.m[name] / (1 - self.b1 ** self.t)
-            vhat = self.v[name] / (1 - self.b2 ** self.t)
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            m, v = self.m[name], self.v[name]
+            m *= self.b1
+            m += (1 - self.b1) * g
+            v *= self.b2
+            v += (1 - self.b2) * g * g
+            mhat = m / (1 - self.b1 ** self.t)
+            vhat = v / (1 - self.b2 ** self.t)
             p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
-def _sample_loss(bundle, pair, loss_cfg):
-    out = run_pipeline(bundle, pair.secret, pair.cover)
-    secret_const = ad.Tensor(np.asarray(pair.secret, dtype=np.float64))
-    wave_const = ad.Tensor(out["cover"].samples)
+def _sample_loss(bundle, pairs, loss_cfg):
+    """The batch loss of `pairs`: the mean of each pair's composite loss, and the mean terms."""
+    out = run_pipeline(bundle, pairs)
     planes = {plane: (out["cover_planes"][plane], out["stego_planes"][plane])
               for plane in bundle.cfg.planes()}
-    return lo.composite_loss(loss_cfg, secret_const, out["revealed_t"], wave_const,
-                             out["stego_wave"], planes)
+    images = (3, len(pairs), -1)  # each sample's image as a column: its loss sums over axes 0 and 2
+    return lo.composite_loss(loss_cfg, ad.Tensor(_secret_images(pairs).reshape(images)),
+                             ad.reshape(out["revealed_t"], images), ad.Tensor(out["cover"]), out["stego_wave"], planes)
 
 
 def train(dataset, cfg, bundle=None):
     """Adam training of all parameters against the composite loss.
 
-    Deterministic given cfg.seed: fixed init, fixed shuffling, sequential
-    gradient accumulation.  Returns (bundle, TrainLog).
+    Deterministic given cfg.seed: fixed init, fixed shuffling.  Every pair is
+    checked before the first step.  Each step records one graph over its
+    minibatch, whose loss is the mean of the pairs' losses, and runs one
+    backward pass.  Returns (bundle, TrainLog).
     """
     if not dataset:
         raise UsageError("train: empty dataset")
     if bundle is None:
         bundle = build_model(cfg)
+    for index, pair in enumerate(dataset):
+        _check_pair(bundle, index, pair)
     loss_cfg = cfg.loss_config()
     opt = Adam(bundle.params, cfg)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 1)).spawn(1)[0])
@@ -541,24 +566,18 @@ def train(dataset, cfg, bundle=None):
         for _ in range(min(cfg.batch, len(dataset))):
             if not order:
                 order = list(shuffle_rng.permutation(len(dataset)))
-            batch.append(order.pop())
+            batch.append(dataset[order.pop()])
         for tensor in bundle.params.values():
             tensor.zero_grad()
-        total_acc = 0.0
-        terms_acc = {"image_l1": 0.0, "wave_term": 0.0, "mag_l2": 0.0, "phase_l2": 0.0}
-        for idx in batch:
-            total, terms = _sample_loss(bundle, dataset[idx], loss_cfg)
-            value = float(total.data)
-            if not np.isfinite(value):
-                bad = next((k for k, v in terms.items() if not np.isfinite(v)), "total")
-                raise NumericError(f"training aborted at step {step}: term '{bad}' is not finite")
-            ad.backward(total)
-            total_acc += value
-            for k in terms_acc:
-                terms_acc[k] += terms[k]
-        scale = 1.0 / len(batch)
-        opt.step(scale)
-        log.append(step, total_acc * scale, {k: v * scale for k, v in terms_acc.items()})
+        total, terms = _sample_loss(bundle, batch, loss_cfg)
+        value = float(total.data)
+        if not np.isfinite(value):
+            bad = next((k for k, v in terms.items() if not np.isfinite(v)), "total")
+            raise NumericError(f"training aborted at step {step}: term '{bad}' is not finite")
+        ad.backward(total)
+        del total  # the graph dies here, not while the next step records its own
+        opt.step()
+        log.append(step, value, terms)
     return bundle, log
 
 

@@ -87,6 +87,8 @@ def robustness_sweep(bundle, data, fractions=DEFAULT_FRACTIONS, modes=MODES, see
     cfg = bundle.cfg
     # every cell's attack is checked before the first pair is embedded
     drops = [DropoutSpec(fraction, mode, seed) for mode in modes for fraction in fractions]
+    if not drops:
+        raise UsageError("robustness sweep has no cells: give at least one fraction and one mode")
     specs = [dsp.transform(pl.embed(pair.secret, pair.cover, bundle)[0],
                            cfg.stft_config(), cfg.transform) for pair in data]
     rows = []

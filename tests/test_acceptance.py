@@ -289,11 +289,11 @@ def test_c06_container_isolation():
     cfg = pl.PipelineConfig(transform="stft", container="magnitude", seed=0)
     bundle = pl.build_model(cfg)
     pair = pl.synth_dataset(1, cfg=cfg, seed=0)[0]
-    out = pl.run_pipeline(bundle, pair.secret, pair.cover, with_reveal=False)
-    stego = out["stego_planes"]
-    assert np.array_equal(stego["phase"].data, out["spec"].phase)
-    assert stego["phase"].data is out["spec"].phase
-    assert not np.array_equal(stego["magnitude"].data, out["spec"].magnitude)
+    out = pl.run_pipeline(bundle, [pair], with_reveal=False)
+    stego, spec = out["stego_planes"], out["specs"][0]
+    assert np.array_equal(stego["phase"].data[0], spec.phase)
+    assert stego["phase"] is out["cover_planes"]["phase"]
+    assert not np.array_equal(stego["magnitude"].data[0], spec.magnitude)
     print("\nACCEPTANCE 6 PASS: magnitude-only embedding leaves the cover phase plane "
           "bit-identical before inversion")
 

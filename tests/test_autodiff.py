@@ -390,6 +390,54 @@ def test_conv2d_desk_layers_fit_one_tile_and_match_single_block_oracle(cin, cout
     assert np.array_equal(y, conv2d_single_block(x, kernel, bias))
 
 
+def conv_value_and_grads(x, kernel, bias, slope, g, samples=1):
+    leaves = [ad.Tensor(a, requires_grad=True) for a in (x, kernel, bias)]
+    y = ad.conv2d(*leaves, slope, samples)
+    ad.backward(inject(y, g))
+    return [y.data] + [t.grad for t in leaves]
+
+
+@pytest.mark.parametrize("cin,cout,k,h,w", [(1, 8, 3, 64, 32), (8, 16, 3, 32, 16), (48, 16, 3, 32, 16),
+                                            (24, 8, 3, 64, 32), (8, 1, 1, 64, 32), (2, 3, 5, 3, 4)])
+@pytest.mark.parametrize("samples", [2, 3, 4])
+@pytest.mark.parametrize("one_row_tiles", [False, True])
+def test_stacked_conv2d_equals_per_sample_calls(cin, cout, k, h, w, samples, one_row_tiles, monkeypatch):
+    if one_row_tiles:  # several tiles per sample: each sample's first tile must not see the one before
+        monkeypatch.setattr(ad, "_TILE_POSITIONS", w + k - 1)
+        monkeypatch.setattr(ad, "_TILE_FLOATS", 1)
+    rng = np.random.default_rng(cin * cout + samples)
+    xs, gs = rng.normal(size=(samples, cin, h, w)), rng.normal(size=(samples, cout, h, w))
+    kernel, bias = rng.normal(size=(cout, cin, k, k)), rng.normal(size=cout)
+    stacked = conv_value_and_grads(np.concatenate(xs, axis=1), kernel, bias, 0.2, np.concatenate(gs, axis=1),
+                                   samples)
+    each = [conv_value_and_grads(x, kernel, bias, 0.2, g) for x, g in zip(xs, gs)]
+    # outputs and input gradients stack along the rows; kernel and bias gradients add up
+    want = [np.concatenate([e[i] for e in each], axis=1) for i in (0, 1)] + [sum(e[i] for e in each) for i in (2, 3)]
+    per_sample = len(list(ad._row_tiles(np.zeros((cin, samples * h, w)), k, samples, cout))) >= samples
+    if per_sample:
+        assert stacked[0].tobytes() == want[0].tobytes()
+    for got, expect in zip(stacked, want):
+        assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+
+@pytest.mark.parametrize("floats", [1, 10 ** 9])  # a tile per sample, or every sample in one tile
+@pytest.mark.parametrize("k", [3, 5])
+def test_stacked_conv2d_grad_checks_with_taps_across_samples(floats, k, monkeypatch):
+    monkeypatch.setattr(ad, "_TILE_FLOATS", floats)
+
+    def builder(rng):
+        # 3 rows per sample: a 5x5 kernel's taps reach past both edges of a sample
+        x = ad.Tensor(rng.uniform(0.6, 1.4, size=(2, 6, 4)) * rng.choice([-1.0, 1.0], size=(2, 6, 4)),
+                      requires_grad=True)
+        kernel = ad.Tensor(rng.normal(size=(3, 2, k, k)) / k, requires_grad=True)
+        bias = ad.Tensor(rng.normal(size=3), requires_grad=True)
+        return ad.sq_sum(ad.conv2d(x, kernel, bias, 0.2, samples=2)), [x, kernel, bias]
+
+    assert len(list(ad._row_tiles(np.zeros((2, 6, 4)), k, 2, 3))) == (1 if floats > 1 else 2)
+    for seed in range(3):
+        assert ad.grad_check(builder, seed) < 1e-4
+
+
 def test_conv2d_peak_memory_is_tile_sized():
     rng = np.random.default_rng(0)
     x = ad.Tensor(rng.normal(size=(24, 256, 128)), requires_grad=True)
@@ -472,7 +520,7 @@ def test_every_autodiff_op_is_recorded_by_a_pipeline_graph():
     configs.append(pl.PipelineConfig(transform="stft", container="dual"))
     recorded = set()
     for cfg in configs:
-        total, _ = pl._sample_loss(pl.build_model(cfg), pl.synth_dataset(1, cfg=cfg)[0], cfg.loss_config())
+        total, _ = pl._sample_loss(pl.build_model(cfg), pl.synth_dataset(1, cfg=cfg), cfg.loss_config())
         recorded |= {node.op for node in ad._topo(total, grad_only=False)}
     ops = {name for name, fn in vars(ad).items()
            if inspect.isfunction(fn) and fn.__module__ == ad.__name__ and not name.startswith("_")}

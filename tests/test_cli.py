@@ -110,6 +110,20 @@ def test_robustness_negative_seed_exits_1(workspace, capsys):
     assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--fractions", "", "--fractions list '' is empty"), ("--modes", ",", "--modes list ',' is empty"),
+    ("--fractions", "0.5,0.5", "--fractions list '0.5,0.5' repeats 0.5"),
+    ("--fractions", "0.5, .5", "--fractions list '0.5, .5' repeats 0.5"),
+    ("--modes", "random,sequential,random", "--modes list 'random,sequential,random' repeats 'random'")])
+def test_robustness_empty_or_repeated_cells_exit_1_before_loading(workspace, capsys, flag, value, message):
+    ws = workspace
+    # no model and no data exist: the lists are checked before either is read
+    assert run(["robustness", "--model", str(ws / "missing.pxw2"), "--data", str(ws / "missing"),
+                flag, value, "--out", str(ws / "s.csv")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (ws / "s.csv").exists()
+
+
 def test_argparse_usage_error_exits_1(capsys):
     assert run(["no_such_command"]) == 1
     assert run(["train"]) == 1  # missing required flags

@@ -7,6 +7,7 @@ import pytest
 
 from stegowav import autodiff as ad
 from stegowav import dsp
+from stegowav import embeddings as emb
 from stegowav import pipeline as pl
 from stegowav import wavio
 from stegowav.errors import ConfigError, DataError, NumericError, UsageError
@@ -98,17 +99,19 @@ def test_magnitude_embedding_leaves_phase_bit_identical():
     cfg = pl.PipelineConfig(transform="stft", container="magnitude", steps=0)
     bundle = pl.build_model(cfg)
     pair = tiny_pairs(cfg, 1)[0]
-    out = pl.run_pipeline(bundle, pair.secret, pair.cover, with_reveal=False)
-    assert out["stego_planes"]["phase"].data is out["spec"].phase
-    assert not np.array_equal(out["stego_planes"]["magnitude"].data, out["spec"].magnitude)
+    out = pl.run_pipeline(bundle, [pair], with_reveal=False)
+    assert out["stego_planes"]["phase"] is out["cover_planes"]["phase"]
+    assert np.array_equal(out["stego_planes"]["phase"].data[0], out["specs"][0].phase)
+    assert not np.array_equal(out["stego_planes"]["magnitude"].data[0], out["specs"][0].magnitude)
 
 
 def test_phase_embedding_leaves_magnitude_bit_identical():
     cfg = pl.PipelineConfig(transform="stft", container="phase")
     bundle = pl.build_model(cfg)
     pair = tiny_pairs(cfg, 1)[0]
-    out = pl.run_pipeline(bundle, pair.secret, pair.cover, with_reveal=False)
-    assert out["stego_planes"]["magnitude"].data is out["spec"].magnitude
+    out = pl.run_pipeline(bundle, [pair], with_reveal=False)
+    assert out["stego_planes"]["magnitude"] is out["cover_planes"]["magnitude"]
+    assert np.array_equal(out["stego_planes"]["magnitude"].data[0], out["specs"][0].magnitude)
 
 
 def test_reveal_shape_correct_untrained():
@@ -267,6 +270,35 @@ def test_training_reduces_loss_smoke():
     assert len(totals) == 25
 
 
+BATCH_CONFIGS = [{"method": m} for m in emb.METHODS] + [
+    {"transform": "stft", "container": "dual"}, {"transform": "stft", "container": "phase"},
+    {"wave_loss": "soft_dtw"}]
+
+
+@pytest.mark.parametrize("samples", [2, 3])
+@pytest.mark.parametrize("overrides", BATCH_CONFIGS, ids=lambda o: "-".join(map(str, o.values())))
+def test_batch_loss_and_gradients_are_the_mean_of_single_pair_graphs(overrides, samples):
+    cfg = pl.PipelineConfig(**overrides, seed=4)
+    bundle = pl.build_model(cfg)
+    pairs = tiny_pairs(cfg, samples, seed=6)
+
+    def loss_and_grads(batch):
+        for t in bundle.params.values():
+            t.zero_grad()
+        total, terms = pl._sample_loss(bundle, batch, cfg.loss_config())
+        ad.backward(total)
+        return float(total.data), terms, {k: t.grad for k, t in bundle.params.items()}
+
+    total, terms, grads = loss_and_grads(pairs)
+    each = [loss_and_grads([pair]) for pair in pairs]
+    assert abs(total - np.mean([e[0] for e in each])) <= 1e-12 * abs(total)
+    for k, v in terms.items():
+        assert abs(v - np.mean([e[1][k] for e in each])) <= 1e-12 * abs(v)
+    for k, g in grads.items():
+        want = sum(e[2][k] for e in each) / samples
+        assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want)), k
+
+
 def test_train_rejects_empty_dataset():
     with pytest.raises(UsageError):
         pl.train([], DESK)
@@ -284,7 +316,7 @@ def test_end_to_end_grad_check_subsample():
 
     def builder(rng):
         bundle = pl.build_model(cfg)
-        total, _ = pl._sample_loss(bundle, pairs[0], loss_cfg)
+        total, _ = pl._sample_loss(bundle, pairs[:1], loss_cfg)
         names = sorted(bundle.params)
         picks = [names[i] for i in rng.choice(len(names), size=3, replace=False)]
         return total, [bundle.params[p] for p in picks if bundle.params[p].data.size < 600]
@@ -314,6 +346,20 @@ def test_nan_loss_aborts_with_step_and_term():
     bundle.params["hide.head.w"].data += 1e200  # overflow the watermark
     with pytest.raises(NumericError, match=r"step 0.*term"):
         pl.train(tiny_pairs(cfg, 2), cfg, bundle=bundle)
+
+
+@pytest.mark.parametrize("bad,message", [
+    (lambda p: pl.SamplePair(np.zeros((3, 8, 8)), p.cover), r"pair 2: secret image shape \(3, 8, 8\)"),
+    (lambda p: pl.SamplePair(p.secret, dsp.Waveform(p.cover.samples[:100], 16000)),
+     rf"pair 2: cover has 100 samples; this model requires {DESK.required_samples()}"),
+    (lambda p: pl.SamplePair(p.secret, dsp.Waveform(p.cover.samples, 44100)),
+     r"pair 2: cover is sampled at 44100 Hz; this model requires 16000 Hz")])
+def test_train_checks_every_pair_before_step_0(bad, message, monkeypatch):
+    pairs = tiny_pairs(DESK, 3)
+    pairs[2] = bad(pairs[2])
+    monkeypatch.setattr(pl, "_sample_loss", lambda *args: pytest.fail("a step ran before the check"))
+    with pytest.raises(UsageError, match=message):
+        pl.train(pairs, DESK)
 
 
 def test_luma_buffer_flag_changes_pipeline():

@@ -71,6 +71,15 @@ def test_sweep_rejects_a_bad_cell_before_embedding(fraction, seed, monkeypatch):
         rob.robustness_sweep(bundle, pairs, fractions=(1.0, fraction), modes=("random",), seed=seed)
 
 
+@pytest.mark.parametrize("fractions,modes", [((), ("random",)), ((0.5,), ())])
+def test_sweep_without_cells_is_rejected_before_embedding(fractions, modes, monkeypatch):
+    bundle = pl.build_model(pl.PipelineConfig())
+    pairs = pl.synth_dataset(1, cfg=bundle.cfg)
+    monkeypatch.setattr(pl, "embed", lambda *args: pytest.fail("embedded before the check"))
+    with pytest.raises(UsageError, match="no cells"):
+        rob.robustness_sweep(bundle, pairs, fractions=fractions, modes=modes)
+
+
 def test_identity_stub_replica_time_erasure():
     # large plane grid (4 x 2): dropping frames entirely inside the first
     # time column halves those pixels' contribution under the replicate mean
