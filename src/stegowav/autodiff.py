@@ -170,9 +170,12 @@ def _block_sums(a):
 
 
 def _upsample_into(a, out):
-    """Write each value of a's trailing two axes into a 2x2 block of out: a width repeat, a row-pair broadcast."""
+    """Write each value of a's trailing two axes into a 2x2 block of out: four strided copies, no temporary
+    (one broadcast write into the (h, 2, w, 2) view ran twice as slow at desk)."""
     *lead, h, w = a.shape
-    out.reshape(*lead, h, 2, 2 * w, copy=False)[:] = np.repeat(a, 2, axis=-1)[..., None, :]
+    blocks = out.reshape(*lead, h, 2, w, 2, copy=False)
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        blocks[..., i, :, j] = a
     return out
 
 

@@ -17,6 +17,8 @@ from pathlib import Path
 from . import costing, dsp, imageops, metrics, pipeline, robustness, wavio
 from .errors import ConfigError, DataError, NumericError, UsageError
 
+_FRACTION_NAME = "{:g}".format  # a fraction as the dump files name it: no two cells may share a name
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse variant that exits 1 (not 2) on usage errors."""
@@ -186,20 +188,21 @@ def _cmd_eval(args):
     return 0
 
 
-def _cell_list(flag, text, parse):
-    """The values of a comma-separated list; an empty list or a repeated value is a usage error."""
+def _cell_list(flag, text, parse, name=repr):
+    """The values of a comma-separated list; an empty list or two values of one name are a usage error."""
     try:
         values = [parse(x.strip()) for x in text.split(",") if x.strip()]
     except ValueError:
         raise UsageError(f"bad {flag} list: {text!r}") from None
-    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    names = [name(v) for v in values]
+    repeated = [n for i, n in enumerate(names) if n in names[:i]]
     if not values or repeated:
-        raise UsageError(f"{flag} list {text!r} " + (f"repeats {repeated[0]!r}" if values else "is empty"))
+        raise UsageError(f"{flag} list {text!r} " + (f"repeats {repeated[0]}" if values else "is empty"))
     return values
 
 
 def _cmd_robustness(args):
-    fractions = _cell_list("--fractions", args.fractions, float)
+    fractions = _cell_list("--fractions", args.fractions, float, _FRACTION_NAME)
     modes = _cell_list("--modes", args.modes, str)
     for mode in modes:
         if mode not in robustness.MODES:
@@ -217,7 +220,7 @@ def _cmd_robustness(args):
 def _dump_cells(directory, mode, fraction, revealed):
     directory.mkdir(parents=True, exist_ok=True)
     for i, image in enumerate(revealed):
-        imageops.write_ppm(image, directory / f"revealed_{mode}_p{fraction:g}_{i:03d}.ppm")
+        imageops.write_ppm(image, directory / f"revealed_{mode}_p{_FRACTION_NAME(fraction)}_{i:03d}.ppm")
 
 
 def _cmd_cost(args):

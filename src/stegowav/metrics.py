@@ -18,6 +18,7 @@ SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
+_SSIM_PATCH_FLOATS = 2 ** 18  # window-patch floats per filter call; a 256x256 plane (7.3M) runs alone
 
 
 def psnr_db(a, b):
@@ -38,14 +39,20 @@ def _gaussian_window(size, sigma):
     return np.outer(g, g)
 
 
-def _ssim_plane(x, y):
+def _ssim_planes(x, y):
+    """Mean SSIM of each plane pair of x and y (P, H, W)."""
     win = _gaussian_window(SSIM_WINDOW, SSIM_SIGMA)
     c1 = SSIM_K1 ** 2
     c2 = SSIM_K2 ** 2
+    oh, ow = x.shape[1] - SSIM_WINDOW + 1, x.shape[2] - SSIM_WINDOW + 1
+    per = max(1, _SSIM_PATCH_FLOATS // (oh * ow * SSIM_WINDOW * SSIM_WINDOW))
 
     def filt(z):
-        patches = sliding_window_view(z, (SSIM_WINDOW, SSIM_WINDOW))
-        return np.tensordot(patches, win, axes=([2, 3], [0, 1]))
+        out = np.empty((len(z), oh, ow))
+        for p0 in range(0, len(z), per):
+            patches = sliding_window_view(z[p0:p0 + per], (SSIM_WINDOW, SSIM_WINDOW), axis=(1, 2))
+            out[p0:p0 + per] = np.tensordot(patches, win, axes=([3, 4], [0, 1]))
+        return out
 
     mx, my = filt(x), filt(y)
     mxx, myy, mxy = filt(x * x), filt(y * y), filt(x * y)
@@ -54,22 +61,25 @@ def _ssim_plane(x, y):
     cov = mxy - mx * my
     num = (2 * mx * my + c1) * (2 * cov + c2)
     den = (mx * mx + my * my + c1) * (vx + vy + c2)
-    return float(np.mean(num / den))
+    return np.mean(num / den, axis=(1, 2))
 
 
 def ssim(a, b):
     """Mean structural similarity, 11x11 Gaussian window (sigma 1.5), L=1.
 
-    Computed per channel then averaged; accepts (H,W) or (3,H,W).
+    Computed per channel then averaged; accepts (H,W) or (C,H,W) for one
+    value, or an (N,C,H,W) stack for N, each the bytes of its own call.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ConfigError(f"ssim: shapes differ: {a.shape} vs {b.shape}")
-    if a.ndim == 2:
-        a, b = a[None], b[None]
+    if not 2 <= a.ndim <= 4:
+        raise UsageError(f"ssim: expected (H,W), (C,H,W) or (N,C,H,W), got {a.shape}")
     if a.shape[-1] < SSIM_WINDOW or a.shape[-2] < SSIM_WINDOW:
         raise UsageError(f"ssim: image {a.shape} smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} window")
-    return float(np.mean([_ssim_plane(a[c], b[c]) for c in range(a.shape[0])]))
+    planes = _ssim_planes(a.reshape((-1,) + a.shape[-2:]), b.reshape((-1,) + b.shape[-2:]))
+    values = np.mean(planes.reshape(a.shape[:-2] or (1,)), axis=-1)
+    return values if a.ndim == 4 else float(values)
 
 
 def snr_db(reference, signal):

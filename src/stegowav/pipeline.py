@@ -12,7 +12,8 @@ tape is kept.
 
 The graph runs B pairs at once, one pair being a batch of one: waveforms are
 (B, L), planes (B, F, T), and the U-Nets stack samples along the rows (see
-`networks`).  A training step records one graph over its minibatch.
+`networks`).  A training step records one graph over its minibatch, and
+`reveal_from_spectrogram` runs one per chunk of the spectrograms it is given.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .errors import ConfigError, DataError, NumericError, UsageError
 
 CHECKPOINT_MAGIC = b"PXW2"
 CHECKPOINT_VERSION = 2  # 2 adds a CRC-32; version 1 files still load
+_CHUNK_FLOATS = 2 ** 14  # floats of stacked container planes up to which one reveal graph holds several pairs
 
 
 # ---------------------------------------------------------------------------
@@ -364,20 +366,32 @@ def reveal(stego, bundle):
         raise UsageError(f"stego has {len(stego)} samples; this model requires exactly {need}")
     if stego.sample_rate != cfg.sample_rate:
         raise UsageError(f"stego is sampled at {stego.sample_rate} Hz; this model requires {cfg.sample_rate} Hz")
-    spec = dsp.transform(stego, cfg.stft_config(), cfg.transform)
-    return reveal_from_spectrogram(spec, bundle)
+    return reveal_from_spectrogram([dsp.transform(stego, cfg.stft_config(), cfg.transform)], bundle)[0]
 
 
-def reveal_from_spectrogram(spec, bundle):
-    """Decode from a (possibly attacked) stego spectrogram; clamps to [0,1]."""
-    if spec.shape != bundle.ctx.container_shape:
-        raise UsageError(
-            f"spectrogram shape {spec.shape} does not match model container "
-            f"{bundle.ctx.container_shape}")
-    with ad.no_grad():
-        revealed = _reveal_from_planes(
-            bundle, {plane: ad.Tensor(getattr(spec, plane)[None]) for plane in bundle.cfg.planes()})
-    return np.clip(revealed.data, 0.0, 1.0)
+def reveal_from_spectrogram(specs, bundle):
+    """Decode B (possibly attacked) stego spectrograms into (B, 3, h, w) images clamped to [0,1].
+
+    One no-grad graph runs per chunk of pairs, as many as keep the chunk's
+    stacked container planes within _CHUNK_FLOATS (at least one); a chunk of
+    one pair reads its planes without a copy."""
+    shape, planes = bundle.ctx.container_shape, bundle.cfg.planes()
+    if not specs:
+        raise UsageError("reveal: no spectrograms given")
+    for index, spec in enumerate(specs):
+        if spec.shape != shape:
+            raise UsageError(f"pair {index}: spectrogram shape {spec.shape} does not match model container {shape}")
+    per = max(1, _CHUNK_FLOATS // (len(planes) * shape[0] * shape[1]))
+    out = np.empty((len(specs), 3) + bundle.ctx.image_hw)
+    for s0 in range(0, len(specs), per):
+        chunk = specs[s0:s0 + per]
+        stacked = {plane: np.stack([getattr(spec, plane) for spec in chunk]) if len(chunk) > 1
+                   else getattr(chunk[0], plane)[None] for plane in planes}
+        with ad.no_grad():
+            revealed = _reveal_from_planes(bundle, {plane: ad.Tensor(a) for plane, a in stacked.items()})
+        images = revealed.data.reshape((3, len(chunk)) + bundle.ctx.image_hw).transpose(1, 0, 2, 3)
+        np.clip(images, 0.0, 1.0, out=out[s0:s0 + len(chunk)])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -589,26 +603,30 @@ def best_constant_baseline_l1(secret):
 
 
 def evaluate(bundle, dataset):
-    """Mean metrics row over a dataset (the `eval` CLI output)."""
+    """Mean metrics row over a dataset (the `eval` CLI output); embeds pair by pair, reveals and scores in one batch."""
+    if not dataset:
+        raise UsageError("evaluate: empty dataset")
     cfg = bundle.cfg
-    ssims, psnrs, snrs, waves, hists = [], [], [], [], []
+    specs, snrs, waves = [], [], []
     loss_cfg = cfg.loss_config()
     for pair in dataset:
         stego, diag = embed(pair.secret, pair.cover, bundle)
-        revealed = reveal(stego, bundle)
-        ssims.append(me.ssim(pair.secret, revealed))
-        psnrs.append(me.psnr_db(pair.secret, revealed))
+        specs.append(dsp.transform(stego, cfg.stft_config(), cfg.transform))
         snrs.append(diag["stego_snr_db"])
         cover_trim = pair.cover.samples[:cfg.required_samples()]
         with ad.no_grad():
             waves.append(float(lo.waveform_term(loss_cfg, ad.Tensor(cover_trim), ad.Tensor(stego.samples)).data))
-        hists.append(me.histogram_l1(me.rgb_histogram(pair.secret), me.rgb_histogram(revealed)))
+    revealed = reveal_from_spectrogram(specs, bundle)
+    secrets = np.stack([pair.secret for pair in dataset])
+    psnrs = [me.psnr_db(secret, image) for secret, image in zip(secrets, revealed)]
+    hists = [me.histogram_l1(me.rgb_histogram(secret), me.rgb_histogram(image))
+             for secret, image in zip(secrets, revealed)]
     return me.MetricsRow(
         method=cfg.method,
         container=cfg.container,
         beta=cfg.beta,
         lam=cfg.lam,
-        revealed_ssim=float(np.mean(ssims)),
+        revealed_ssim=float(np.mean(me.ssim(secrets, revealed))),
         revealed_psnr=float(np.mean(psnrs)),
         stego_snr=float(np.mean(snrs)) if np.all(np.isfinite(snrs)) else float("inf"),
         waveform_loss=float(np.mean(waves)),

@@ -2,11 +2,13 @@
 spectrogram, decode what survives, and measure the damage.
 
 The sweep is one serial pass: each pair is embedded and analysed once, and
-every (mode, fraction) cell attacks a copy of that cached spectrogram, so a
-cell costs one reveal per pair.  Dropping a frame zeroes its magnitude
-column only; with zero magnitude the phase no longer influences the inverse
-transform, so this matches erasing the spectral content outright.  Cover
-content in dropped frames is lost along with the watermark.
+every (mode, fraction) cell attacks a copy of that cached spectrogram.  A
+cell reveals its pairs as one batch, one graph per chunk of pairs (see
+`pipeline.reveal_from_spectrogram`), and scores them in one SSIM call.
+Dropping a frame zeroes its magnitude column only; with zero magnitude the
+phase no longer influences the inverse transform, so this matches erasing
+the spectral content outright.  Cover content in dropped frames is lost
+along with the watermark.
 """
 
 from __future__ import annotations
@@ -58,8 +60,8 @@ def apply_frame_dropout(spec, drop):
 
 
 def _sweep_cell(bundle, specs, drop):
-    """Revealed images of one cell: each cached spectrogram under one attack."""
-    return [pl.reveal_from_spectrogram(apply_frame_dropout(spec, drop), bundle) for spec in specs]
+    """Revealed (B, 3, h, w) images of one cell: the cached spectrograms under one attack, revealed as one batch."""
+    return pl.reveal_from_spectrogram([apply_frame_dropout(spec, drop) for spec in specs], bundle)
 
 
 def worker_count():
@@ -82,22 +84,25 @@ def robustness_sweep(bundle, data, fractions=DEFAULT_FRACTIONS, modes=MODES, see
     """One aggregated row per (mode, fraction), ordered deterministically.
 
     `on_cell(mode, fraction, revealed)`, when given, receives each cell's
-    revealed images in pair order.
+    revealed (B, 3, h, w) images in pair order.
     """
     cfg = bundle.cfg
     # every cell's attack is checked before the first pair is embedded
     drops = [DropoutSpec(fraction, mode, seed) for mode in modes for fraction in fractions]
     if not drops:
         raise UsageError("robustness sweep has no cells: give at least one fraction and one mode")
+    if not data:
+        raise UsageError("robustness sweep: empty dataset")
     specs = [dsp.transform(pl.embed(pair.secret, pair.cover, bundle)[0],
                            cfg.stft_config(), cfg.transform) for pair in data]
+    secrets = np.stack([pair.secret for pair in data])
     rows = []
     for drop in drops:
         revealed = _sweep_cell(bundle, specs, drop)
         if on_cell is not None:
             on_cell(drop.mode, drop.keep_fraction, revealed)
-        ssims = [me.ssim(pair.secret, image) for pair, image in zip(data, revealed)]
-        psnrs = [me.psnr_db(pair.secret, image) for pair, image in zip(data, revealed)]
+        ssims = me.ssim(secrets, revealed)
+        psnrs = [me.psnr_db(secret, image) for secret, image in zip(secrets, revealed)]
         rows.append({
             "method": cfg.method,
             "mode": drop.mode,

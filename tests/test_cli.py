@@ -114,6 +114,7 @@ def test_robustness_negative_seed_exits_1(workspace, capsys):
     ("--fractions", "", "--fractions list '' is empty"), ("--modes", ",", "--modes list ',' is empty"),
     ("--fractions", "0.5,0.5", "--fractions list '0.5,0.5' repeats 0.5"),
     ("--fractions", "0.5, .5", "--fractions list '0.5, .5' repeats 0.5"),
+    ("--fractions", "0.1234567,0.12345671", "--fractions list '0.1234567,0.12345671' repeats 0.123457"),
     ("--modes", "random,sequential,random", "--modes list 'random,sequential,random' repeats 'random'")])
 def test_robustness_empty_or_repeated_cells_exit_1_before_loading(workspace, capsys, flag, value, message):
     ws = workspace
@@ -180,7 +181,7 @@ def test_robustness_dump_dir(workspace, capsys):
         stego, _ = pipeline.embed(pair.secret, pair.cover, bundle)
         spec = dsp.transform(stego, cfg.stft_config(), cfg.transform)
         attacked = robustness.apply_frame_dropout(spec, robustness.DropoutSpec(0.5, "sequential"))
-        imageops.write_ppm(pipeline.reveal_from_spectrogram(attacked, bundle), ws / "expect.ppm")
+        imageops.write_ppm(pipeline.reveal_from_spectrogram([attacked], bundle)[0], ws / "expect.ppm")
         assert dump.read_bytes() == (ws / "expect.ppm").read_bytes()
 
 

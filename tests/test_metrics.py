@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from stegowav import metrics as me
 from stegowav.errors import ConfigError, UsageError
@@ -90,6 +91,44 @@ def test_ssim_shift_invariance_unclamped(rng):
     base = me.ssim(x, y)
     shifted = me.ssim(x + 0.1, y + 0.1)
     assert abs(base - shifted) < 1e-6
+
+
+def one_plane_ssim(a, b):
+    """SSIM with one tensordot per filtered plane and a mean per plane, then per image."""
+    win = me._gaussian_window(me.SSIM_WINDOW, me.SSIM_SIGMA)
+    c1, c2 = me.SSIM_K1 ** 2, me.SSIM_K2 ** 2
+
+    def filt(z):
+        return np.tensordot(sliding_window_view(z, (me.SSIM_WINDOW, me.SSIM_WINDOW)), win, axes=([2, 3], [0, 1]))
+
+    values = []
+    for x, y in zip(a, b):
+        mx, my = filt(x), filt(y)
+        vx, vy, cov = filt(x * x) - mx * mx, filt(y * y) - my * my, filt(x * y) - mx * my
+        values.append(float(np.mean((2 * mx * my + c1) * (2 * cov + c2)
+                                    / ((mx * mx + my * my + c1) * (vx + vy + c2)))))
+    return float(np.mean(values))
+
+
+@pytest.mark.parametrize("size", [16, 32])
+@pytest.mark.parametrize("budget", [None, 1])
+def test_stacked_ssim_equals_single_calls_byte_for_byte(size, budget, rng, monkeypatch):
+    if budget is not None:  # one plane per filter call
+        monkeypatch.setattr(me, "_SSIM_PATCH_FLOATS", budget)
+    a = rng.random((5, 3, size, size))
+    b = np.clip(a + rng.normal(0.0, 0.2, a.shape), 0.0, 1.0)
+    stacked = me.ssim(a, b)
+    assert stacked.shape == (5,)
+    singles = [me.ssim(x, y) for x, y in zip(a, b)]
+    assert all(isinstance(v, float) for v in singles)
+    assert stacked.tolist() == singles == [one_plane_ssim(x, y) for x, y in zip(a, b)]
+
+
+def test_ssim_rejects_other_ranks():
+    with pytest.raises(UsageError, match="expected"):
+        me.ssim(np.zeros((1, 1, 3, 16, 16)), np.zeros((1, 1, 3, 16, 16)))
+    with pytest.raises(UsageError, match="expected"):
+        me.ssim(np.zeros(16), np.zeros(16))
 
 
 def test_ssim_symmetric_and_window_guard(rng):

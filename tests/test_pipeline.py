@@ -188,11 +188,50 @@ def test_no_grad_inference_matches_the_taped_path(overrides, monkeypatch):
     def run():
         stego, diag = pl.embed(pair.secret, pair.cover, bundle)
         spec = dsp.transform(stego, cfg.stft_config(), cfg.transform)
-        return stego.samples.tobytes(), diag, pl.reveal_from_spectrogram(spec, bundle).tobytes()
+        return stego.samples.tobytes(), diag, pl.reveal_from_spectrogram([spec], bundle)[0].tobytes()
 
     lean = run()
     monkeypatch.setattr(ad, "no_grad", contextlib.nullcontext)
     assert run() == lean
+
+
+INFERENCE_CONFIGS = [{"method": m} for m in emb.METHODS] + [
+    {"transform": "stft", "container": "dual"}, {"transform": "stft", "container": "phase"}]
+
+
+@pytest.mark.parametrize("overrides", INFERENCE_CONFIGS)
+def test_batched_reveal_equals_per_spectrogram_calls(overrides, monkeypatch):
+    cfg = pl.PipelineConfig(**overrides)
+    bundle = pl.build_model(cfg)
+    specs = [dsp.transform(pl.embed(pair.secret, pair.cover, bundle)[0], cfg.stft_config(), cfg.transform)
+             for pair in tiny_pairs(cfg, 16)]
+    singles = [pl.reveal_from_spectrogram([spec], bundle)[0] for spec in specs]
+    pair_floats = len(cfg.planes()) * np.prod(cfg.container_shape())
+    for chunk_floats in (pl._CHUNK_FLOATS, 3 * pair_floats):  # default; chunks of 3, the last of 1
+        monkeypatch.setattr(pl, "_CHUNK_FLOATS", chunk_floats)
+        for n in (1, 3, 16):
+            revealed = pl.reveal_from_spectrogram(specs[:n], bundle)
+            assert revealed.shape == (n, 3, cfg.image, cfg.image)
+            assert all(revealed[i].tobytes() == singles[i].tobytes() for i in range(n))
+
+
+def test_batched_reveal_rejects_empty_and_mismatched_lists():
+    cfg = pl.PipelineConfig()
+    bundle = pl.build_model(cfg)
+    specs = [dsp.transform(pair.cover, cfg.stft_config(), cfg.transform) for pair in tiny_pairs(cfg, 3)]
+    with pytest.raises(UsageError, match="no spectrograms"):
+        pl.reveal_from_spectrogram([], bundle)
+    specs[2] = dsp.transform(dsp.Waveform(np.zeros(cfg.required_samples() + 64), cfg.sample_rate),
+                             cfg.stft_config(), cfg.transform)
+    with pytest.raises(UsageError, match=r"pair 2: spectrogram shape \(64, 34\)"):
+        pl.reveal_from_spectrogram(specs, bundle)
+
+
+def test_evaluate_rejects_an_empty_dataset_before_embedding(monkeypatch):
+    bundle = pl.build_model(pl.PipelineConfig())
+    monkeypatch.setattr(pl, "embed", lambda *args: pytest.fail("embedded before the check"))
+    with pytest.raises(UsageError, match="empty dataset"):
+        pl.evaluate(bundle, [])
 
 
 def test_soft_dtw_evaluate_records_no_tape(monkeypatch):

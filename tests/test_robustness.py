@@ -5,6 +5,7 @@ from stegowav import autodiff as ad
 from stegowav import dsp
 from stegowav import embeddings as emb
 from stegowav import imageops as iops
+from stegowav import networks as nets
 from stegowav import pipeline as pl
 from stegowav import robustness as rob
 from stegowav.errors import UsageError
@@ -78,6 +79,35 @@ def test_sweep_without_cells_is_rejected_before_embedding(fractions, modes, monk
     monkeypatch.setattr(pl, "embed", lambda *args: pytest.fail("embedded before the check"))
     with pytest.raises(UsageError, match="no cells"):
         rob.robustness_sweep(bundle, pairs, fractions=fractions, modes=modes)
+
+
+def test_sweep_rejects_an_empty_dataset_before_embedding(monkeypatch):
+    bundle = pl.build_model(pl.PipelineConfig())
+    monkeypatch.setattr(pl, "embed", lambda *args: pytest.fail("embedded before the check"))
+    with pytest.raises(UsageError, match="empty dataset"):
+        rob.robustness_sweep(bundle, [])
+
+
+def test_a_cell_reveals_in_chunks_and_embeds_each_pair_once(monkeypatch):
+    bundle = pl.build_model(pl.PipelineConfig())
+    pairs = pl.synth_dataset(16, cfg=bundle.cfg)
+    calls = {"embed": 0, "reveal": 0}
+    embed, unet_forward = pl.embed, nets.unet_forward
+
+    def counting_embed(*args):
+        calls["embed"] += 1
+        return embed(*args)
+
+    def counting_unet_forward(cfg, params, x, prefix, samples=1):
+        calls["reveal"] += prefix == "reveal"
+        return unet_forward(cfg, params, x, prefix, samples)
+
+    monkeypatch.setattr(pl, "embed", counting_embed)
+    monkeypatch.setattr(nets, "unet_forward", counting_unet_forward)
+    rows = rob.robustness_sweep(bundle, pairs, fractions=(0.5,), modes=("random",))
+    per_chunk = pl._CHUNK_FLOATS // int(np.prod(bundle.ctx.container_shape))
+    assert len(rows) == 1 and per_chunk == 8
+    assert calls == {"embed": 16, "reveal": -(-16 // per_chunk)}
 
 
 def test_identity_stub_replica_time_erasure():
