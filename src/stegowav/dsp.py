@@ -14,10 +14,12 @@ The framing lives here alone, as one adjoint pair: `_frame_signal` (pad,
 slice, window) and `_scatter_frames` (window, overlap-add, trim).
 `_overlap_add` divides the scatter by the squared-window sum (memoized per
 config, frame count and length), and `_gather_frames` is its adjoint.  Each
-transform has one numpy kernel, called by `transform`/`inverse_transform` and
-by the tape op over raw arrays (`stft_mag_op`, `istdct_op`, ...) that pipeline
-training records.  The kernels and tape ops take any leading axes: a batch of
-B waveforms is a (B, L) array and its planes are (B, F, T).
+transform has one kernel on numpy's real FFT (the STDCT's is `_dct`, the
+orthonormal DCT-II, and its transpose `_idct`), called by `transform`/
+`inverse_transform` and by the tape op over raw arrays (`stft_mag_op`,
+`istdct_op`, ...) that pipeline training records.  The kernels and tape ops
+take any leading axes: a batch of B waveforms is a (B, L) array and its
+planes are (B, F, T).
 """
 
 from __future__ import annotations
@@ -26,18 +28,19 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from . import autodiff as ad
 from .errors import ConfigError, UsageError
 
 
+@functools.lru_cache(maxsize=32)
 def hann_window(n):
-    """Periodic Hann weights w[k] = 0.5 - 0.5*cos(2*pi*k/n)."""
+    """Periodic Hann weights w[k] = 0.5 - 0.5*cos(2*pi*k/n); memoized per n and read-only."""
     if n < 4 or n % 2:
         raise ConfigError(f"hann_window: frame length must be even and >= 4, got {n}")
-    k = np.arange(n)
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * k / n)
+    win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    win.flags.writeable = False
+    return win
 
 
 @dataclass(frozen=True)
@@ -191,14 +194,38 @@ def _istft_samples(mag, phase, cfg, num_samples):
     return _overlap_add(frames, cfg, num_samples)
 
 
-def _stdct_coeff(x, cfg):
-    """(..., N, T) orthonormal DCT-II coefficients of the framed signal."""
-    return scipy.fft.dct(_frame_signal(x, cfg), type=2, axis=-1, norm="ortho").swapaxes(-1, -2).copy()
+@functools.lru_cache(maxsize=32)
+def _dct_twiddle(n):
+    """s_k exp(-i pi k / 2n) for k = 0..n/2, s_k the orthonormal DCT-II scale; memoized per n and read-only."""
+    twiddle = np.sqrt(2.0 / n) * np.exp(-0.5j * np.pi * np.arange(n // 2 + 1) / n)
+    twiddle[0] = np.sqrt(1.0 / n)
+    twiddle.flags.writeable = False
+    return twiddle
 
 
-def _istdct_samples(coeff, cfg, num_samples):
-    frames = scipy.fft.idct(coeff.swapaxes(-1, -2), type=2, axis=-1, norm="ortho")
-    return _overlap_add(frames, cfg, num_samples)
+def _dct(frames):
+    """(..., T, N) frames -> (..., N, T) orthonormal DCT-II coefficients (Makhoul, IEEE TASSP 1980):
+    with z = twiddle * rfft(even samples, then odd ones reversed), X[k] = Re z[k] and X[N-k] = -Im z[k]."""
+    *lead, t, n = frames.shape
+    z = np.fft.rfft(np.concatenate((frames[..., ::2], frames[..., ::-2]), axis=-1), axis=-1)
+    z *= _dct_twiddle(n)
+    coeff = np.empty((*lead, n, t))
+    rows = coeff.swapaxes(-1, -2)
+    rows[..., :n // 2 + 1] = z.real
+    np.negative(z.imag[..., n // 2 - 1:0:-1], out=rows[..., n // 2 + 1:])
+    return coeff
+
+
+def _idct(coeff):
+    """Transpose (and inverse) of _dct: (..., N, T) coefficients -> (..., T, N) frames, from z[k] = X[k] - i X[N-k]."""
+    n, rows = coeff.shape[-2], coeff.swapaxes(-1, -2)
+    z = rows[..., :n // 2 + 1] + 0j
+    z.imag[..., 1:] = -rows[..., :n // 2 - 1:-1]
+    z /= _dct_twiddle(n)
+    v = np.fft.irfft(z, n=n, axis=-1)
+    frames = np.empty(rows.shape)
+    frames[..., ::2], frames[..., 1::2] = v[..., :n // 2], v[..., :n // 2 - 1:-1]
+    return frames
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +256,10 @@ def istdct_op(coeff, cfg, num_samples):
     """Tape-registered inverse STDCT over an (..., N, T) coefficient tensor."""
 
     def bwd(g, acc):
-        acc(coeff, scipy.fft.dct(_gather_frames(g, cfg), type=2, axis=-1, norm="ortho").swapaxes(-1, -2))
+        acc(coeff, _dct(_gather_frames(g, cfg)))
 
     return ad.register_op(
-        "istdct", (coeff,), lambda: _istdct_samples(coeff.data, cfg, num_samples), bwd)
+        "istdct", (coeff,), lambda: _overlap_add(_idct(coeff.data), cfg, num_samples), bwd)
 
 
 def _stft_plane_op(kind, wave, cfg):
@@ -276,10 +303,9 @@ def stdct_fwd_op(wave, cfg):
     """Tape-registered short-time DCT-II of a waveform tensor."""
 
     def bwd(g, acc):
-        frames = scipy.fft.idct(g.swapaxes(-1, -2), type=2, axis=-1, norm="ortho")
-        acc(wave, _scatter_frames(frames, cfg, wave.data.shape[-1]))
+        acc(wave, _scatter_frames(_idct(g), cfg, wave.data.shape[-1]))
 
-    return ad.register_op("stdct_fwd", (wave,), lambda: _stdct_coeff(wave.data, cfg), bwd)
+    return ad.register_op("stdct_fwd", (wave,), lambda: _dct(_frame_signal(wave.data, cfg)), bwd)
 
 
 def transform(w, cfg, kind):
@@ -293,7 +319,7 @@ def transform(w, cfg, kind):
         z = _stft_bins(w.samples, cfg)
         magnitude, phase = np.abs(z).swapaxes(-1, -2).copy(), np.angle(z).swapaxes(-1, -2).copy()
     elif kind == "stdct":
-        magnitude, phase = _stdct_coeff(w.samples, cfg), None
+        magnitude, phase = _dct(_frame_signal(w.samples, cfg)), None
     else:
         raise UsageError(f"unknown transform kind {kind!r}")
     return Spectrogram(magnitude, phase, cfg, kind, len(w), w.sample_rate)
@@ -304,7 +330,7 @@ def inverse_transform(s):
     if s.kind == "stft":
         x = _istft_samples(s.magnitude, s.phase, s.config, s.num_samples)
     else:
-        x = _istdct_samples(s.magnitude, s.config, s.num_samples)
+        x = _overlap_add(_idct(s.magnitude), s.config, s.num_samples)
     return Waveform(x, s.sample_rate)
 
 

@@ -235,17 +235,19 @@ def _validate_geometry(cfg, ctx):
 # forward data flow
 
 
-def _check_pair(bundle, index, pair):
-    """Reject a pair whose secret shape, cover length or sample rate the model cannot take; name the pair."""
-    cfg, cover = bundle.cfg, pair.cover
-    want, shape, need = (3, cfg.image, cfg.image), np.shape(pair.secret), cfg.required_samples()
-    if shape != want:
-        raise UsageError(f"pair {index}: secret image shape {shape}, expected {want}")
-    if len(cover) < need:
-        raise UsageError(f"pair {index}: cover has {len(cover)} samples; this model requires {need}")
-    if cover.sample_rate != cfg.sample_rate:
-        raise UsageError(f"pair {index}: cover is sampled at {cover.sample_rate} Hz; "
-                         f"this model requires {cfg.sample_rate} Hz")
+def check_pairs(bundle, pairs):
+    """Reject the first pair whose secret shape, cover length or sample rate the model cannot take; name its index."""
+    cfg = bundle.cfg
+    want, need = (3, cfg.image, cfg.image), cfg.required_samples()
+    for index, pair in enumerate(pairs):
+        shape, cover = np.shape(pair.secret), pair.cover
+        if shape != want:
+            raise UsageError(f"pair {index}: secret image shape {shape}, expected {want}")
+        if len(cover) < need:
+            raise UsageError(f"pair {index}: cover has {len(cover)} samples; this model requires {need}")
+        if cover.sample_rate != cfg.sample_rate:
+            raise UsageError(f"pair {index}: cover is sampled at {cover.sample_rate} Hz; "
+                             f"this model requires {cfg.sample_rate} Hz")
 
 
 def _secret_images(pairs):
@@ -300,8 +302,7 @@ def run_pipeline(bundle, pairs, with_reveal=True):
     stego waveform tensor, and (optionally) the revealed (3, B*h, w) images.
     """
     cfg = bundle.cfg
-    for index, pair in enumerate(pairs):
-        _check_pair(bundle, index, pair)
+    check_pairs(bundle, pairs)
     covers, specs = zip(*(_cover_spectrogram(bundle, pair.cover) for pair in pairs))
     spec = specs[0]
     secret_t = _secret_tensor(bundle, pairs)
@@ -568,8 +569,7 @@ def train(dataset, cfg, bundle=None):
         raise UsageError("train: empty dataset")
     if bundle is None:
         bundle = build_model(cfg)
-    for index, pair in enumerate(dataset):
-        _check_pair(bundle, index, pair)
+    check_pairs(bundle, dataset)
     loss_cfg = cfg.loss_config()
     opt = Adam(bundle.params, cfg)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 1)).spawn(1)[0])
@@ -606,6 +606,7 @@ def evaluate(bundle, dataset):
     """Mean metrics row over a dataset (the `eval` CLI output); embeds pair by pair, reveals and scores in one batch."""
     if not dataset:
         raise UsageError("evaluate: empty dataset")
+    check_pairs(bundle, dataset)
     cfg = bundle.cfg
     specs, snrs, waves = [], [], []
     loss_cfg = cfg.loss_config()

@@ -87,12 +87,13 @@ def robustness_sweep(bundle, data, fractions=DEFAULT_FRACTIONS, modes=MODES, see
     revealed (B, 3, h, w) images in pair order.
     """
     cfg = bundle.cfg
-    # every cell's attack is checked before the first pair is embedded
+    # every cell's attack and every pair is checked before the first pair is embedded
     drops = [DropoutSpec(fraction, mode, seed) for mode in modes for fraction in fractions]
     if not drops:
         raise UsageError("robustness sweep has no cells: give at least one fraction and one mode")
     if not data:
         raise UsageError("robustness sweep: empty dataset")
+    pl.check_pairs(bundle, data)
     specs = [dsp.transform(pl.embed(pair.secret, pair.cover, bundle)[0],
                            cfg.stft_config(), cfg.transform) for pair in data]
     secrets = np.stack([pair.secret for pair in data])

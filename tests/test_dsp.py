@@ -1,10 +1,14 @@
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +31,14 @@ def test_hann_rejects_bad_lengths():
         dsp.hann_window(3)
     with pytest.raises(ConfigError):
         dsp.hann_window(2)
+
+
+def test_hann_window_is_cached_read_only():
+    n = 64
+    win = dsp.hann_window(n)
+    assert dsp.StftConfig(n, 16).window_weights() is win
+    assert not win.flags.writeable
+    assert win.tobytes() == (0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)).tobytes()
 
 
 def test_hann_cola_sum_at_quarter_hop():
@@ -203,6 +215,23 @@ def test_stdct_constant_frame_concentrates_at_dc():
     assert np.all(interior[:4].sum(axis=0) / interior.sum(axis=0) > 0.999)
 
 
+@pytest.mark.parametrize("lead", [(1, 32), (4, 32)])
+@pytest.mark.parametrize("n", [4, 6, 64, 1024])
+def test_dct_kernel_pair_matches_scipy_ortho_dct(n, lead):
+    # scipy's orthonormal DCT-II and its inverse are the reference
+    rng = np.random.default_rng(n)
+    frames = rng.normal(size=lead + (n,))
+    want = scipy.fft.dct(frames, type=2, axis=-1, norm="ortho").swapaxes(-1, -2)
+    got = dsp._dct(frames)
+    assert got.shape == lead[:-1] + (n, lead[-1]) and got.flags.c_contiguous
+    assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want))
+    coeff = rng.normal(size=lead[:-1] + (n, lead[-1]))
+    want = scipy.fft.idct(coeff.swapaxes(-1, -2), type=2, axis=-1, norm="ortho")
+    assert np.max(np.abs(dsp._idct(coeff) - want)) <= 2e-15 * np.max(np.abs(want))
+    basis = dsp._dct(np.eye(n))  # column j is the transform of the unit frame e_j
+    assert np.max(np.abs(basis @ basis.T - np.eye(n))) <= 2e-15
+
+
 def test_stdct_zero_signal():
     cfg = dsp.StftConfig(16, 8)
     assert np.all(dsp.transform(make_waveform(np.zeros(64)), cfg, "stdct").magnitude == 0.0)
@@ -331,3 +360,17 @@ def test_every_public_dsp_function_has_a_src_caller():
     outside = set().union(*(_referenced_names(p) for p in dsp_path.parent.glob("*.py") if p != dsp_path))
     assert DSP_HELPERS <= _referenced_names(dsp_path)
     assert public - outside - DSP_HELPERS == set()
+
+
+def test_program_modules_import_no_scipy():
+    # every module the benchmark imports, in a fresh interpreter
+    root = Path(__file__).resolve().parents[1]
+    body = ast.parse((root / "perfbench" / "run.py").read_text(encoding="utf-8")).body
+    modules = next(ast.literal_eval(node.value) for node in body if isinstance(node, ast.Assign)
+                   and getattr(node.targets[0], "id", None) == "MODULES")
+    assert "cli" in modules and "dsp" in modules
+    code = "".join(f"import stegowav.{name}\n" for name in modules)
+    code += "import sys\nprint(sorted(key for key in sys.modules if key.startswith('scipy')))\n"
+    env = {**os.environ, "PYTHONPATH": str(Path(dsp.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"

@@ -88,6 +88,16 @@ def test_sweep_rejects_an_empty_dataset_before_embedding(monkeypatch):
         rob.robustness_sweep(bundle, [])
 
 
+@pytest.mark.parametrize("run", [pl.evaluate, rob.robustness_sweep])
+def test_every_pair_is_checked_with_its_index_before_the_first_embed(run, monkeypatch):
+    bundle = pl.build_model(pl.PipelineConfig())
+    pairs = pl.synth_dataset(4, cfg=bundle.cfg)
+    pairs[3] = pl.SamplePair(pairs[3].secret, dsp.Waveform(pairs[3].cover.samples, 44100))
+    monkeypatch.setattr(pl, "embed", lambda *args: pytest.fail("embedded before the check"))
+    with pytest.raises(UsageError, match=r"pair 3: cover is sampled at 44100 Hz; this model requires 16000 Hz"):
+        run(bundle, pairs)
+
+
 def test_a_cell_reveals_in_chunks_and_embeds_each_pair_once(monkeypatch):
     bundle = pl.build_model(pl.PipelineConfig())
     pairs = pl.synth_dataset(16, cfg=bundle.cfg)
