@@ -8,6 +8,10 @@ anti-diagonal per step.
 Cell (i, j) of pair b (0-based) sits at T[(i + j) % m, b, i]: a diagonal and
 its neighbours are contiguous slices, and a pair's n*m cells fill T once, less
 than the (n+1)^2 square table.  Boundary cells live only in rolling buffers.
+A kept T starts as every cell's cost, filled in one pass from a strided view
+of y, and the forward pass adds each soft-min into its cell in place.  At
+gamma = 1 both passes skip the divisions and products by gamma, which are
+exact there, so every gamma gives the same bytes as the plain formula.
 The backward pass overwrites T with the alignment weights E and reads the
 gradient through a strided view, a few rows at a time.  A chunked waveform
 loss runs its equal-length chunks as one batch in one tape node.
@@ -68,25 +72,57 @@ def l2(a, b, axis=None):
 
 
 def _diagonal_costs(x, y):
-    """cost(k, lo, hi) = d(i, k - i) for the 1-based rows i = lo..hi, zero past n and m."""
+    """cost(k, lo, hi, out) = d(i, k - i) for the 1-based rows i = lo..hi, zero past n and m."""
     xp = np.concatenate([x, np.zeros((len(x), 1))], axis=1)
     ypr, m = np.concatenate([np.zeros((len(y), 1)), y[:, ::-1]], axis=1), y.shape[1]
-    return lambda k, lo, hi: (xp[:, lo - 1:hi] - ypr[:, m + 1 - k + lo:m + 2 - k + hi]) ** 2
+    return lambda k, lo, hi, out=None: np.square(
+        np.subtract(xp[:, lo - 1:hi], ypr[:, m + 1 - k + lo:m + 2 - k + hi], out=out), out=out)
+
+
+def _cost_table(x, y):
+    """T[(i + j) % m, b, i] = (x[b, i] - y[b, j])**2: every cell's cost in its ring slot."""
+    (nb, n), m = x.shape, y.shape[1]
+    wraps = -(-(n - 1) // m)  # y tiled so that column (r - i) % m sits at r - i + wraps*m
+    yt = np.tile(y, (1, wraps + 1))[:, wraps * m:]
+    view = as_strided(yt, (m, nb, n), (yt.strides[1], yt.strides[0], -yt.strides[1]), writeable=False)
+    T = np.subtract(x, view, out=np.empty((m, nb, n)))
+    return np.square(T, out=T)
+
+
+def _exp_over(w, gamma):
+    """exp(w / gamma), in place; x / 1 is exact, so gamma = 1 skips the division."""
+    if gamma != 1.0:
+        w /= gamma
+    return np.exp(w, out=w)
+
+
+def _successor_weight(r_s, r, d_s, e_s, gamma):
+    """exp((r_s - r - d_s) / gamma) * E_s, in a fresh array."""
+    w = np.subtract(r_s, r)
+    w -= d_s
+    return np.multiply(_exp_over(w, gamma), e_s, out=w)
 
 
 def _sdtw_forward(x, y, gamma, keep=True):
     """T of r[i,j] = d(i,j) + softmin(r[i-1,j], r[i,j-1], r[i-1,j-1]) and r[n,m] per pair;
     without `keep` (no backward will read T) T is one scratch row, not the table."""
     (nb, n), m, cost = x.shape, y.shape[1], _diagonal_costs(x, y)
-    T, R = np.empty((m if keep else 1, nb, n)), np.full((3, nb, n + 2), np.inf)
+    T, R = _cost_table(x, y) if keep else np.empty((1, nb, n)), np.full((3, nb, n + 2), np.inf)
     # R: the last three diagonals by 1-based row, +inf past the edges; softmin(inf, inf, 0) == 0
-    R[2, :, 1] = T[0, :, 0] = cost(2, 1, 1)[:, 0]
+    R[2, :, 1] = cost(2, 1, 1)[:, 0]
     for k in range(3, n + m + 1):
         lo, hi = max(1, k - m), min(n, k - 1)
+        t = T[(k - 2) % m, :, lo - 1:hi] if keep else cost(k, lo, hi, T[0, :, lo - 1:hi])
         a, b, c = R[(k - 1) % 3, :, lo - 1:hi], R[(k - 1) % 3, :, lo:hi + 1], R[(k - 2) % 3, :, lo - 1:hi]
         mn = np.minimum(np.minimum(a, b), c)
-        s = np.exp((mn - a) / gamma) + np.exp((mn - b) / gamma) + np.exp((mn - c) / gamma)
-        R[k % 3, :, lo:hi + 1] = T[(k - 2) % len(T), :, lo - 1:hi] = cost(k, lo, hi) + (mn - gamma * np.log(s))
+        s = _exp_over(mn - a, gamma)
+        s += _exp_over(mn - b, gamma)
+        s += _exp_over(mn - c, gamma)
+        np.log(s, out=s)
+        if gamma != 1.0:  # 1 * x is exact
+            s *= gamma
+        t += np.subtract(mn, s, out=s)
+        R[k % 3, :, lo:hi + 1] = t
     return T, R[(n + m) % 3, :, n]
 
 
@@ -100,13 +136,12 @@ def _sdtw_backward(x, y, gamma, T):
     for k in range(n + m - 1, 1, -1):
         lo, hi = max(1, k - m), min(n, k - 1)
         r, r1, r2, e1, e2 = T[(k - 2) % m, :, lo - 1:hi], R[(k + 1) % 2], R[k % 2], E[(k + 1) % 2], E[k % 2]
-        d1 = D[(k + 1) % 2, :, lo:hi + 2] = cost(k + 1, lo, hi + 1)
-        a = np.exp((r1[:, lo + 1:hi + 2] - r - d1[:, 1:]) / gamma)
-        b = np.exp((r1[:, lo:hi + 1] - r - d1[:, :-1]) / gamma)
-        c = np.exp((r2[:, lo + 1:hi + 2] - r - D[k % 2, :, lo + 1:hi + 2]) / gamma)
+        d1 = cost(k + 1, lo, hi + 1, D[(k + 1) % 2, :, lo:hi + 2])
+        a = _successor_weight(r1[:, lo + 1:hi + 2], r, d1[:, 1:], e1[:, lo + 1:hi + 2], gamma)
+        a += _successor_weight(r1[:, lo:hi + 1], r, d1[:, :-1], e1[:, lo:hi + 1], gamma)
+        c = _successor_weight(r2[:, lo + 1:hi + 2], r, D[k % 2, :, lo + 1:hi + 2], e2[:, lo + 1:hi + 2], gamma)
         r2[:, lo:hi + 1] = r
-        e2[:, lo:hi + 1] = T[(k - 2) % m, :, lo - 1:hi] = (
-            a * e1[:, lo + 1:hi + 2] + b * e1[:, lo:hi + 1] + c * e2[:, lo + 1:hi + 2])
+        e2[:, lo:hi + 1] = np.add(a, c, out=r)
     gx, gy, rows = np.empty((nb, n)), np.empty((nb, m)), np.arange(n + m - 1) % m
     for s in range(nb):  # p[0] carries the column sums, so the rows add in order
         p = np.zeros((_TILE_ROWS + 1, m))

@@ -608,15 +608,15 @@ def evaluate(bundle, dataset):
         raise UsageError("evaluate: empty dataset")
     check_pairs(bundle, dataset)
     cfg = bundle.cfg
-    specs, snrs, waves = [], [], []
-    loss_cfg = cfg.loss_config()
+    specs, snrs, stegos = [], [], []
     for pair in dataset:
         stego, diag = embed(pair.secret, pair.cover, bundle)
         specs.append(dsp.transform(stego, cfg.stft_config(), cfg.transform))
         snrs.append(diag["stego_snr_db"])
-        cover_trim = pair.cover.samples[:cfg.required_samples()]
-        with ad.no_grad():
-            waves.append(float(lo.waveform_term(loss_cfg, ad.Tensor(cover_trim), ad.Tensor(stego.samples)).data))
+        stegos.append(stego.samples)
+    covers = np.stack([pair.cover.samples[:cfg.required_samples()] for pair in dataset])
+    with ad.no_grad():
+        waves = lo.waveform_term(cfg.loss_config(), ad.Tensor(covers), ad.Tensor(np.stack(stegos))).data
     revealed = reveal_from_spectrogram(specs, bundle)
     secrets = np.stack([pair.secret for pair in dataset])
     psnrs = [me.psnr_db(secret, image) for secret, image in zip(secrets, revealed)]

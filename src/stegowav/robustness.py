@@ -4,7 +4,8 @@ spectrogram, decode what survives, and measure the damage.
 The sweep is one serial pass: each pair is embedded and analysed once, and
 every (mode, fraction) cell attacks a copy of that cached spectrogram.  A
 cell reveals its pairs as one batch, one graph per chunk of pairs (see
-`pipeline.reveal_from_spectrogram`), and scores them in one SSIM call.
+`pipeline.reveal_from_spectrogram`), and scores them in one SSIM call; cells
+that drop the same frames share one reveal and one score.
 Dropping a frame zeroes its magnitude column only; with zero magnitude the
 phase no longer influences the inverse transform, so this matches erasing
 the spectral content outright.  Cover content in dropped frames is lost
@@ -43,19 +44,18 @@ class DropoutSpec:
             raise UsageError(f"dropout seed must be >= 0, got {self.seed}")
 
 
-def apply_frame_dropout(spec, drop):
-    """Zero the magnitude of round((1-p)*T) frames, the last ones or a seeded random set; phase untouched."""
-    frames = spec.shape[1]
+def _dropped_frames(frames, drop):
+    """The round((1-p)*frames) frame indices `drop` removes: the last ones or a seeded random set."""
     n_drop = int(round((1.0 - drop.keep_fraction) * frames))
-    if n_drop == 0:
-        return replace(spec, magnitude=spec.magnitude.copy())
     if drop.mode == "sequential":
-        cols = np.arange(frames - n_drop, frames)
-    else:
-        rng = np.random.default_rng(drop.seed)
-        cols = rng.choice(frames, size=n_drop, replace=False)
+        return np.arange(frames - n_drop, frames)
+    return np.random.default_rng(drop.seed).choice(frames, size=n_drop, replace=False)
+
+
+def apply_frame_dropout(spec, drop):
+    """Zero the magnitude of the dropped frames; phase untouched."""
     mag = spec.magnitude.copy()
-    mag[:, cols] = 0.0
+    mag[:, _dropped_frames(spec.shape[1], drop)] = 0.0
     return replace(spec, magnitude=mag)
 
 
@@ -84,7 +84,8 @@ def robustness_sweep(bundle, data, fractions=DEFAULT_FRACTIONS, modes=MODES, see
     """One aggregated row per (mode, fraction), ordered deterministically.
 
     `on_cell(mode, fraction, revealed)`, when given, receives each cell's
-    revealed (B, 3, h, w) images in pair order.
+    revealed (B, 3, h, w) images in pair order; cells that drop the same
+    frames hand over the same array.
     """
     cfg = bundle.cfg
     # every cell's attack and every pair is checked before the first pair is embedded
@@ -97,20 +98,20 @@ def robustness_sweep(bundle, data, fractions=DEFAULT_FRACTIONS, modes=MODES, see
     specs = [dsp.transform(pl.embed(pair.secret, pair.cover, bundle)[0],
                            cfg.stft_config(), cfg.transform) for pair in data]
     secrets = np.stack([pair.secret for pair in data])
-    rows = []
-    for drop in drops:
-        revealed = _sweep_cell(bundle, specs, drop)
+    # cells that drop the same frames (every fraction-1.0 cell) are revealed and scored once;
+    # every stego has the model's length, so one frame count serves all pairs
+    attacks = [np.sort(_dropped_frames(specs[0].shape[1], drop)).tobytes() for drop in drops]
+    cells, rows = {}, []
+    for index, (drop, attack) in enumerate(zip(drops, attacks)):
+        if attack not in cells:
+            revealed = _sweep_cell(bundle, specs, drop)
+            psnrs = [me.psnr_db(secret, image) for secret, image in zip(secrets, revealed)]
+            cells[attack] = revealed, float(np.mean(me.ssim(secrets, revealed))), float(np.mean(psnrs))
+        revealed, ssim, psnr = cells[attack] if attack in attacks[index + 1:] else cells.pop(attack)
         if on_cell is not None:
             on_cell(drop.mode, drop.keep_fraction, revealed)
-        ssims = me.ssim(secrets, revealed)
-        psnrs = [me.psnr_db(secret, image) for secret, image in zip(secrets, revealed)]
-        rows.append({
-            "method": cfg.method,
-            "mode": drop.mode,
-            "keep_fraction": drop.keep_fraction,
-            "mean_ssim": float(np.mean(ssims)),
-            "mean_psnr_db": float(np.mean(psnrs)),
-        })
+        rows.append({"method": cfg.method, "mode": drop.mode, "keep_fraction": drop.keep_fraction,
+                     "mean_ssim": ssim, "mean_psnr_db": psnr})
     return rows
 
 

@@ -62,11 +62,11 @@ def test_soft_dtw_rejects_nonfinite_gamma(gamma):
 
 
 @st.composite
-def sdtw_case(draw, batch=1):
-    """(x, y, gamma) with n, m in 1..48 (n != m included) and gamma in [0.01, 5];
+def sdtw_case(draw, batch=1, gamma=None):
+    """(x, y, gamma) with n, m in 1..48 (n != m included) and gamma in [0.01, 5] unless given;
     half the cases draw from a coarse grid, so minima tie and differences are 0."""
     n, m = draw(st.integers(1, 48), label="n"), draw(st.integers(1, 48), label="m")
-    gamma = draw(st.floats(0.01, 5.0), label="gamma")
+    gamma = draw(st.floats(0.01, 5.0), label="gamma") if gamma is None else gamma
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1), label="seed"))
     if draw(st.booleans(), label="grid"):
         return rng.integers(-2, 3, size=(batch, n)) / 2.0, rng.integers(-2, 3, size=(batch, m)) / 2.0, gamma
@@ -109,6 +109,36 @@ def test_soft_dtw_batch_equals_its_rows(case):
         assert values[b].tobytes() == value_b[0].tobytes()
         for batched, row in zip(grads, lo._sdtw_backward(x[b:b + 1], y[b:b + 1], gamma, table_b)):
             assert batched[b].tobytes() == row[0].tobytes()
+
+
+def assert_batch_matches_oracle(x, y, gamma):
+    """The batched kernel's values and gradient sums equal the square-table oracle's row by row,
+    and the forward that keeps no table gives the same values."""
+    table, values = lo._sdtw_forward(x, y, gamma)
+    gx, gy = lo._sdtw_backward(x, y, gamma, table)
+    assert lo._sdtw_forward(x, y, gamma, keep=False)[1].tobytes() == values.tobytes()
+    for b in range(len(x)):
+        r = _sdtw_forward(x[b], y[b], gamma)
+        weighted = _sdtw_backward(x[b], y[b], gamma, r) * (x[b][:, None] - y[b][None, :])
+        assert values[b].tobytes() == r[-1, -1].tobytes()
+        assert gx[b].tobytes() == weighted.sum(axis=1).tobytes()
+        assert gy[b].tobytes() == weighted.sum(axis=0).tobytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=sdtw_case(batch=4, gamma=1.0))
+def test_soft_dtw_gamma_one_bytes_match_square_table_oracle(case):
+    # gamma = 1 skips the kernel's divisions and products by gamma
+    assert_batch_matches_oracle(*case)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.3])
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 9), (9, 1), (5, 17), (17, 5)])
+@pytest.mark.parametrize("grid", [False, True])
+def test_soft_dtw_edge_shapes_match_oracle_with_and_without_table(n, m, grid, gamma):
+    rng = np.random.default_rng(n * 100 + m)
+    draw = (lambda size: rng.integers(-2, 3, size=size) / 2.0) if grid else (lambda size: rng.normal(size=size))
+    assert_batch_matches_oracle(draw((4, n)), draw((4, m)), gamma)
 
 
 def test_soft_dtw_backward_twice_accumulates_exactly():

@@ -8,6 +8,8 @@ import pytest
 from stegowav import autodiff as ad
 from stegowav import dsp
 from stegowav import embeddings as emb
+from stegowav import losses as lo
+from stegowav import metrics as me
 from stegowav import pipeline as pl
 from stegowav import wavio
 from stegowav.errors import ConfigError, DataError, NumericError, UsageError
@@ -232,6 +234,27 @@ def test_evaluate_rejects_an_empty_dataset_before_embedding(monkeypatch):
     monkeypatch.setattr(pl, "embed", lambda *args: pytest.fail("embedded before the check"))
     with pytest.raises(UsageError, match="empty dataset"):
         pl.evaluate(bundle, [])
+
+
+@pytest.mark.parametrize("wave_loss", ["l1", "soft_dtw"])
+def test_evaluate_row_equals_the_per_pair_formula(wave_loss):
+    cfg = pl.PipelineConfig(wave_loss=wave_loss)
+    bundle = pl.build_model(cfg)
+    pairs = tiny_pairs(cfg, 5)
+    snrs, waves, ssims, psnrs, hists = [], [], [], [], []
+    for pair in pairs:
+        stego, diag = pl.embed(pair.secret, pair.cover, bundle)
+        revealed = pl.reveal(stego, bundle)
+        snrs.append(diag["stego_snr_db"])
+        with ad.no_grad():
+            cover = ad.Tensor(pair.cover.samples[:cfg.required_samples()])
+            waves.append(float(lo.waveform_term(cfg.loss_config(), cover, ad.Tensor(stego.samples)).data))
+        ssims.append(me.ssim(pair.secret, revealed))
+        psnrs.append(me.psnr_db(pair.secret, revealed))
+        hists.append(me.histogram_l1(me.rgb_histogram(pair.secret), me.rgb_histogram(revealed)))
+    row = pl.evaluate(bundle, pairs)
+    assert (row.revealed_ssim, row.revealed_psnr, row.stego_snr, row.waveform_loss, row.histogram_l1) == tuple(
+        float(np.mean(values)) for values in (ssims, psnrs, snrs, waves, hists))
 
 
 def test_soft_dtw_evaluate_records_no_tape(monkeypatch):

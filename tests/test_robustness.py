@@ -5,6 +5,7 @@ from stegowav import autodiff as ad
 from stegowav import dsp
 from stegowav import embeddings as emb
 from stegowav import imageops as iops
+from stegowav import metrics as me
 from stegowav import networks as nets
 from stegowav import pipeline as pl
 from stegowav import robustness as rob
@@ -118,6 +119,31 @@ def test_a_cell_reveals_in_chunks_and_embeds_each_pair_once(monkeypatch):
     per_chunk = pl._CHUNK_FLOATS // int(np.prod(bundle.ctx.container_shape))
     assert len(rows) == 1 and per_chunk == 8
     assert calls == {"embed": 16, "reveal": -(-16 // per_chunk)}
+
+
+def test_cells_that_drop_the_same_frames_reveal_once(monkeypatch):
+    bundle = pl.build_model(pl.PipelineConfig())
+    cfg, pairs, fractions, seed = bundle.cfg, pl.synth_dataset(4, cfg=bundle.cfg), (1.0, 0.5), 3
+    specs = [dsp.transform(pl.embed(pair.secret, pair.cover, bundle)[0], cfg.stft_config(), cfg.transform)
+             for pair in pairs]
+    drops = [rob.DropoutSpec(fraction, mode, seed) for mode in rob.MODES for fraction in fractions]
+    expected = [rob._sweep_cell(bundle, specs, drop) for drop in drops]
+    reveals, dumped = [], []
+    unet_forward = nets.unet_forward
+
+    def counting_unet_forward(cfg, params, x, prefix, samples=1):
+        reveals.append(prefix == "reveal")
+        return unet_forward(cfg, params, x, prefix, samples)
+
+    monkeypatch.setattr(nets, "unet_forward", counting_unet_forward)
+    rows = rob.robustness_sweep(bundle, pairs, fractions, rob.MODES, seed, on_cell=lambda *cell: dumped.append(cell))
+    assert sum(reveals) == 3  # four cells of one chunk each; both fraction-1.0 cells keep every frame
+    assert [(mode, fraction) for mode, fraction, _ in dumped] == [(d.mode, d.keep_fraction) for d in drops]
+    assert all(got.tobytes() == want.tobytes() for (_, _, got), want in zip(dumped, expected))
+    secrets = np.stack([pair.secret for pair in pairs])
+    assert [(row["mean_ssim"], row["mean_psnr_db"]) for row in rows] == [
+        (float(np.mean(me.ssim(secrets, want))), float(np.mean([me.psnr_db(s, i) for s, i in zip(secrets, want)])))
+        for want in expected]
 
 
 def test_identity_stub_replica_time_erasure():
