@@ -34,16 +34,13 @@ import numpy as np
 
 from .errors import ConfigError, UsageError
 
-DEFAULT_DTYPE = np.float64
-
-
 class Tensor:
-    """Dense real tensor, optionally tracked by the tape."""
+    """Dense float64 tensor, optionally tracked by the tape."""
 
     __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_forward", "_backward")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
-        arr = np.asarray(data, dtype=dtype or DEFAULT_DTYPE)
+    def __init__(self, data, requires_grad=False):
+        arr = np.asarray(data, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
             raise UsageError("leaf tensor rejected: contains NaN or Inf")
         self.data = arr

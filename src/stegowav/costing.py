@@ -85,7 +85,7 @@ def model_cost(cfg):
 
     duplication = len(cfg.planes())     # one hiding/revealing pair per active plane
     params = duplication * (nets.unet_param_count(hide_cfg) + nets.unet_param_count(reveal_cfg))
-    params += sum(w.data.size for _, w in ctx.weight_tensors())
+    params += sum(w.data.size for w in emb.init_weights(ctx).values())
     container_stage *= duplication
     image_stage *= duplication
     if duplication == 2:  # the 3-weight coupler and its two MACs per revealed pixel

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import imageops as iops
 from .errors import ConfigError, UsageError
 
 
@@ -343,10 +344,5 @@ def log_view(s):
 
 def write_spectrogram_pgm(s, path):
     """8-bit P5 raster of log_view; low frequencies at the bottom row."""
-    v = log_view(s)
-    raster = np.flipud(np.round(v * 255.0).astype(np.uint8))
-    h, w = raster.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        f.write(raster.tobytes())
+    iops.write_pnm(np.flipud(np.round(log_view(s) * 255.0).astype(np.uint8))[:, :, None], path, b"P5")
 

@@ -11,13 +11,15 @@ the ``imageops`` pack/unpack adjoint pair moves in and out of the container,
 so each hook records the same number of tape nodes at any replica count.
 The ``multichannel`` watermark is the stack; the plane methods build it with
 ``autodiff.replicas``, scaling the plane by ones (``replicate``) or by the
-trainable ``enc_weights`` (``w_replicate``, ``ws_replicate``).
+trainable ``embed.enc_weights`` (``w_replicate``, ``ws_replicate``).
 ``ws_replicate`` and ``multichannel`` reveal from the unpacked stack.  The
 ``CONTAINER_REVEAL`` methods reveal from the whole container: ``stretch``
 resizes the output down, which keeps its MAC count equal to ``replicate``'s,
 and ``replicate``/``w_replicate`` merge the unpacked stack in one weighted sum
-over the replica axis, by 1/count or by the trained ``dec_weights``
+over the replica axis, by 1/count or by the trained ``embed.dec_weights``
 normalised by their sum.
+The replica weights live in the model's ``params``, made by ``init_weights``;
+the hooks read them from there, and an ``EmbeddingContext`` holds geometry only.
 A batch of B samples enters ``encode_arrange`` with a batch axis and leaves
 as (B, *container_shape); the reveal hooks keep the U-Net's (C, B*H, W).
 """
@@ -38,14 +40,11 @@ METHODS = ("stretch", "replicate", "w_replicate", "ws_replicate", "multichannel"
 CONTAINER_REVEAL = ("stretch", "replicate", "w_replicate")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EmbeddingContext:
     method: str
     image_hw: tuple
-    large: bool
     grid: iops.ReplicaGrid
-    enc_weights: ad.Tensor | None
-    dec_weights: ad.Tensor | None
 
     @property
     def plane_hw(self):
@@ -55,35 +54,23 @@ class EmbeddingContext:
     def container_shape(self):
         return self.grid.container_shape
 
-    def weight_tensors(self):
-        out = []
-        if self.enc_weights is not None:
-            out.append(("embed.enc_weights", self.enc_weights))
-        if self.dec_weights is not None:
-            out.append(("embed.dec_weights", self.dec_weights))
-        return out
 
-
-def replica_grid(method, image_hw, large):
-    """The replica grid, and so the container shape, of one method/size."""
+def make_context(method, image_hw, large):
+    """The geometry of one method/size: its replica grid, and so its container shape."""
     if method not in METHODS:
         raise ConfigError(f"unknown embedding method {method!r}")
     h, w = image_hw
-    if method == "multichannel":
-        return iops.ReplicaGrid(*iops.channel_grid_shape(large), h, w)
     # stretch shares the replicate container so sizes stay comparable
-    return iops.ReplicaGrid(*iops.plane_grid_shape(large), 2 * h, 2 * w)
+    grid = (iops.ReplicaGrid(*iops.channel_grid_shape(large), h, w) if method == "multichannel"
+            else iops.ReplicaGrid(*iops.plane_grid_shape(large), 2 * h, 2 * w))
+    return EmbeddingContext(method, (h, w), grid)
 
 
-def make_context(method, image_hw, large):
-    """Build the replica grid and trainable weights for one method/size."""
-    grid = replica_grid(method, image_hw, large)
-    enc = dec = None
-    if method in ("w_replicate", "ws_replicate"):
-        enc = ad.Tensor(np.ones(grid.count), requires_grad=True)
-    if method == "w_replicate":
-        dec = ad.Tensor(np.ones(grid.count), requires_grad=True)
-    return EmbeddingContext(method, tuple(image_hw), large, grid, enc, dec)
+def init_weights(ctx):
+    """{name: tensor} of the method's trainable replica weights, all ones: embed.enc_weights
+    (w_replicate, ws_replicate), then embed.dec_weights (w_replicate)."""
+    names = {"w_replicate": ("enc", "dec"), "ws_replicate": ("enc",)}.get(ctx.method, ())
+    return {f"embed.{name}_weights": ad.Tensor(np.ones(ctx.grid.count), requires_grad=True) for name in names}
 
 
 def net_depths(cfg, n):
@@ -102,14 +89,14 @@ def _check_shape(t, want, what):
         raise ConfigError(f"{what}: expected shape {want}, with samples stacked, got {shape}")
 
 
-def encode_arrange(wmark, ctx):
+def encode_arrange(wmark, ctx, params):
     """Watermark (..., 2h, 2w), or multichannel (count, ..., h, w) -> (..., *container_shape), differentiable."""
     if ctx.method == "multichannel":
         return iops.pack_grid_op(wmark, ctx.grid)
     _check_shape(wmark, ctx.plane_hw, "encode_arrange")
     if ctx.method == "stretch":
         return iops.bilinear_resize_op(wmark, *ctx.container_shape)
-    weights = ctx.enc_weights if ctx.enc_weights is not None else np.ones(ctx.grid.count)
+    weights = np.ones(ctx.grid.count) if ctx.method == "replicate" else params["embed.enc_weights"]
     return iops.pack_grid_op(ad.replicas(wmark, weights), ctx.grid)
 
 
@@ -121,7 +108,7 @@ def decode_prepare(container, ctx):
     return iops.unpack_grid_op(container, ctx.grid)
 
 
-def decode_finalize(net_out, ctx):
+def decode_finalize(net_out, ctx, params):
     """Revealing-network output (C, B*H, W) -> planes (B*2h, 2w) or RGB images (3, B*h, w)."""
     method = ctx.method
     if method == "multichannel":
@@ -141,5 +128,6 @@ def decode_finalize(net_out, ctx):
         weights = np.full(n, 1.0 / n)
     else:
         # w_replicate: trained weights normalised by their sum
-        weights = ad.replicas(ad.recip(ad.scale(ad.mean(ctx.dec_weights), n)), ctx.dec_weights)
+        dec = params["embed.dec_weights"]
+        weights = ad.replicas(ad.recip(ad.scale(ad.mean(dec), n)), dec)
     return ad.merge(iops.unpack_grid_op(net_out, ctx.grid), weights)

@@ -216,11 +216,7 @@ def write_ppm(img, path):
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 3 or img.shape[0] != 3:
         raise UsageError(f"expected (3, H, W) image, got {img.shape}")
-    raster = np.round(np.clip(img, 0.0, 1.0) * 255.0).astype(np.uint8)
-    h, w = raster.shape[1:]
-    with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        f.write(raster.transpose(1, 2, 0).tobytes())
+    write_pnm(np.round(np.clip(img, 0.0, 1.0) * 255.0).astype(np.uint8).transpose(1, 2, 0), path, b"P6")
 
 
 def read_ppm(path):
@@ -229,6 +225,16 @@ def read_ppm(path):
 
 
 _PNM_DEPTH = {b"P5": 1, b"P6": 3}
+
+
+def write_pnm(raster, path, magic):
+    """uint8 array (H, W, depth) -> binary 8-bit P5 (gray) or P6 (RGB) raster; read_pnm reads it back."""
+    h, w, depth = raster.shape
+    if depth != _PNM_DEPTH[magic]:
+        raise UsageError(f"a {magic.decode()} pixmap has depth {_PNM_DEPTH[magic]}, got {depth}")
+    with open(path, "wb") as f:
+        f.write(b"%s\n%d %d\n255\n" % (magic, w, h))
+        f.write(raster.tobytes())
 
 
 def read_pnm(path, magic):

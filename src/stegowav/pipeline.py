@@ -39,6 +39,7 @@ from .errors import ConfigError, DataError, NumericError, UsageError
 CHECKPOINT_MAGIC = b"PXW2"
 CHECKPOINT_VERSION = 2  # 2 adds a CRC-32; version 1 files still load
 _CHUNK_FLOATS = 2 ** 14  # floats of stacked container planes up to which one reveal graph holds several pairs
+_CONFIG_KEYS = {"lam": "lambda"}  # config-file keys that differ from their PipelineConfig attribute
 
 
 # ---------------------------------------------------------------------------
@@ -92,23 +93,25 @@ class PipelineConfig:
             raise ConfigError(f"hop must be in [1, {n}), got {self.hop}")
         for f in fields(self):
             if isinstance(f.default, float) and not math.isfinite(getattr(self, f.name)):
-                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+                raise ConfigError(f"{_CONFIG_KEYS.get(f.name, f.name)} must be finite, got {getattr(self, f.name)}")
         for name, ok, rule in (
                 ("batch", self.batch >= 1, ">= 1"), ("steps", self.steps >= 0, ">= 0"),
                 ("seed", self.seed >= 0, ">= 0"), ("sample_rate", self.sample_rate > 0, "> 0"),
                 ("lr", self.lr >= 0.0, ">= 0"), ("adam_eps", self.adam_eps > 0.0, "> 0"),
                 ("adam_beta1", 0.0 <= self.adam_beta1 < 1.0, "in [0, 1)"),
-                ("adam_beta2", 0.0 <= self.adam_beta2 < 1.0, "in [0, 1)")):
+                ("adam_beta2", 0.0 <= self.adam_beta2 < 1.0, "in [0, 1)"),
+                ("beta", 0.0 <= self.beta <= 1.0, "in [0, 1]"), ("lam", self.lam >= 0.0, ">= 0"),
+                ("theta", 0.0 <= self.theta <= 1.0, "in [0, 1]"), ("gamma", self.gamma > 0.0, "> 0"),
+                ("wave_loss", self.wave_loss in ("l1", "soft_dtw"), "'l1' or 'soft_dtw'")):
             if not ok:
-                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)}")
-        self.loss_config()  # beta, lambda, theta, gamma and wave_loss
+                raise ConfigError(f"{_CONFIG_KEYS.get(name, name)} must be {rule}, got {getattr(self, name)!r}")
 
     def planes(self):
         """Spectral planes that carry the secret, in network order."""
         return ("magnitude", "phase") if self.container == "dual" else (self.container,)
 
     def container_shape(self):
-        return emb.replica_grid(self.method, (self.image, self.image), self.large).container_shape
+        return emb.make_context(self.method, (self.image, self.image), self.large).container_shape
 
     def frame_length(self):
         f = self.container_shape()[0]
@@ -126,16 +129,9 @@ class PipelineConfig:
     def required_samples(self):
         return self.stft_config().samples_for_frames(self.container_shape()[1])
 
-    def loss_config(self):
-        """Loss weights; two planes always use an l1 waveform term."""
-        cfg = lo.LossConfig(beta=self.beta, lam=self.lam, theta=self.theta, gamma=self.gamma,
-                            waveform_loss=self.wave_loss)
-        return cfg if len(self.planes()) == 1 else replace(cfg, waveform_loss="l1")
-
 
 # (config-file key, attribute, type) in field order, each typed by its default
-_CONFIG_FIELDS = tuple(("lambda" if f.name == "lam" else f.name, f.name, type(f.default))
-                       for f in fields(PipelineConfig))
+_CONFIG_FIELDS = tuple((_CONFIG_KEYS.get(f.name, f.name), f.name, type(f.default)) for f in fields(PipelineConfig))
 
 
 def config_to_text(cfg):
@@ -217,8 +213,7 @@ def build_model(cfg):
             params.update(nets.init_unet(net_cfg, rng, prefix))
     if len(cfg.planes()) == 2:
         params.update(nets.init_coupling())
-    for name, tensor in ctx.weight_tensors():
-        params[name] = tensor
+    params.update(emb.init_weights(ctx))
     _validate_geometry(cfg, ctx)
     return ModelBundle(cfg, ctx, hide_cfg, reveal_cfg, params)
 
@@ -269,7 +264,7 @@ def _hide_branch(bundle, secret_t, prefix, samples):
     out = nets.unet_forward(bundle.hide_cfg, bundle.params, secret_t, prefix, samples)
     # (count, B, h, w) replicas or (B, 2h, 2w) planes
     lead = (ctx.grid.count, samples) if bundle.cfg.method == "multichannel" else (samples,)
-    return emb.encode_arrange(ad.reshape(out, lead + (-1, out.data.shape[-1])), ctx)
+    return emb.encode_arrange(ad.reshape(out, lead + (-1, out.data.shape[-1])), ctx, bundle.params)
 
 
 def _reveal_branch(bundle, container_t, prefix):
@@ -278,7 +273,7 @@ def _reveal_branch(bundle, container_t, prefix):
 
 
 def _finalize(bundle, net_out):
-    y = emb.decode_finalize(net_out, bundle.ctx)
+    y = emb.decode_finalize(net_out, bundle.ctx, bundle.params)
     if bundle.cfg.method == "multichannel":
         return y
     return iops.unshuffle_op(y, use_luma=bundle.cfg.luma)
@@ -547,13 +542,13 @@ class Adam:
             p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
-def _sample_loss(bundle, pairs, loss_cfg):
-    """The batch loss of `pairs`: the mean of each pair's composite loss, and the mean terms."""
+def _sample_loss(bundle, pairs, cfg):
+    """The batch loss of `pairs` under `cfg`'s objective: the mean of each pair's composite loss, and the mean terms."""
     out = run_pipeline(bundle, pairs)
     planes = {plane: (out["cover_planes"][plane], out["stego_planes"][plane])
               for plane in bundle.cfg.planes()}
     images = (3, len(pairs), -1)  # each sample's image as a column: its loss sums over axes 0 and 2
-    return lo.composite_loss(loss_cfg, ad.Tensor(_secret_images(pairs).reshape(images)),
+    return lo.composite_loss(cfg, ad.Tensor(_secret_images(pairs).reshape(images)),
                              ad.reshape(out["revealed_t"], images), ad.Tensor(out["cover"]), out["stego_wave"], planes)
 
 
@@ -570,7 +565,6 @@ def train(dataset, cfg, bundle=None):
     if bundle is None:
         bundle = build_model(cfg)
     check_pairs(bundle, dataset)
-    loss_cfg = cfg.loss_config()
     opt = Adam(bundle.params, cfg)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 1)).spawn(1)[0])
     order = []
@@ -583,7 +577,7 @@ def train(dataset, cfg, bundle=None):
             batch.append(dataset[order.pop()])
         for tensor in bundle.params.values():
             tensor.zero_grad()
-        total, terms = _sample_loss(bundle, batch, loss_cfg)
+        total, terms = _sample_loss(bundle, batch, cfg)
         value = float(total.data)
         if not np.isfinite(value):
             bad = next((k for k, v in terms.items() if not np.isfinite(v)), "total")
@@ -616,7 +610,7 @@ def evaluate(bundle, dataset):
         stegos.append(stego.samples)
     covers = np.stack([pair.cover.samples[:cfg.required_samples()] for pair in dataset])
     with ad.no_grad():
-        waves = lo.waveform_term(cfg.loss_config(), ad.Tensor(covers), ad.Tensor(np.stack(stegos))).data
+        waves = lo.waveform_term(cfg, ad.Tensor(covers), ad.Tensor(np.stack(stegos))).data
     revealed = reveal_from_spectrogram(specs, bundle)
     secrets = np.stack([pair.secret for pair in dataset])
     psnrs = [me.psnr_db(secret, image) for secret, image in zip(secrets, revealed)]

@@ -99,6 +99,11 @@ def test_usage_errors_exit_1(workspace, capsys):
     capsys.readouterr()
 
 
+def test_config_check_names_the_config_key(capsys):
+    assert run(["cost", "--set", "lambda=-1"]) == 1
+    assert "lambda must be >= 0" in capsys.readouterr().err
+
+
 def test_robustness_negative_seed_exits_1(workspace, capsys):
     ws = workspace
     cfg = pipeline.parse_config_text(DESK_CFG)

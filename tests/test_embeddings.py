@@ -26,8 +26,9 @@ def _net_out(ctx, rng):
 @pytest.mark.parametrize("large", [False, True])
 def test_shape_contracts_all_methods_both_sizes(method, large, rng):
     ctx = emb.make_context(method, (16, 16), large)
+    params = emb.init_weights(ctx)
     wm = _watermark(ctx, rng)
-    container = emb.encode_arrange(wm, ctx)
+    container = emb.encode_arrange(wm, ctx, params)
     assert container.data.shape == ctx.container_shape
     prep = emb.decode_prepare(container, ctx)
     if method in ("stretch", "replicate", "w_replicate"):
@@ -38,7 +39,7 @@ def test_shape_contracts_all_methods_both_sizes(method, large, rng):
         assert prep.data.shape == (ctx.grid.count,) + ctx.image_hw
     # feed a shape-correct fake network output through finalize
     expect = (3,) + ctx.image_hw if method == "multichannel" else ctx.plane_hw
-    assert emb.decode_finalize(_net_out(ctx, rng), ctx).data.shape == expect
+    assert emb.decode_finalize(_net_out(ctx, rng), ctx, params).data.shape == expect
 
 
 @pytest.mark.parametrize("method", emb.METHODS)
@@ -49,12 +50,13 @@ def test_hook_node_counts_do_not_grow_with_replicas(method, rng, monkeypatch):
 
     def hook_counts(large):
         ctx = emb.make_context(method, (8, 8), large)
+        params = emb.init_weights(ctx)
         counts = []
         for hook, arg in ((emb.encode_arrange, _watermark(ctx, rng)),
-                          (emb.decode_prepare, ad.Tensor(rng.random(ctx.container_shape))),
+                          (lambda x, c, _: emb.decode_prepare(x, c), ad.Tensor(rng.random(ctx.container_shape))),
                           (emb.decode_finalize, _net_out(ctx, rng))):
             ops.clear()
-            hook(arg, ctx)
+            hook(arg, ctx, params)
             counts.append(len(ops))
         return counts
 
@@ -75,15 +77,16 @@ def test_replica_counts_match_published_grids():
 
 def test_replicate_all_ones_fills_container():
     ctx = emb.make_context("replicate", (4, 4), False)
-    out = emb.encode_arrange(ad.Tensor(np.ones(ctx.plane_hw)), ctx)
+    out = emb.encode_arrange(ad.Tensor(np.ones(ctx.plane_hw)), ctx, {})
     assert np.all(out.data == 1.0)
 
 
 def test_w_replicate_enc_weights_scale_halves(rng):
     ctx = emb.make_context("w_replicate", (4, 4), False)
-    ctx.enc_weights.data[:] = [1.0, 0.0]
+    params = emb.init_weights(ctx)
+    params["embed.enc_weights"].data[:] = [1.0, 0.0]
     wm = ad.Tensor(rng.random(ctx.plane_hw))
-    out = emb.encode_arrange(wm, ctx)
+    out = emb.encode_arrange(wm, ctx, params)
     assert np.array_equal(out.data[:8], wm.data)
     assert np.all(out.data[8:] == 0.0)
 
@@ -105,22 +108,23 @@ def test_finalize_replicate_mean(rng):
     ctx = emb.make_context("replicate", (4, 4), False)
     r = rng.random(ctx.plane_hw)
     container = np.concatenate([r, r], axis=0)
-    out = emb.decode_finalize(ad.reshape(ad.Tensor(container), (1,) + ctx.container_shape), ctx)
+    out = emb.decode_finalize(ad.reshape(ad.Tensor(container), (1,) + ctx.container_shape), ctx, {})
     assert np.allclose(out.data, r, atol=1e-15)
     shifted = np.concatenate([r, r + 0.5], axis=0)
-    out2 = emb.decode_finalize(ad.reshape(ad.Tensor(shifted), (1,) + ctx.container_shape), ctx)
+    out2 = emb.decode_finalize(ad.reshape(ad.Tensor(shifted), (1,) + ctx.container_shape), ctx, {})
     assert np.allclose(out2.data, r + 0.25, atol=1e-15)
 
 
 def test_finalize_w_replicate_uniform_weights_is_mean(rng):
     ctx = emb.make_context("w_replicate", (4, 4), False)
+    params = emb.init_weights(ctx)
     r = rng.random(ctx.plane_hw)
     container = np.concatenate([r, r + 0.5], axis=0)
-    out = emb.decode_finalize(ad.reshape(ad.Tensor(container), (1,) + ctx.container_shape), ctx)
+    out = emb.decode_finalize(ad.reshape(ad.Tensor(container), (1,) + ctx.container_shape), ctx, params)
     assert np.allclose(out.data, r + 0.25, atol=1e-14)
     # weights normalize by their sum: [2, 2] behaves like [1, 1]
-    ctx.dec_weights.data[:] = 2.0
-    out2 = emb.decode_finalize(ad.reshape(ad.Tensor(container), (1,) + ctx.container_shape), ctx)
+    params["embed.dec_weights"].data[:] = 2.0
+    out2 = emb.decode_finalize(ad.reshape(ad.Tensor(container), (1,) + ctx.container_shape), ctx, params)
     assert np.allclose(out2.data, out.data, atol=1e-14)
 
 
@@ -129,21 +133,21 @@ def test_identity_stub_network_replica_erasure(rng):
     # that replica's contribution to the plain replicate mean
     ctx = emb.make_context("replicate", (4, 4), False)
     wm = ad.Tensor(rng.random(ctx.plane_hw))
-    container = emb.encode_arrange(wm, ctx)
+    container = emb.encode_arrange(wm, ctx, {})
     damaged = container.data.copy()
     damaged[8:, :] = 0.0  # erase replica 1
-    out = emb.decode_finalize(ad.reshape(ad.Tensor(damaged), (1, 16, 8)), ctx)
+    out = emb.decode_finalize(ad.reshape(ad.Tensor(damaged), (1, 16, 8)), ctx, {})
     assert np.allclose(out.data, wm.data / 2.0, atol=1e-15)
 
 
 def test_encode_shape_errors():
     ctx = emb.make_context("replicate", (4, 4), False)
     with pytest.raises(ConfigError):
-        emb.encode_arrange(ad.Tensor(np.zeros((3, 3))), ctx)
+        emb.encode_arrange(ad.Tensor(np.zeros((3, 3))), ctx, {})
     with pytest.raises(ConfigError):
         emb.decode_prepare(ad.Tensor(np.zeros((4, 4))), ctx)
     with pytest.raises(ConfigError):
-        emb.decode_finalize(ad.Tensor(np.zeros((2, 2, 2))), ctx)
+        emb.decode_finalize(ad.Tensor(np.zeros((2, 2, 2))), ctx, {})
     with pytest.raises(ConfigError):
         emb.make_context("mosaic", (4, 4), False)
 
@@ -152,27 +156,26 @@ def test_encode_shape_errors():
 def test_arrange_finalize_gradients(method):
     def builder(rng):
         ctx = emb.make_context(method, (2, 2), False)
-        leaves = []
+        params = emb.init_weights(ctx)
+        leaves = list(params.values())
         # move the trainable weights off their symmetric init (where the
         # normalized-average gradient vanishes identically) before building
-        for weights in (ctx.enc_weights, ctx.dec_weights):
-            if weights is not None:
-                weights.data[:] = rng.uniform(0.5, 1.5, size=weights.data.shape)
-                leaves.append(weights)
+        for weights in leaves:
+            weights.data[:] = rng.uniform(0.5, 1.5, size=weights.data.shape)
         if method == "multichannel":
             wm = ad.Tensor(rng.uniform(0.4, 1.2, size=(ctx.grid.count,) + ctx.image_hw),
                            requires_grad=True)
         else:
             wm = ad.Tensor(rng.uniform(0.4, 1.2, size=ctx.plane_hw), requires_grad=True)
         leaves.append(wm)
-        container = emb.encode_arrange(wm, ctx)
+        container = emb.encode_arrange(wm, ctx, params)
         prep = emb.decode_prepare(container, ctx)
         if method in ("stretch", "replicate", "w_replicate"):
-            y = emb.decode_finalize(prep, ctx)
+            y = emb.decode_finalize(prep, ctx, params)
         elif method == "ws_replicate":
-            y = emb.decode_finalize(take_rows(prep, 1), ctx)
+            y = emb.decode_finalize(take_rows(prep, 1), ctx, params)
         else:
-            y = emb.decode_finalize(take_rows(prep, 3), ctx)
+            y = emb.decode_finalize(take_rows(prep, 3), ctx, params)
         return ad.sq_sum(y), leaves
 
     for seed in range(3):

@@ -3,7 +3,7 @@ import pytest
 
 from stegowav import autodiff as ad
 from stegowav import imageops as iops
-from stegowav.errors import ConfigError, DataError
+from stegowav.errors import ConfigError, DataError, UsageError
 
 from conftest import pack, rgb_to_ycbcr, unpack, unshuffle, ycbcr_to_rgb
 
@@ -174,6 +174,13 @@ def test_ppm_roundtrip(tmp_path, rng):
     back = iops.read_ppm(path)
     assert back.shape == img.shape
     assert np.array_equal(back, img)  # 8-bit-representable values are exact
+    for magic, depth in ((b"P5", 1), (b"P6", 3)):
+        raster = rng.integers(0, 256, size=(5, 6, depth), dtype=np.uint8)
+        iops.write_pnm(raster, path, magic)
+        assert path.read_bytes().startswith(magic + b"\n6 5\n255\n")
+        assert np.array_equal(iops.read_pnm(path, magic), raster)
+    with pytest.raises(UsageError):
+        iops.write_pnm(raster, path, b"P5")
 
 
 def test_ppm_rejects_garbage(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from stegowav import autodiff as ad
 from stegowav import losses as lo
+from stegowav import pipeline as pl
 from stegowav.errors import ConfigError, UsageError
 
 from conftest import _sdtw_backward, _sdtw_forward, hard_dtw
@@ -219,12 +220,15 @@ def test_soft_dtw_gradient_fd():
             assert ad.grad_check(builder, seed) < 1e-4
 
 
+SDTW = pl.PipelineConfig(wave_loss="soft_dtw")
+
+
 def test_soft_dtw_chunking_matches_manual_sum():
     rng = np.random.default_rng(5)
     x = rng.normal(size=5000)
     y = x + 0.01 * rng.normal(size=5000)
     xt = ad.Tensor(x, requires_grad=True)
-    chunked = lo.soft_dtw_chunked(xt, ad.Tensor(y), 1.0)
+    chunked = lo.waveform_term(SDTW, xt, ad.Tensor(y))
     ad.backward(chunked)
     total = float(chunked.data)
     manual = sum(sdtw_value(x[s:s + 1024], y[s:s + 1024], 1.0) for s in range(0, 5000, 1024))
@@ -235,23 +239,46 @@ def test_soft_dtw_chunking_matches_manual_sum():
         ad.backward(lo.soft_dtw(piece, ad.Tensor(y[s:s + 1024]), 1.0))
     assert np.array_equal(xt.grad, np.concatenate([piece.grad for piece in pieces]))
     # short inputs bypass chunking
-    short = float(lo.soft_dtw_chunked(ad.Tensor(x[:100]), ad.Tensor(y[:100]), 1.0).data)
+    short = float(lo.waveform_term(SDTW, ad.Tensor(x[:100]), ad.Tensor(y[:100])).data)
     assert abs(short - sdtw_value(x[:100], y[:100], 1.0)) < 1e-12
 
 
-def test_soft_dtw_chunked_records_one_node(monkeypatch):
-    rng = np.random.default_rng(8)
-    x, y = ad.Tensor(rng.normal(size=5000), requires_grad=True), ad.Tensor(rng.normal(size=5000))
-    made = []
-    node = ad._node
+def _recorded_ops(monkeypatch):
+    """The tape nodes made from now on, in order."""
+    made, node = [], ad._node
 
     def recording_node(*args):
         made.append(node(*args))
         return made[-1]
 
     monkeypatch.setattr(ad, "_node", recording_node)
-    total = lo.soft_dtw_chunked(x, y, 1.0)
+    return made
+
+
+def test_soft_dtw_chunked_records_one_node(monkeypatch):
+    rng = np.random.default_rng(8)
+    x, y = ad.Tensor(rng.normal(size=5000), requires_grad=True), ad.Tensor(rng.normal(size=5000))
+    made = _recorded_ops(monkeypatch)
+    total = lo.waveform_term(SDTW, x, y)
     assert [t.op for t in made] == ["soft_dtw"] and total._parents == (x, y)
+
+
+def test_waveform_term_is_l1_on_two_planes(monkeypatch):
+    rng = np.random.default_rng(10)
+    w, w2 = ad.Tensor(rng.normal(size=(2, 300)), requires_grad=True), ad.Tensor(rng.normal(size=(2, 300)))
+    made = _recorded_ops(monkeypatch)
+    dual = lo.waveform_term(pl.PipelineConfig(transform="stft", container="dual", wave_loss="soft_dtw"), w, w2)
+    assert "soft_dtw" not in [t.op for t in made]
+    assert dual.data.tobytes() == lo.l1(w, w2, -1).data.tobytes()
+    made.clear()
+    lo.waveform_term(SDTW, w, w2)
+    assert [t.op for t in made].count("soft_dtw") == 1
+
+
+def test_waveform_term_rejects_unequal_shapes():
+    for cfg in (pl.PipelineConfig(), SDTW):
+        with pytest.raises(ConfigError, match="shapes differ"):
+            lo.waveform_term(cfg, np.zeros(10), np.zeros(12))
 
 
 def test_soft_dtw_chunked_inference_keeps_no_tables():
@@ -260,7 +287,7 @@ def test_soft_dtw_chunked_inference_keeps_no_tables():
 
     def run():
         with ad.no_grad():
-            lo.soft_dtw_chunked(x, y, 1.0)
+            lo.waveform_term(SDTW, x, y)
 
     # ten chunks: kept DP tables would take 77 MiB; the per-chunk square-table
     # DP peaked at 16.1 MiB, the one scratch row reads 0.8 MiB
@@ -278,14 +305,13 @@ def _zero_args(planes):
 
 def test_composite_zero_when_all_equal():
     for planes in (("magnitude",), ("phase",), ("magnitude", "phase")):
-        total, terms = lo.composite_loss(lo.LossConfig(), *_zero_args(planes))
+        total, terms = lo.composite_loss(pl.PipelineConfig(), *_zero_args(planes))
         assert float(total.data) == 0.0
         assert all(v == 0.0 for v in terms.values())
 
 
 def test_composite_soft_dtw_identical_waveforms_documented_bound():
-    cfg = lo.LossConfig(waveform_loss="soft_dtw", gamma=1.0)
-    total, _ = lo.composite_loss(cfg, *_zero_args(("magnitude",)))
+    total, _ = lo.composite_loss(SDTW, *_zero_args(("magnitude",)))
     assert float(total.data) <= 0.0
     assert abs(float(total.data)) < 1e-6 or float(total.data) < 0.0  # softmin slack only
 
@@ -296,7 +322,7 @@ def test_composite_beta_one_lambda_zero_reduces_to_image_l1(rng):
     w = ad.Tensor(rng.normal(size=30))
     m = ad.Tensor(rng.random((6, 6)))
     m2 = ad.Tensor(rng.random((6, 6)))
-    cfg = lo.LossConfig(beta=1.0, lam=0.0)
+    cfg = pl.PipelineConfig(beta=1.0, lam=0.0)
     total, _ = lo.composite_loss(cfg, s, s2, w, w, {"magnitude": (m, m2)})
     assert abs(float(total.data) - float(lo.l1(s, s2).data)) < 1e-15
 
@@ -306,7 +332,7 @@ def test_composite_dual_theta_zero_drops_phase_term(rng):
     w, w2 = ad.Tensor(rng.normal(size=30)), ad.Tensor(rng.normal(size=30))
     m, m2 = ad.Tensor(rng.random((6, 6))), ad.Tensor(rng.random((6, 6)))
     p, p2 = ad.Tensor(rng.random((6, 6))), ad.Tensor(rng.random((6, 6)))
-    cfg = lo.LossConfig(theta=0.0)
+    cfg = pl.PipelineConfig(theta=0.0)
     total_dual, _ = lo.composite_loss(cfg, s, s2, w, w2, {"magnitude": (m, m2), "phase": (p, p2)})
     total_single, _ = lo.composite_loss(cfg, s, s2, w, w2, {"magnitude": (m, m2)})
     assert abs(float(total_dual.data) - float(total_single.data)) < 1e-12
@@ -317,40 +343,23 @@ def test_composite_terms_follow_the_planes(rng):
     w = ad.Tensor(rng.normal(size=30))
     a, b = ad.Tensor(rng.random((6, 6))), ad.Tensor(rng.random((6, 6)))
     dist = float(lo.l2(a, b).data)
-    _, terms = lo.composite_loss(lo.LossConfig(), s, s, w, w, {"phase": (a, b)})
+    _, terms = lo.composite_loss(pl.PipelineConfig(), s, s, w, w, {"phase": (a, b)})
     assert terms["phase_l2"] == dist and terms["mag_l2"] == 0.0
-    _, terms = lo.composite_loss(lo.LossConfig(), s, s, w, w, {"magnitude": (a, b)})
+    _, terms = lo.composite_loss(pl.PipelineConfig(), s, s, w, w, {"magnitude": (a, b)})
     assert terms["mag_l2"] == dist and terms["phase_l2"] == 0.0
     for planes in ({}, {"colour": (a, b)}):
         with pytest.raises(UsageError):
-            lo.composite_loss(lo.LossConfig(), s, s, w, w, planes)
+            lo.composite_loss(pl.PipelineConfig(), s, s, w, w, planes)
 
 
 def test_composite_monotone_in_each_term(rng):
     s = ad.Tensor(rng.random((3, 4, 4)))
     w = ad.Tensor(rng.normal(size=30))
     m = ad.Tensor(rng.random((6, 6)))
-    cfg = lo.LossConfig()
+    cfg = pl.PipelineConfig()
     base, _ = lo.composite_loss(cfg, s, s, w, w, {"magnitude": (m, m)})
     worse_img, _ = lo.composite_loss(cfg, s, ad.scale(s, 0.5), w, w, {"magnitude": (m, m)})
     worse_wav, _ = lo.composite_loss(cfg, s, s, w, ad.scale(w, 0.5), {"magnitude": (m, m)})
     worse_mag, _ = lo.composite_loss(cfg, s, s, w, w, {"magnitude": (m, ad.scale(m, 0.5))})
     assert float(base.data) == 0.0
     assert float(worse_img.data) > 0 and float(worse_wav.data) > 0 and float(worse_mag.data) > 0
-
-
-def test_loss_config_validation():
-    with pytest.raises(ConfigError):
-        lo.LossConfig(beta=1.5)
-    with pytest.raises(ConfigError):
-        lo.LossConfig(lam=-1.0)
-    with pytest.raises(ConfigError):
-        lo.LossConfig(gamma=0.0)
-    with pytest.raises(ConfigError):
-        lo.LossConfig(waveform_loss="l7")
-
-
-@pytest.mark.parametrize("gamma", [np.nan, np.inf])
-def test_loss_config_rejects_nonfinite_gamma(gamma):
-    with pytest.raises(ConfigError, match="finite"):
-        lo.LossConfig(waveform_loss="soft_dtw", gamma=gamma)

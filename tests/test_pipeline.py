@@ -48,7 +48,8 @@ def test_config_rejects_inconsistencies():
         pl.PipelineConfig(frame=100)
     with pytest.raises(ConfigError):
         pl.PipelineConfig(method="sideways")
-    for bad in (dict(wave_loss="l3"), dict(beta=2.0), dict(lam=-1.0), dict(theta=1.5),
+    for bad in (dict(wave_loss="l3"), dict(wave_loss="l7"), dict(beta=2.0), dict(beta=1.5),
+                dict(lam=-1.0), dict(theta=1.5),
                 dict(gamma=0.0), dict(sample_rate=-5), dict(sample_rate=0), dict(seed=-1),
                 dict(lr=float("nan")), dict(lr=-1e-3), dict(lr=float("inf")),
                 dict(adam_beta1=1.5), dict(adam_beta1=1.0), dict(adam_beta2=-0.1),
@@ -56,6 +57,9 @@ def test_config_rejects_inconsistencies():
                 dict(gamma=float("nan"))):
         with pytest.raises(ConfigError):
             pl.PipelineConfig(**bad)
+    for gamma in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ConfigError, match="finite"):
+            pl.PipelineConfig(wave_loss="soft_dtw", gamma=gamma)
     # the edges the training tests rely on stay legal
     pl.PipelineConfig(lr=0.0)
     pl.PipelineConfig(lr=1e150)
@@ -248,7 +252,7 @@ def test_evaluate_row_equals_the_per_pair_formula(wave_loss):
         snrs.append(diag["stego_snr_db"])
         with ad.no_grad():
             cover = ad.Tensor(pair.cover.samples[:cfg.required_samples()])
-            waves.append(float(lo.waveform_term(cfg.loss_config(), cover, ad.Tensor(stego.samples)).data))
+            waves.append(float(lo.waveform_term(cfg, cover, ad.Tensor(stego.samples)).data))
         ssims.append(me.ssim(pair.secret, revealed))
         psnrs.append(me.psnr_db(pair.secret, revealed))
         hists.append(me.histogram_l1(me.rgb_histogram(pair.secret), me.rgb_histogram(revealed)))
@@ -347,7 +351,7 @@ def test_batch_loss_and_gradients_are_the_mean_of_single_pair_graphs(overrides, 
     def loss_and_grads(batch):
         for t in bundle.params.values():
             t.zero_grad()
-        total, terms = pl._sample_loss(bundle, batch, cfg.loss_config())
+        total, terms = pl._sample_loss(bundle, batch, cfg)
         ad.backward(total)
         return float(total.data), terms, {k: t.grad for k, t in bundle.params.items()}
 
@@ -359,6 +363,25 @@ def test_batch_loss_and_gradients_are_the_mean_of_single_pair_graphs(overrides, 
     for k, g in grads.items():
         want = sum(e[2][k] for e in each) / samples
         assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want)), k
+
+
+def test_train_objective_comes_from_its_cfg_not_the_bundle():
+    bundle = pl.build_model(DESK)
+    cfg = pl.PipelineConfig(steps=4, batch=2, beta=1.0, lam=0.0)
+    _, log = pl.train(tiny_pairs(DESK), cfg, bundle=bundle)
+    assert len(log.rows) == 4
+    assert all(total == image_l1 for _, total, image_l1, *_ in log.rows)
+
+
+def test_replica_weights_are_read_from_params():
+    cfg = pl.PipelineConfig(method="w_replicate")
+    bundle = pl.build_model(cfg)
+    assert list(bundle.params)[-2:] == ["embed.enc_weights", "embed.dec_weights"]
+    pair = tiny_pairs(cfg, 1)[0]
+    assert pl.embed(pair.secret, pair.cover, bundle)[1]["container_l2"] > 0.0
+    # a replaced tensor takes effect: zero encoder weights leave the container unchanged
+    bundle.params["embed.enc_weights"] = ad.Tensor(np.zeros(bundle.ctx.grid.count), requires_grad=True)
+    assert pl.embed(pair.secret, pair.cover, bundle)[1]["container_l2"] == 0.0
 
 
 def test_train_rejects_empty_dataset():
@@ -374,11 +397,10 @@ def test_end_to_end_grad_check_subsample():
     # h >= 1e-5 vanishes below the kink-crossing scale).
     cfg = pl.PipelineConfig(steps=0, batch=1, seed=0)
     pairs = tiny_pairs(cfg, 1)
-    loss_cfg = cfg.loss_config()
 
     def builder(rng):
         bundle = pl.build_model(cfg)
-        total, _ = pl._sample_loss(bundle, pairs[:1], loss_cfg)
+        total, _ = pl._sample_loss(bundle, pairs[:1], cfg)
         names = sorted(bundle.params)
         picks = [names[i] for i in rng.choice(len(names), size=3, replace=False)]
         return total, [bundle.params[p] for p in picks if bundle.params[p].data.size < 600]

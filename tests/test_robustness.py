@@ -159,7 +159,7 @@ def test_identity_stub_replica_time_erasure():
     assert cols.max() < t // 2
     damaged[:, cols] = 0.0
     merged = emb.decode_finalize(
-        ad.reshape(ad.Tensor(damaged), (1,) + ctx.container_shape), ctx)
+        ad.reshape(ad.Tensor(damaged), (1,) + ctx.container_shape), ctx, {})
     expect = wm.copy()
     expect[:, :3] = wm[:, :3] / 2.0
     assert np.max(np.abs(merged.data - expect)) < 1e-9
