@@ -61,11 +61,10 @@ class CostBreakdown:
 
 def model_cost(cfg):
     """Parameter and MAC totals for one pipeline configuration."""
-    ctx = emb.make_context(cfg.method, (cfg.image, cfg.image), cfg.large)
+    ctx, (hide_cfg, reveal_cfg) = cfg.context, cfg.unets
     f, t = ctx.container_shape
     plane_px = ctx.plane_hw[0] * ctx.plane_hw[1]
     image_px = cfg.image * cfg.image
-    hide_cfg, reveal_cfg = emb.net_depths(cfg, ctx.grid.count)
 
     # both networks run per replica cell, except that the container-merging
     # methods reveal from the whole container; the

@@ -14,11 +14,17 @@ The graph runs B pairs at once, one pair being a batch of one: waveforms are
 (B, L), planes (B, F, T), and the U-Nets stack samples along the rows (see
 `networks`).  A training step records one graph over its minibatch, and
 `reveal_from_spectrogram` runs one per chunk of the spectrograms it is given.
+
+A model is a `ModelBundle`: a `PipelineConfig`, checked in full wherever it
+is read (config file, `--set` or checkpoint), and named parameters.  A resumed
+`train(..., bundle=)` trains the bundle's parameters under the config it is
+given and returns them under that config.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import math
 import struct
 import zlib
@@ -80,10 +86,11 @@ class PipelineConfig:
             raise ConfigError(f"unknown container kind {self.container!r}")
         if self.transform == "stdct" and self.container != "magnitude":
             raise ConfigError("stdct is a real transform: container must be 'magnitude'")
-        if self.method not in emb.METHODS:
-            raise ConfigError(f"unknown embedding method {self.method!r}")
         if self.image < 4 or self.image % 2:
             raise ConfigError(f"image size must be even and >= 4, got {self.image}")
+        # make_context rejects an unknown method, UNetConfig a depth, kernel or channel count no layer can take
+        object.__setattr__(self, "context", emb.make_context(self.method, (self.image, self.image), self.large))
+        object.__setattr__(self, "unets", emb.net_depths(self, self.context.grid.count))
         n = self.frame_length()
         if self.frame and self.frame != n:
             raise ConfigError(
@@ -105,13 +112,17 @@ class PipelineConfig:
                 ("wave_loss", self.wave_loss in ("l1", "soft_dtw"), "'l1' or 'soft_dtw'")):
             if not ok:
                 raise ConfigError(f"{_CONFIG_KEYS.get(name, name)} must be {rule}, got {getattr(self, name)!r}")
+        ctx, div = self.context, 2 ** self.depth
+        for what, (h, w) in (("container", ctx.container_shape), ("plane", ctx.plane_hw), ("image", ctx.image_hw)):
+            if h % div or w % div:
+                raise ConfigError(f"{what} extents {h}x{w} not divisible by 2^{self.depth}")
 
     def planes(self):
         """Spectral planes that carry the secret, in network order."""
         return ("magnitude", "phase") if self.container == "dual" else (self.container,)
 
     def container_shape(self):
-        return emb.make_context(self.method, (self.image, self.image), self.large).container_shape
+        return self.context.container_shape
 
     def frame_length(self):
         f = self.container_shape()[0]
@@ -185,11 +196,12 @@ def parse_config_text(text, base=None, source="<config>"):
 
 @dataclass
 class ModelBundle:
+    """A model: its cfg, checked in full when made, which fixes geometry and objective, and its named parameters."""
     cfg: PipelineConfig
-    ctx: emb.EmbeddingContext
-    hide_cfg: nets.UNetConfig
-    reveal_cfg: nets.UNetConfig
     params: dict
+    ctx = property(lambda self: self.cfg.context)
+    hide_cfg = property(lambda self: self.cfg.unets[0])
+    reveal_cfg = property(lambda self: self.cfg.unets[1])
 
     def param_count(self):
         return nets.param_count(self.params)
@@ -204,26 +216,16 @@ def _net_prefixes(cfg, role):
 
 
 def build_model(cfg):
-    ctx = emb.make_context(cfg.method, (cfg.image, cfg.image), cfg.large)
-    hide_cfg, reveal_cfg = emb.net_depths(cfg, ctx.grid.count)
+    """A freshly initialised model for `cfg`, seeded by cfg.seed; `cfg` was checked in full when it was made."""
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
     params = {}
-    for role, net_cfg in (("hide", hide_cfg), ("reveal", reveal_cfg)):
+    for role, net_cfg in zip(("hide", "reveal"), cfg.unets):
         for prefix in _net_prefixes(cfg, role).values():
             params.update(nets.init_unet(net_cfg, rng, prefix))
     if len(cfg.planes()) == 2:
         params.update(nets.init_coupling())
-    params.update(emb.init_weights(ctx))
-    _validate_geometry(cfg, ctx)
-    return ModelBundle(cfg, ctx, hide_cfg, reveal_cfg, params)
-
-
-def _validate_geometry(cfg, ctx):
-    div = 2 ** cfg.depth
-    shapes = {"container": ctx.container_shape, "plane": ctx.plane_hw, "image": ctx.image_hw}
-    for what, (h, w) in shapes.items():
-        if h % div or w % div:
-            raise ConfigError(f"{what} extents {h}x{w} not divisible by 2^{cfg.depth}")
+    params.update(emb.init_weights(cfg.context))
+    return ModelBundle(cfg, params)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +341,8 @@ def _reveal_from_planes(bundle, planes):
 
 
 def embed(secret, cover, bundle):
-    """Hide `secret` in `cover`; returns (stego waveform, diagnostics)."""
+    """Hide `secret` in `cover`; returns (stego waveform, diagnostics).  `stego_snr_db` compares the stego with
+    the cover's transform round trip; if that is silent, it reads -inf for a sounding stego, +inf for a silent one."""
     with ad.no_grad():
         out = run_pipeline(bundle, [SamplePair(secret, cover)], with_reveal=False)
     spec = out["specs"][0]
@@ -348,7 +351,8 @@ def embed(secret, cover, bundle):
     pert = float(np.sqrt(sum(np.mean((out["stego_planes"][plane].data[0] - getattr(spec, plane)) ** 2)
                              for plane in bundle.cfg.planes())))
     diag = {
-        "stego_snr_db": me.snr_db(base.samples, stego.samples),
+        "stego_snr_db": me.snr_db(base.samples, stego.samples) if np.any(base.samples)
+        else -math.inf if np.any(stego.samples) else math.inf,
         "container_l2": pert,
     }
     return stego, diag
@@ -542,28 +546,33 @@ class Adam:
             p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
-def _sample_loss(bundle, pairs, cfg):
-    """The batch loss of `pairs` under `cfg`'s objective: the mean of each pair's composite loss, and the mean terms."""
+def _sample_loss(bundle, pairs):
+    """The batch loss of `pairs` under bundle.cfg: the mean of each pair's composite loss, and the mean terms."""
     out = run_pipeline(bundle, pairs)
     planes = {plane: (out["cover_planes"][plane], out["stego_planes"][plane])
               for plane in bundle.cfg.planes()}
     images = (3, len(pairs), -1)  # each sample's image as a column: its loss sums over axes 0 and 2
-    return lo.composite_loss(cfg, ad.Tensor(_secret_images(pairs).reshape(images)),
+    return lo.composite_loss(bundle.cfg, ad.Tensor(_secret_images(pairs).reshape(images)),
                              ad.reshape(out["revealed_t"], images), ad.Tensor(out["cover"]), out["stego_wave"], planes)
 
 
 def train(dataset, cfg, bundle=None):
-    """Adam training of all parameters against the composite loss.
+    """Adam training of all parameters against the composite loss; returns (ModelBundle(cfg, params), TrainLog).
 
-    Deterministic given cfg.seed: fixed init, fixed shuffling.  Every pair is
-    checked before the first step.  Each step records one graph over its
-    minibatch, whose loss is the mean of the pairs' losses, and runs one
-    backward pass.  Returns (bundle, TrainLog).
+    Deterministic given cfg.seed: fixed init, fixed shuffling.  A given `bundle` resumes: its parameters, which
+    must have the names, order and shapes `build_model(cfg)` makes, are trained in place under `cfg`.  Every
+    pair is checked before the first step.  Each step records one graph over its minibatch, whose loss is the
+    mean of the pairs' losses, and runs one backward pass.
     """
     if not dataset:
         raise UsageError("train: empty dataset")
-    if bundle is None:
-        bundle = build_model(cfg)
+    fresh = build_model(cfg)
+    if bundle is not None:
+        have, want = ([f"{name!r} {t.data.shape}" for name, t in b.params.items()] for b in (bundle, fresh))
+        for got, need in itertools.zip_longest(have, want, fillvalue="no parameter"):
+            if got != need:
+                raise ConfigError(f"train: bundle has {got} where cfg makes {need}")
+    bundle = fresh if bundle is None else ModelBundle(cfg, bundle.params)
     check_pairs(bundle, dataset)
     opt = Adam(bundle.params, cfg)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 1)).spawn(1)[0])
@@ -577,7 +586,7 @@ def train(dataset, cfg, bundle=None):
             batch.append(dataset[order.pop()])
         for tensor in bundle.params.values():
             tensor.zero_grad()
-        total, terms = _sample_loss(bundle, batch, cfg)
+        total, terms = _sample_loss(bundle, batch)
         value = float(total.data)
         if not np.isfinite(value):
             bad = next((k for k, v in terms.items() if not np.isfinite(v)), "total")
@@ -616,6 +625,8 @@ def evaluate(bundle, dataset):
     psnrs = [me.psnr_db(secret, image) for secret, image in zip(secrets, revealed)]
     hists = [me.histogram_l1(me.rgb_histogram(secret), me.rgb_histogram(image))
              for secret, image in zip(secrets, revealed)]
+    with np.errstate(invalid="ignore"):  # a +inf pair and a -inf pair average to nan, which says so
+        snr = float(np.mean(snrs))
     return me.MetricsRow(
         method=cfg.method,
         container=cfg.container,
@@ -623,7 +634,7 @@ def evaluate(bundle, dataset):
         lam=cfg.lam,
         revealed_ssim=float(np.mean(me.ssim(secrets, revealed))),
         revealed_psnr=float(np.mean(psnrs)),
-        stego_snr=float(np.mean(snrs)) if np.all(np.isfinite(snrs)) else float("inf"),
+        stego_snr=snr,
         waveform_loss=float(np.mean(waves)),
         histogram_l1=float(np.mean(hists)),
     )
@@ -696,7 +707,7 @@ def load_checkpoint(path):
     (crc,) = reader.unpack("<I", "checksum") if version > 1 else (None,)
     try:
         bundle = build_model(parse_config_text(config_text, source=str(path)))
-    except (UsageError, ConfigError) as exc:
+    except UsageError as exc:
         raise DataError(f"{path}: stored config rejected: {exc}") from exc
     (count,) = reader.unpack("<I", "parameter count")
     if count != len(bundle.params):

@@ -520,7 +520,7 @@ def test_every_autodiff_op_is_recorded_by_a_pipeline_graph():
     configs.append(pl.PipelineConfig(transform="stft", container="dual"))
     recorded = set()
     for cfg in configs:
-        total, _ = pl._sample_loss(pl.build_model(cfg), pl.synth_dataset(1, cfg=cfg), cfg)
+        total, _ = pl._sample_loss(pl.build_model(cfg), pl.synth_dataset(1, cfg=cfg))
         recorded |= {node.op for node in ad._topo(total, grad_only=False)}
     ops = {name for name, fn in vars(ad).items()
            if inspect.isfunction(fn) and fn.__module__ == ad.__name__ and not name.startswith("_")}

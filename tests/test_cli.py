@@ -104,6 +104,36 @@ def test_config_check_names_the_config_key(capsys):
     assert "lambda must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["cost", "--set", "image=6"], "image extents 6x6 not divisible by 2^2"),
+    (["synth", "--set", "image=6", "--n", "1"], "image extents 6x6 not divisible by 2^2"),
+    (["synth", "--set", "kernel=2", "--n", "1"], "kernel must be odd"),
+    (["spectrogram", "--set", "depth=5", "--audio"], "image extents 16x16 not divisible by 2^5")])
+def test_unbuildable_config_exits_1_before_any_work(workspace, capsys, argv, message):
+    ws = workspace
+    pipeline.save_dataset(pipeline.synth_dataset(1), ws / "p")
+    if argv[-1] == "--audio":
+        argv = argv + [str(ws / "p" / "cover_000.wav")]
+    assert run(argv + ["--out", str(ws / "out")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (ws / "out").exists()
+
+
+def test_silent_cover_embeds_and_evaluates(workspace, capsys):
+    ws = workspace
+    cfg = pipeline.parse_config_text(DESK_CFG)
+    pairs = pipeline.synth_dataset(1, cfg=cfg)
+    pairs[0].cover = dsp.Waveform(np.zeros(cfg.required_samples()), cfg.sample_rate)
+    pipeline.save_dataset(pairs, ws / "p")
+    pipeline.save_checkpoint(pipeline.build_model(cfg), ws / "m.pxw2")
+    assert run(["embed", "--model", str(ws / "m.pxw2"), "--image", str(ws / "p" / "secret_000.ppm"),
+                "--audio", str(ws / "p" / "cover_000.wav"), "--out", str(ws / "s.wav")]) == 0
+    assert "snr_db=-inf" in capsys.readouterr().out
+    assert run(["eval", "--model", str(ws / "m.pxw2"), "--data", str(ws / "p")]) == 0
+    row = capsys.readouterr().out.splitlines()[-1].split(",")
+    assert row[metrics.METRICS_CSV_HEADER.split(",").index("snr_db")] == "-inf"
+
+
 def test_robustness_negative_seed_exits_1(workspace, capsys):
     ws = workspace
     cfg = pipeline.parse_config_text(DESK_CFG)

@@ -1,6 +1,8 @@
 import contextlib
+import re
 import struct
 import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -65,6 +67,32 @@ def test_config_rejects_inconsistencies():
     pl.PipelineConfig(lr=1e150)
 
 
+@pytest.mark.parametrize("overrides,message", [
+    (dict(image=6), r"image extents 6x6 not divisible by 2\^2"),
+    (dict(depth=5), r"image extents 16x16 not divisible by 2\^5"),
+    (dict(kernel=2), "kernel must be odd"),
+    (dict(channels=0), "channels must be >= 1"),
+    (dict(depth=0), "depth must be >= 1")])
+def test_config_rejects_what_no_model_can_be_built_from(overrides, message):
+    with pytest.raises(ConfigError, match=message):
+        pl.PipelineConfig(**overrides)
+
+
+def test_bundle_holds_cfg_and_params_and_reads_geometry_from_cfg(monkeypatch):
+    cfg = pl.PipelineConfig(method="ws_replicate", large=True)
+    bundle = pl.build_model(cfg)
+    assert [f.name for f in fields(pl.ModelBundle)] == ["cfg", "params"]
+    assert bundle.ctx is cfg.context and bundle.ctx == emb.make_context("ws_replicate", (16, 16), True)
+    assert (bundle.hide_cfg, bundle.reveal_cfg) == emb.net_depths(cfg, cfg.context.grid.count)
+    # the geometry was derived once, when the config was made
+    monkeypatch.setattr(emb, "make_context", lambda *args: pytest.fail("geometry derived again"))
+    monkeypatch.setattr(emb, "net_depths", lambda *args: pytest.fail("U-Net configs derived again"))
+    pair = tiny_pairs(cfg, 1)[0]
+    stego, _ = pl.embed(pair.secret, pair.cover, bundle)
+    assert pl.reveal(stego, bundle).shape == (3, 16, 16)
+    assert cfg.required_samples() == len(stego) and cfg.frame_length() == cfg.container_shape()[0]
+
+
 def test_config_text_roundtrip_and_rejection():
     cfg = pl.PipelineConfig(method="ws_replicate", beta=0.8, lam=0.5, seed=3)
     text = pl.config_to_text(cfg)
@@ -99,6 +127,15 @@ def test_zero_hide_net_gives_transform_roundtrip():
     assert np.array_equal(stego.samples, base.samples)
     assert diag["stego_snr_db"] == float("inf")
     assert diag["container_l2"] == 0.0
+
+
+def test_silent_cover_snr_is_minus_inf_or_plus_inf():
+    pair = tiny_pairs(DESK, 1)[0]
+    silent = dsp.Waveform(np.zeros(DESK.required_samples()), DESK.sample_rate)
+    stego, diag = pl.embed(pair.secret, silent, pl.build_model(DESK))
+    assert np.any(stego.samples) and diag["stego_snr_db"] == float("-inf")
+    stego, diag = pl.embed(pair.secret, silent, zeroed(pl.build_model(DESK)))
+    assert not np.any(stego.samples) and diag["stego_snr_db"] == float("inf")
 
 
 def test_magnitude_embedding_leaves_phase_bit_identical():
@@ -261,6 +298,18 @@ def test_evaluate_row_equals_the_per_pair_formula(wave_loss):
         float(np.mean(values)) for values in (ssims, psnrs, snrs, waves, hists))
 
 
+def test_evaluate_snr_is_the_plain_mean_over_pairs():
+    bundle = pl.build_model(DESK)
+    loud, quiet_secret, silent_cover = tiny_pairs(DESK, 3)
+    # a black secret meets zero biases: the watermark is exactly zero and that pair reads +inf
+    quiet_secret.secret = np.zeros_like(quiet_secret.secret)
+    silent_cover.cover = dsp.Waveform(np.zeros(DESK.required_samples()), DESK.sample_rate)
+    assert pl.embed(quiet_secret.secret, quiet_secret.cover, bundle)[1]["stego_snr_db"] == float("inf")
+    assert pl.evaluate(bundle, [loud, silent_cover]).stego_snr == float("-inf")
+    assert pl.evaluate(bundle, [loud, quiet_secret]).stego_snr == float("inf")
+    assert np.isnan(pl.evaluate(bundle, [loud, quiet_secret, silent_cover]).stego_snr)
+
+
 def test_soft_dtw_evaluate_records_no_tape(monkeypatch):
     cfg = pl.PipelineConfig(wave_loss="soft_dtw")
     bundle = pl.build_model(cfg)
@@ -351,7 +400,7 @@ def test_batch_loss_and_gradients_are_the_mean_of_single_pair_graphs(overrides, 
     def loss_and_grads(batch):
         for t in bundle.params.values():
             t.zero_grad()
-        total, terms = pl._sample_loss(bundle, batch, cfg)
+        total, terms = pl._sample_loss(bundle, batch)
         ad.backward(total)
         return float(total.data), terms, {k: t.grad for k, t in bundle.params.items()}
 
@@ -371,6 +420,47 @@ def test_train_objective_comes_from_its_cfg_not_the_bundle():
     _, log = pl.train(tiny_pairs(DESK), cfg, bundle=bundle)
     assert len(log.rows) == 4
     assert all(total == image_l1 for _, total, image_l1, *_ in log.rows)
+
+
+def test_resumed_train_returns_and_checkpoints_its_cfg(tmp_path):
+    bundle = pl.build_model(DESK)
+    tensors = list(bundle.params.values())
+    cfg = replace(DESK, steps=2, beta=1.0, lam=0.0)
+    trained, _ = pl.train(tiny_pairs(DESK), cfg, bundle=bundle)
+    assert trained.cfg == cfg
+    assert all(a is b for a, b in zip(trained.params.values(), tensors, strict=True))  # trained in place
+    pl.save_checkpoint(trained, tmp_path / "m.pxw2")
+    assert pl.load_checkpoint(tmp_path / "m.pxw2").cfg == cfg
+
+
+@pytest.mark.parametrize("made,cfg,message", [
+    (dict(transform="stft", wave_loss="soft_dtw"), dict(container="dual"),
+     "has 'hide.enc0.w' (8, 1, 3, 3) where cfg makes 'hide_mag.enc0.w' (8, 1, 3, 3)"),
+    (dict(), dict(channels=4), "has 'hide.enc0.w' (8, 1, 3, 3) where cfg makes 'hide.enc0.w' (4, 1, 3, 3)"),
+    (dict(), dict(method="w_replicate"), "has no parameter where cfg makes 'embed.enc_weights' (2,)"),
+    (dict(method="w_replicate"), dict(method="replicate"), "has 'embed.enc_weights' (2,) where cfg makes no parameter"),
+    (dict(method="multichannel"), dict(method="replicate"),
+     "has 'hide.enc0.w' (8, 3, 3, 3) where cfg makes 'hide.enc0.w' (8, 1, 3, 3)")])
+def test_train_rejects_a_bundle_whose_params_cfg_does_not_make(made, cfg, message, monkeypatch):
+    made = replace(DESK, **made)
+    bundle = pl.build_model(made)
+    before = {k: t.data.copy() for k, t in bundle.params.items()}
+    monkeypatch.setattr(pl, "_sample_loss", lambda *args: pytest.fail("a step ran before the check"))
+    with pytest.raises(ConfigError, match=re.escape(f"train: bundle {message}")):
+        pl.train(tiny_pairs(made), replace(made, **cfg), bundle=bundle)
+    assert all(np.array_equal(t.data, before[k]) and t.grad is None for k, t in bundle.params.items())
+
+
+def test_resumed_train_at_another_image_size_keeps_the_size_free_params():
+    # conv kernels and replica weights do not depend on the image size, so a desk
+    # bundle resumes at 32 px and comes back as a 32 px model
+    bundle = pl.build_model(DESK)
+    cfg = replace(DESK, image=32, steps=1)
+    trained, _ = pl.train(tiny_pairs(cfg, 2), cfg, bundle=bundle)
+    assert trained.cfg == cfg and trained.ctx.image_hw == (32, 32)
+    pair = tiny_pairs(cfg, 1)[0]
+    stego, _ = pl.embed(pair.secret, pair.cover, trained)
+    assert pl.reveal(stego, trained).shape == (3, 32, 32)
 
 
 def test_replica_weights_are_read_from_params():
@@ -400,7 +490,7 @@ def test_end_to_end_grad_check_subsample():
 
     def builder(rng):
         bundle = pl.build_model(cfg)
-        total, _ = pl._sample_loss(bundle, pairs[:1], cfg)
+        total, _ = pl._sample_loss(bundle, pairs[:1])
         names = sorted(bundle.params)
         picks = [names[i] for i in rng.choice(len(names), size=3, replace=False)]
         return total, [bundle.params[p] for p in picks if bundle.params[p].data.size < 600]
