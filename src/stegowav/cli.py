@@ -92,8 +92,8 @@ def _build_parser():
     p = subs.add_parser("robustness", help="frame-dropout sweep")
     p.add_argument("--model", type=Path, required=True)
     p.add_argument("--data", type=Path, required=True)
-    p.add_argument("--fractions", default="1.0,0.75,0.5,0.25,0.125")
-    p.add_argument("--modes", default="sequential,random")
+    p.add_argument("--fractions", default=",".join(map(str, robustness.DEFAULT_FRACTIONS)))
+    p.add_argument("--modes", default=",".join(robustness.MODES))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--dump-dir", type=Path, help="optionally dump revealed images per cell")
@@ -152,23 +152,15 @@ def _cmd_embed(args):
 def _cmd_reveal(args):
     bundle = pipeline.load_checkpoint(_require(args.model))
     stego = wavio.read_wav(_require(args.audio))
+    if args.reference is not None:  # checked before decoding, so a bad reference writes nothing
+        secret = imageops.read_ppm(_require(args.reference))
+        pipeline.check_secret(bundle, secret, args.reference)
     revealed = pipeline.reveal(stego, bundle)
     imageops.write_ppm(revealed, args.out)
     print(f"revealed: {args.out}")
     if args.reference is not None:
-        secret = imageops.read_ppm(_require(args.reference))
-        cfg = bundle.cfg
-        row = metrics.MetricsRow(
-            method=cfg.method, container=cfg.container, beta=cfg.beta, lam=cfg.lam,
-            revealed_ssim=metrics.ssim(secret, revealed),
-            revealed_psnr=metrics.psnr_db(secret, revealed),
-            stego_snr=float("nan"),
-            waveform_loss=float("nan"),
-            histogram_l1=metrics.histogram_l1(metrics.rgb_histogram(secret),
-                                              metrics.rgb_histogram(revealed)),
-        )
         print(metrics.METRICS_CSV_HEADER)
-        print(row.to_csv())
+        print(metrics.MetricsRow.score(bundle.cfg, secret[None], revealed[None]).to_csv())
     return 0
 
 

@@ -1,6 +1,7 @@
 """Analytic parameter and multiply-accumulate accounting per configuration.
 
-Counts are pure functions of the configuration (no trained values).  Conv
+Counts are pure functions of the configuration (no trained values):
+parameters are those of the model `pipeline.build_model` makes.  Conv
 layers cost out_pixels * in_c * out_c * k^2 MACs; elementwise and resize
 stages cost one MAC per output element; the dual coupler costs two per
 pixel.  MACs are split into container-resolution stages (the revealing
@@ -21,6 +22,7 @@ from dataclasses import dataclass, replace
 
 from . import embeddings as emb
 from . import networks as nets
+from . import pipeline as pl
 from .errors import UsageError
 
 # Reference values from the published cost table (absolute baseline:
@@ -83,15 +85,12 @@ def model_cost(cfg):
         image_stage += 3 * image_px     # pixel unshuffle back to RGB
 
     duplication = len(cfg.planes())     # one hiding/revealing pair per active plane
-    params = duplication * (nets.unet_param_count(hide_cfg) + nets.unet_param_count(reveal_cfg))
-    params += sum(w.data.size for w in emb.init_weights(ctx).values())
     container_stage *= duplication
     image_stage *= duplication
-    if duplication == 2:  # the 3-weight coupler and its two MACs per revealed pixel
-        params += 3
+    if duplication == 2:  # the coupler's two MACs per revealed pixel
         image_stage += 2 * (3 * image_px if cfg.method == "multichannel" else plane_px)
     return CostBreakdown(
-        params=int(params),
+        params=pl.build_model(cfg).param_count(),
         macs=int(container_stage + image_stage),
         macs_container_stage=int(container_stage),
         macs_image_stage=int(image_stage),

@@ -1,4 +1,5 @@
-"""Evaluation metrics: SSIM/PSNR for images, SNR for audio, RGB histograms.
+"""Evaluation metrics: SSIM/PSNR for images, SNR for audio, RGB histograms;
+`image_scores` and `MetricsRow.score` are the one scorer of revealed images.
 
 The RGB density histogram distance stands in for subjective color-restoration
 judgements: a revealed image that lost its colors shows collapsed channel
@@ -82,6 +83,13 @@ def ssim(a, b):
     return values if a.ndim == 4 else float(values)
 
 
+def image_scores(secrets, revealed):
+    """(mean SSIM, mean PSNR dB) of (N, 3, h, w) revealed images against their secrets: the one scorer of
+    `pipeline.evaluate`, every robustness-sweep cell and `reveal --reference` (a stack of one)."""
+    psnrs = [psnr_db(secret, image) for secret, image in zip(secrets, revealed)]
+    return float(np.mean(ssim(secrets, revealed))), float(np.mean(psnrs))
+
+
 def snr_db(reference, signal):
     """10*log10(sum(ref^2)/sum((ref-sig)^2)); asymmetric in its arguments."""
     reference = np.asarray(reference, dtype=float)
@@ -131,6 +139,13 @@ class MetricsRow:
     stego_snr: float
     waveform_loss: float
     histogram_l1: float
+
+    @classmethod
+    def score(cls, cfg, secrets, revealed, stego_snr=float("nan"), waveform_loss=float("nan")):
+        """The row of model config `cfg` for (N, 3, h, w) revealed images: `image_scores` and the mean histogram L1."""
+        hists = [histogram_l1(rgb_histogram(secret), rgb_histogram(image)) for secret, image in zip(secrets, revealed)]
+        return cls(cfg.method, cfg.container, cfg.beta, cfg.lam, *image_scores(secrets, revealed),
+                   stego_snr, waveform_loss, float(np.mean(hists)))
 
     def to_csv(self):
         return ",".join([self.method, self.container] + [format(float(v), ".12g") for v in astuple(self)[2:]])

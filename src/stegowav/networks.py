@@ -6,7 +6,7 @@ ReLU; up path: nearest upsample+concat skip (one op) -> conv+leaky ReLU; final
 widths double per level from ``base_channels``.  A batch of B inputs runs as
 one (C, B*H, W) array, samples stacked along the rows, in every layer.  The
 layer schedule is the single source of truth shared by initialization,
-forward, and the analytic parameter/MAC accounting in :mod:`costing`.
+forward, and the analytic MAC accounting in :mod:`costing`.
 """
 
 from __future__ import annotations
@@ -64,10 +64,6 @@ def layer_schedule(cfg):
         c = skip
     layers.append(ConvSpec("head", c, cfg.out_depth, 1, 1))
     return layers
-
-
-def unet_param_count(cfg):
-    return sum(s.out_c * s.in_c * s.kernel * s.kernel + s.out_c for s in layer_schedule(cfg))
 
 
 def unet_mac_count(cfg, h, w):

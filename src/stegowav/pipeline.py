@@ -8,7 +8,8 @@ plane while the stego waveform for the audio loss term comes from the
 differentiable inverse transform.  At inference the revealing side starts
 from the received waveform's own transform, and `embed` and
 `reveal_from_spectrogram` run the same graph under `autodiff.no_grad`, so no
-tape is kept.
+tape is kept.  `evaluate` and the robustness sweep score on one path:
+`stego_spectrograms`, `reveal_from_spectrogram`, `metrics.image_scores`.
 
 The graph runs B pairs at once, one pair being a batch of one: waveforms are
 (B, L), planes (B, F, T), and the U-Nets stack samples along the rows (see
@@ -232,18 +233,23 @@ def build_model(cfg):
 # forward data flow
 
 
+def check_secret(bundle, secret, where):
+    """Reject a secret image of any shape but the model's (3, image, image); `where` names it."""
+    want = (3, bundle.cfg.image, bundle.cfg.image)
+    if np.shape(secret) != want:
+        raise UsageError(f"{where}: secret image shape {np.shape(secret)}, expected {want}")
+
+
 def check_pairs(bundle, pairs):
     """Reject the first pair whose secret shape, cover length or sample rate the model cannot take; name its index."""
     cfg = bundle.cfg
-    want, need = (3, cfg.image, cfg.image), cfg.required_samples()
+    need = cfg.required_samples()
     for index, pair in enumerate(pairs):
-        shape, cover = np.shape(pair.secret), pair.cover
-        if shape != want:
-            raise UsageError(f"pair {index}: secret image shape {shape}, expected {want}")
-        if len(cover) < need:
-            raise UsageError(f"pair {index}: cover has {len(cover)} samples; this model requires {need}")
-        if cover.sample_rate != cfg.sample_rate:
-            raise UsageError(f"pair {index}: cover is sampled at {cover.sample_rate} Hz; "
+        check_secret(bundle, pair.secret, f"pair {index}")
+        if len(pair.cover) < need:
+            raise UsageError(f"pair {index}: cover has {len(pair.cover)} samples; this model requires {need}")
+        if pair.cover.sample_rate != cfg.sample_rate:
+            raise UsageError(f"pair {index}: cover is sampled at {pair.cover.sample_rate} Hz; "
                              f"this model requires {cfg.sample_rate} Hz")
 
 
@@ -605,39 +611,28 @@ def best_constant_baseline_l1(secret):
     return float(np.mean(np.abs(secret - med[:, None, None])))
 
 
-def evaluate(bundle, dataset):
-    """Mean metrics row over a dataset (the `eval` CLI output); embeds pair by pair, reveals and scores in one batch."""
+def stego_spectrograms(bundle, dataset, what):
+    """Check every pair, then embed each once and analyse its stego as the receiver does: (stegos, spectrograms,
+    embed diagnostics).  `evaluate` and the robustness sweep share this step; `what` names the caller in errors."""
     if not dataset:
-        raise UsageError("evaluate: empty dataset")
+        raise UsageError(f"{what}: empty dataset")
     check_pairs(bundle, dataset)
     cfg = bundle.cfg
-    specs, snrs, stegos = [], [], []
-    for pair in dataset:
-        stego, diag = embed(pair.secret, pair.cover, bundle)
-        specs.append(dsp.transform(stego, cfg.stft_config(), cfg.transform))
-        snrs.append(diag["stego_snr_db"])
-        stegos.append(stego.samples)
+    stegos, diags = zip(*(embed(pair.secret, pair.cover, bundle) for pair in dataset))
+    return stegos, [dsp.transform(stego, cfg.stft_config(), cfg.transform) for stego in stegos], diags
+
+
+def evaluate(bundle, dataset):
+    """Mean metrics row over a dataset (the `eval` CLI output): `stego_spectrograms`, one batched reveal, one score."""
+    cfg = bundle.cfg
+    stegos, specs, diags = stego_spectrograms(bundle, dataset, "evaluate")
     covers = np.stack([pair.cover.samples[:cfg.required_samples()] for pair in dataset])
     with ad.no_grad():
-        waves = lo.waveform_term(cfg, ad.Tensor(covers), ad.Tensor(np.stack(stegos))).data
-    revealed = reveal_from_spectrogram(specs, bundle)
-    secrets = np.stack([pair.secret for pair in dataset])
-    psnrs = [me.psnr_db(secret, image) for secret, image in zip(secrets, revealed)]
-    hists = [me.histogram_l1(me.rgb_histogram(secret), me.rgb_histogram(image))
-             for secret, image in zip(secrets, revealed)]
+        waves = lo.waveform_term(cfg, ad.Tensor(covers), ad.Tensor(np.stack([s.samples for s in stegos]))).data
     with np.errstate(invalid="ignore"):  # a +inf pair and a -inf pair average to nan, which says so
-        snr = float(np.mean(snrs))
-    return me.MetricsRow(
-        method=cfg.method,
-        container=cfg.container,
-        beta=cfg.beta,
-        lam=cfg.lam,
-        revealed_ssim=float(np.mean(me.ssim(secrets, revealed))),
-        revealed_psnr=float(np.mean(psnrs)),
-        stego_snr=snr,
-        waveform_loss=float(np.mean(waves)),
-        histogram_l1=float(np.mean(hists)),
-    )
+        snr = float(np.mean([diag["stego_snr_db"] for diag in diags]))
+    revealed = reveal_from_spectrogram(specs, bundle)
+    return me.MetricsRow.score(cfg, np.stack([pair.secret for pair in dataset]), revealed, snr, float(np.mean(waves)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Frame-dropout attack harness: zero temporal frames of the stego
 spectrogram, decode what survives, and measure the damage.
 
-The sweep is one serial pass: each pair is embedded and analysed once, and
-every (mode, fraction) cell attacks a copy of that cached spectrogram.  A
-cell reveals its pairs as one batch, one graph per chunk of pairs (see
-`pipeline.reveal_from_spectrogram`), and scores them in one SSIM call; cells
-that drop the same frames share one reveal and one score.
+The sweep is one serial pass on `evaluate`'s path: `pipeline.stego_spectrograms`
+embeds and analyses each pair once, and every (mode, fraction) cell attacks a
+copy of that cached spectrogram, reveals its pairs as one batch (see
+`pipeline.reveal_from_spectrogram`) and scores them with `metrics.image_scores`;
+cells that drop the same frames share one reveal and one score.
 Dropping a frame zeroes its magnitude column only; with zero magnitude the
 phase no longer influences the inverse transform, so this matches erasing
 the spectral content outright.  Cover content in dropped frames is lost
@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import dsp
 from . import metrics as me
 from . import pipeline as pl
 from .errors import UsageError
@@ -87,16 +86,11 @@ def robustness_sweep(bundle, data, fractions=DEFAULT_FRACTIONS, modes=MODES, see
     revealed (B, 3, h, w) images in pair order; cells that drop the same
     frames hand over the same array.
     """
-    cfg = bundle.cfg
     # every cell's attack and every pair is checked before the first pair is embedded
     drops = [DropoutSpec(fraction, mode, seed) for mode in modes for fraction in fractions]
     if not drops:
         raise UsageError("robustness sweep has no cells: give at least one fraction and one mode")
-    if not data:
-        raise UsageError("robustness sweep: empty dataset")
-    pl.check_pairs(bundle, data)
-    specs = [dsp.transform(pl.embed(pair.secret, pair.cover, bundle)[0],
-                           cfg.stft_config(), cfg.transform) for pair in data]
+    _, specs, _ = pl.stego_spectrograms(bundle, data, "robustness sweep")
     secrets = np.stack([pair.secret for pair in data])
     # cells that drop the same frames (every fraction-1.0 cell) are revealed and scored once;
     # every stego has the model's length, so one frame count serves all pairs
@@ -105,12 +99,11 @@ def robustness_sweep(bundle, data, fractions=DEFAULT_FRACTIONS, modes=MODES, see
     for index, (drop, attack) in enumerate(zip(drops, attacks)):
         if attack not in cells:
             revealed = _sweep_cell(bundle, specs, drop)
-            psnrs = [me.psnr_db(secret, image) for secret, image in zip(secrets, revealed)]
-            cells[attack] = revealed, float(np.mean(me.ssim(secrets, revealed))), float(np.mean(psnrs))
+            cells[attack] = (revealed,) + me.image_scores(secrets, revealed)
         revealed, ssim, psnr = cells[attack] if attack in attacks[index + 1:] else cells.pop(attack)
         if on_cell is not None:
             on_cell(drop.mode, drop.keep_fraction, revealed)
-        rows.append({"method": cfg.method, "mode": drop.mode, "keep_fraction": drop.keep_fraction,
+        rows.append({"method": bundle.cfg.method, "mode": drop.mode, "keep_fraction": drop.keep_fraction,
                      "mean_ssim": ssim, "mean_psnr_db": psnr})
     return rows
 

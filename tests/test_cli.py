@@ -1,4 +1,5 @@
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -359,3 +360,55 @@ def test_cover_sample_rate_mismatch_exits_1(workspace, capsys):
                 "--audio", str(ws / "cover.wav"), "--out", str(ws / "s.wav")]) == 1
     err = capsys.readouterr().err
     assert "44100" in err and "16000" in err
+
+
+@pytest.mark.parametrize("size", [(32, 32), (16, 8)])
+def test_reveal_rejects_a_wrong_size_reference_before_writing(workspace, capsys, size):
+    ws = workspace
+    cfg = pipeline.parse_config_text(DESK_CFG)
+    pair = pipeline.synth_dataset(1, cfg=cfg)[0]
+    bundle = pipeline.build_model(cfg)
+    pipeline.save_checkpoint(bundle, ws / "m.pxw2")
+    wavio.write_wav(pipeline.embed(pair.secret, pair.cover, bundle)[0], ws / "stego.wav")
+    imageops.write_ppm(np.zeros((3,) + size), ws / "ref.ppm")
+    assert run(["reveal", "--model", str(ws / "m.pxw2"), "--audio", str(ws / "stego.wav"),
+                "--out", str(ws / "r.ppm"), "--reference", str(ws / "ref.ppm")]) == 1
+    assert f"{ws / 'ref.ppm'}: secret image shape {(3,) + size}, expected (3, 16, 16)" in capsys.readouterr().err
+    assert not (ws / "r.ppm").exists()
+
+
+def test_reveal_reference_prints_the_scores_evaluate_reports(workspace, capsys, monkeypatch):
+    ws = workspace
+    cfg = pipeline.parse_config_text(DESK_CFG)
+    pairs = pipeline.synth_dataset(1, cfg=cfg)
+    pipeline.save_checkpoint(pipeline.train(pairs, replace(cfg, steps=2))[0], ws / "m.pxw2")
+    imageops.write_ppm(pairs[0].secret, ws / "secret.ppm")
+    wavio.write_wav(pairs[0].cover, ws / "cover.wav")
+    assert run(["embed", "--model", str(ws / "m.pxw2"), "--image", str(ws / "secret.ppm"),
+                "--audio", str(ws / "cover.wav"), "--out", str(ws / "stego.wav")]) == 0
+    assert run(["reveal", "--model", str(ws / "m.pxw2"), "--audio", str(ws / "stego.wav"),
+                "--out", str(ws / "r.ppm"), "--reference", str(ws / "secret.ppm")]) == 0
+    printed = capsys.readouterr().out.splitlines()[-1].split(",")
+    # evaluate the one pair the CLI saw; its embed hands over the PCM16 stego that reveal read
+    embed = pipeline.embed
+    monkeypatch.setattr(pipeline, "embed", lambda *args: (wavio.read_wav(ws / "stego.wav"), embed(*args)[1]))
+    pair = pipeline.SamplePair(imageops.read_ppm(ws / "secret.ppm"), wavio.read_wav(ws / "cover.wav"))
+    row = pipeline.evaluate(pipeline.load_checkpoint(ws / "m.pxw2"), [pair]).to_csv().split(",")
+    names = metrics.METRICS_CSV_HEADER.split(",")
+    for name in ("ssim", "psnr_db", "hist_l1"):
+        assert printed[names.index(name)] == row[names.index(name)], name
+
+
+def test_robustness_defaults_are_the_sweep_constants(workspace, capsys):
+    ws = workspace
+    cfg = pipeline.parse_config_text(DESK_CFG)
+    pipeline.save_dataset(pipeline.synth_dataset(2, cfg=cfg), ws / "p")
+    pipeline.save_checkpoint(pipeline.build_model(cfg), ws / "m.pxw2")
+    sweep = ["robustness", "--model", str(ws / "m.pxw2"), "--data", str(ws / "p")]
+    assert run(sweep + ["--out", str(ws / "default.csv")]) == 0
+    assert run(sweep + ["--fractions", ",".join(f"{f:g}" for f in robustness.DEFAULT_FRACTIONS),
+                        "--modes", ",".join(robustness.MODES), "--out", str(ws / "explicit.csv")]) == 0
+    capsys.readouterr()
+    default = (ws / "default.csv").read_text()
+    assert default == (ws / "explicit.csv").read_text()
+    assert len(default.splitlines()) == 1 + len(robustness.DEFAULT_FRACTIONS) * len(robustness.MODES)

@@ -61,11 +61,10 @@ def test_he_init_reproducible_and_scaled():
 def test_param_count_matches_schedule():
     cfg = nets.UNetConfig(1, 1, depth=2, base_channels=8, kernel=3)
     params = nets.init_unet(cfg, np.random.default_rng(0), "u")
-    assert nets.param_count(params) == nets.unet_param_count(cfg)
     # hand count: 1->8, 8->16, 16->32, 48->16, 24->8, 8->1 (1x1)
     hand = (8 * 9 + 8) + (16 * 8 * 9 + 16) + (32 * 16 * 9 + 32) \
         + (16 * 48 * 9 + 16) + (8 * 24 * 9 + 8) + (8 + 1)
-    assert nets.unet_param_count(cfg) == hand
+    assert nets.param_count(params) == hand
 
 
 def test_unet_grad_check_desk_scale():

@@ -198,6 +198,16 @@ def test_fraction_one_matches_no_attack_eval(trained_desk):
     assert abs(rows[0]["mean_psnr_db"] - np.mean(psnrs)) < 1e-12
 
 
+@pytest.mark.parametrize("cfg", [None, pl.PipelineConfig(transform="stft", container="dual", seed=1)],
+                         ids=["trained_replicate", "stft_dual_two_chunks"])
+def test_fraction_one_rows_are_evaluates_scores_exactly(trained_desk, cfg):
+    bundle, pairs = trained_desk if cfg is None else (pl.build_model(cfg), pl.synth_dataset(5, cfg=cfg))
+    row = pl.evaluate(bundle, pairs)
+    kept = [r for r in rob.robustness_sweep(bundle, pairs, fractions=(1.0, 0.5)) if r["keep_fraction"] == 1.0]
+    assert len(kept) == len(rob.MODES)
+    assert all((r["mean_ssim"], r["mean_psnr_db"]) == (row.revealed_ssim, row.revealed_psnr) for r in kept)
+
+
 def test_sweep_deterministic_across_runs(trained_desk):
     bundle, pairs = trained_desk
     r1 = rob.robustness_sweep(bundle, pairs, fractions=(0.5, 0.25), modes=("random",), seed=2)
