@@ -51,22 +51,11 @@ class Tensor:
         self._forward = None
         self._backward = None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
-
     def is_leaf(self):
         return not self._parents
 
     def zero_grad(self):
         self.grad = None
-
-    def __repr__(self):
-        return f"Tensor(op={self.op!r}, shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
 _recording = True

@@ -32,8 +32,6 @@ def _add_config_args(sub):
     sub.add_argument("--config", type=Path, help="key=value config file")
     sub.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                      help="override a config key (repeatable)")
-    sub.add_argument("--seed", type=int, help="override the config seed")
-    sub.add_argument("--steps", type=int, help="override the training step count")
 
 
 def _load_config(args, base=None):
@@ -44,14 +42,7 @@ def _load_config(args, base=None):
         except OSError as exc:
             raise DataError(f"{args.config}: {exc}") from exc
         cfg = pipeline.parse_config_text(text, base=cfg, source=str(args.config))
-    overrides = list(args.set)
-    if args.seed is not None:
-        overrides.append(f"seed={args.seed}")
-    if getattr(args, "steps", None) is not None:
-        overrides.append(f"steps={args.steps}")
-    if overrides:
-        cfg = pipeline.parse_config_text("\n".join(overrides), base=cfg, source="--set")
-    return cfg
+    return pipeline.parse_config_text("\n".join(args.set), base=cfg, source="--set")
 
 
 def _build_parser():
@@ -94,7 +85,7 @@ def _build_parser():
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--fractions", default=",".join(map(str, robustness.DEFAULT_FRACTIONS)))
     p.add_argument("--modes", default=",".join(robustness.MODES))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="seed of the random frame-dropout mode")
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--dump-dir", type=Path, help="optionally dump revealed images per cell")
 

@@ -117,13 +117,13 @@ def standard_variants(base_cfg):
     return rows
 
 
-def cost_table(named_configs, baseline_name="baseline"):
-    """Rows of {name, params, deltas, macs, stage split, paper reference}."""
+def cost_table(named_configs):
+    """Rows of {name, params, deltas, macs, stage split, paper reference}; deltas are against the 'baseline' row."""
     names = [name for name, _ in named_configs]
-    if baseline_name not in names:
-        raise UsageError(f"cost table needs a {baseline_name!r} row, got {names}")
+    if "baseline" not in names:
+        raise UsageError(f"cost table needs a 'baseline' row, got {names}")
     costs = {name: model_cost(cfg) for name, cfg in named_configs}
-    base = costs[baseline_name]
+    base = costs["baseline"]
     rows = []
     for name, _ in named_configs:
         c = costs[name]

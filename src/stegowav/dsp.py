@@ -99,28 +99,28 @@ class Waveform:
 class Spectrogram:
     """Magnitude/phase planes of shape (F, T) plus the transform setup.
 
-    kind == "stdct" stores signed DCT coefficients in `magnitude` and has no
-    phase plane (`phase is None`).  The magnitude invariant (>= 0) holds for
-    transform output; stego spectrograms built by residual addition may dip
-    negative, which the inverse handles as a phase flip.
+    Having a phase plane names the transform: an STFT spectrogram has one
+    and F = N/2 rows (Nyquist bin dropped); an STDCT spectrogram has none and
+    keeps all F = N signed DCT coefficients in `magnitude` (N =
+    config.frame_length).  Transform output has magnitude >= 0; stego
+    spectrograms built by residual addition may dip negative, which the
+    inverse handles as a phase flip.
     """
 
     magnitude: np.ndarray
     phase: np.ndarray | None
     config: StftConfig
-    kind: str
     num_samples: int
     sample_rate: int
 
     def __post_init__(self):
-        if self.kind not in ("stft", "stdct"):
-            raise UsageError(f"unknown spectrogram kind {self.kind!r}")
-        if (self.phase is None) != (self.kind == "stdct"):
-            raise ConfigError(f"{self.kind} spectrogram "
-                              f"{'needs a' if self.phase is None else 'cannot have a'} phase plane")
         if self.phase is not None and self.magnitude.shape != self.phase.shape:
             raise ConfigError(
                 f"magnitude/phase shapes differ: {self.magnitude.shape} vs {self.phase.shape}")
+        rows = self.config.frame_length if self.phase is None else self.config.freq_bins
+        if self.magnitude.ndim != 2 or len(self.magnitude) != rows:
+            raise ConfigError(f"{'stdct' if self.phase is None else 'stft'} spectrogram of frame length "
+                              f"{self.config.frame_length} needs ({rows}, T) planes, got {self.magnitude.shape}")
 
     @property
     def shape(self):
@@ -323,15 +323,15 @@ def transform(w, cfg, kind):
         magnitude, phase = _dct(_frame_signal(w.samples, cfg)), None
     else:
         raise UsageError(f"unknown transform kind {kind!r}")
-    return Spectrogram(magnitude, phase, cfg, kind, len(w), w.sample_rate)
+    return Spectrogram(magnitude, phase, cfg, len(w), w.sample_rate)
 
 
 def inverse_transform(s):
     """Weighted overlap-add synthesis of `s`; a dropped Nyquist bin reads as zero."""
-    if s.kind == "stft":
-        x = _istft_samples(s.magnitude, s.phase, s.config, s.num_samples)
-    else:
+    if s.phase is None:
         x = _overlap_add(_idct(s.magnitude), s.config, s.num_samples)
+    else:
+        x = _istft_samples(s.magnitude, s.phase, s.config, s.num_samples)
     return Waveform(x, s.sample_rate)
 
 

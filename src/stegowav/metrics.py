@@ -105,14 +105,14 @@ def snr_db(reference, signal):
     return float(10.0 * np.log10(ref_energy / noise))
 
 
-def rgb_histogram(img, bins=256):
-    """Per-channel density histogram over [0,1]; each row sums to 1."""
+def rgb_histogram(img):
+    """Per-channel 256-bin density histogram over [0,1]; each row sums to 1."""
     img = np.asarray(img, dtype=float)
     if img.ndim != 3 or img.shape[0] != 3:
         raise UsageError(f"expected (3, H, W) image, got {img.shape}")
-    out = np.empty((3, bins))
+    out = np.empty((3, 256))
     for c in range(3):
-        counts, _ = np.histogram(img[c], bins=bins, range=(0.0, 1.0))
+        counts, _ = np.histogram(img[c], bins=256, range=(0.0, 1.0))
         out[c] = counts / counts.sum()
     return out
 

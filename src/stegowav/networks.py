@@ -94,20 +94,17 @@ def unet_forward(cfg, params, x, prefix, samples=1):
     if x.data.shape[0] != cfg.in_depth:
         raise ConfigError(f"unet input depth {x.data.shape[0]} != configured {cfg.in_depth}")
 
-    def conv(t, name, slope=LEAKY_SLOPE):
-        return ad.conv2d(t, params[f"{prefix}.{name}.w"], params[f"{prefix}.{name}.b"], slope, samples)
-
     skips = []
     t = x
-    for i in range(cfg.depth):
-        t = conv(t, f"enc{i}")
-        skips.append(t)
-        t = ad.avg_pool2(t)
-    t = conv(t, "bottleneck")
-    for i in reversed(range(cfg.depth)):
-        t = ad.upsample_concat(t, skips.pop())  # popped: without a tape, freed once copied
-        t = conv(t, f"dec{i}")
-    return conv(t, "head", None)
+    for s in layer_schedule(cfg):
+        if s.name.startswith("dec"):
+            t = ad.upsample_concat(t, skips.pop())  # popped: without a tape, freed once copied
+        t = ad.conv2d(t, params[f"{prefix}.{s.name}.w"], params[f"{prefix}.{s.name}.b"],
+                      None if s.name == "head" else LEAKY_SLOPE, samples)
+        if s.name.startswith("enc"):
+            skips.append(t)
+            t = ad.avg_pool2(t)
+    return t
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,15 @@
 """End-to-end embed/reveal data flow, training loop, datasets, checkpoints.
 
-The training graph follows the transmit-side picture: the secret image is
-pixel-shuffled (luma-buffered unless disabled), pushed through the hiding
-network, arranged to container shape and residually added onto the cover's
-spectral plane(s); the revealing network decodes straight from the stego
-plane while the stego waveform for the audio loss term comes from the
-differentiable inverse transform.  At inference the revealing side starts
-from the received waveform's own transform, and `embed` and
-`reveal_from_spectrogram` run the same graph under `autodiff.no_grad`, so no
-tape is kept.  `evaluate` and the robustness sweep score on one path:
-`stego_spectrograms`, `reveal_from_spectrogram`, `metrics.image_scores`.
+The transmitter, `run_pipeline`, follows the transmit-side picture: the
+secret image is pixel-shuffled (luma-buffered unless disabled), pushed
+through the hiding network, arranged to container shape and residually added
+onto the cover's spectral plane(s); the inverse transform makes the stego
+waveform.  `embed` runs it alone; a training step (`_sample_loss`) joins it
+to the receiver, re-analysing the stego waveform on the tape and revealing
+from those planes as `reveal_from_spectrogram` does from a received
+waveform's transform.  Inference runs under `autodiff.no_grad`.  `evaluate`
+and the robustness sweep score on one path: `stego_spectrograms`,
+`reveal_from_spectrogram`, `metrics.image_scores`.
 
 The graph runs B pairs at once, one pair being a batch of one: waveforms are
 (B, L), planes (B, F, T), and the U-Nets stack samples along the rows (see
@@ -40,6 +40,7 @@ from . import imageops as iops
 from . import losses as lo
 from . import metrics as me
 from . import networks as nets
+from . import wavio
 from .dsp import istdct_op, istft_op, stdct_fwd_op, stft_mag_op, stft_phase_op
 from .errors import ConfigError, DataError, NumericError, UsageError
 
@@ -296,13 +297,13 @@ def _cover_spectrogram(bundle, cover):
     return cover, dsp.transform(cover, cfg.stft_config(), cfg.transform)
 
 
-def run_pipeline(bundle, pairs, with_reveal=True):
-    """Build the full differentiable graph for a batch of B pairs.
+def run_pipeline(bundle, pairs):
+    """Build the differentiable transmitter for a batch of B pairs; `_sample_loss` joins it to the receiver.
 
     Returns a dict with the trimmed covers as (B, L) rows, their spectrograms,
     the cover and stego plane tensors (B, F, T) keyed by plane name (every
-    plane of the transform; only the active ones carry the watermark), the
-    stego waveform tensor, and (optionally) the revealed (3, B*h, w) images.
+    plane of the transform; only the active ones carry the watermark) and the
+    stego waveform tensor.
     """
     cfg = bundle.cfg
     check_pairs(bundle, pairs)
@@ -321,22 +322,13 @@ def run_pipeline(bundle, pairs, with_reveal=True):
     else:
         stego_wave = istdct_op(stego_planes["magnitude"], spec.config, spec.num_samples)
 
-    out = {
+    return {
         "cover": np.stack([cover.samples for cover in covers]),
         "specs": specs,
         "cover_planes": cover_planes,
         "stego_planes": stego_planes,
         "stego_wave": stego_wave,
     }
-    if with_reveal:
-        # decode from the re-analysis of the stego waveform, exactly like the
-        # receiver does; this keeps training and inference on the same path
-        # and drives the hiding network toward transform-consistent watermarks
-        ops = {"magnitude": stdct_fwd_op if cfg.transform == "stdct" else stft_mag_op,
-               "phase": stft_phase_op}
-        received = {plane: ops[plane](stego_wave, spec.config) for plane in cfg.planes()}
-        out["revealed_t"] = _reveal_from_planes(bundle, received)
-    return out
 
 
 def _reveal_from_planes(bundle, planes):
@@ -350,7 +342,7 @@ def embed(secret, cover, bundle):
     """Hide `secret` in `cover`; returns (stego waveform, diagnostics).  `stego_snr_db` compares the stego with
     the cover's transform round trip; if that is silent, it reads -inf for a sounding stego, +inf for a silent one."""
     with ad.no_grad():
-        out = run_pipeline(bundle, [SamplePair(secret, cover)], with_reveal=False)
+        out = run_pipeline(bundle, [SamplePair(secret, cover)])
     spec = out["specs"][0]
     stego = dsp.Waveform(out["stego_wave"].data[0].copy(), cover.sample_rate)
     base = dsp.inverse_transform(spec)
@@ -481,18 +473,23 @@ def synth_dataset(n, profile="desk", seed=0, cfg=None):
 
 
 def save_dataset(pairs, directory):
-    from . import wavio
-
     directory.mkdir(parents=True, exist_ok=True)
     for i, pair in enumerate(pairs):
         iops.write_ppm(pair.secret, directory / f"secret_{i:03d}.ppm")
         wavio.write_wav(pair.cover, directory / f"cover_{i:03d}.wav")
 
 
-def load_dataset(directory):
-    from . import wavio
+def _pair_index(path):
+    """The index a secret_<index>.ppm file names, which orders the dataset."""
+    index = path.stem[len("secret_"):]
+    if not index.isdecimal():
+        raise DataError(f"{path}: expected secret_<index>.ppm")
+    return int(index)
 
-    secrets = sorted(directory.glob("secret_*.ppm"))
+
+def load_dataset(directory):
+    """The pairs save_dataset wrote to `directory`, in index order."""
+    secrets = sorted(directory.glob("secret_*.ppm"), key=_pair_index)
     if not secrets:
         raise DataError(f"{directory}: no secret_*.ppm files found")
     pairs = []
@@ -554,12 +551,17 @@ class Adam:
 
 def _sample_loss(bundle, pairs):
     """The batch loss of `pairs` under bundle.cfg: the mean of each pair's composite loss, and the mean terms."""
+    cfg = bundle.cfg
     out = run_pipeline(bundle, pairs)
-    planes = {plane: (out["cover_planes"][plane], out["stego_planes"][plane])
-              for plane in bundle.cfg.planes()}
+    # reveal from the re-analysed stego waveform, as the receiver does: this keeps training and inference on one
+    # path and drives the hiding network toward transform-consistent watermarks
+    ops = {"magnitude": stdct_fwd_op if cfg.transform == "stdct" else stft_mag_op, "phase": stft_phase_op}
+    revealed = _reveal_from_planes(bundle, {plane: ops[plane](out["stego_wave"], cfg.stft_config())
+                                            for plane in cfg.planes()})
+    planes = {plane: (out["cover_planes"][plane], out["stego_planes"][plane]) for plane in cfg.planes()}
     images = (3, len(pairs), -1)  # each sample's image as a column: its loss sums over axes 0 and 2
-    return lo.composite_loss(bundle.cfg, ad.Tensor(_secret_images(pairs).reshape(images)),
-                             ad.reshape(out["revealed_t"], images), ad.Tensor(out["cover"]), out["stego_wave"], planes)
+    return lo.composite_loss(cfg, ad.Tensor(_secret_images(pairs).reshape(images)),
+                             ad.reshape(revealed, images), ad.Tensor(out["cover"]), out["stego_wave"], planes)
 
 
 def train(dataset, cfg, bundle=None):

@@ -289,7 +289,7 @@ def test_c06_container_isolation():
     cfg = pl.PipelineConfig(transform="stft", container="magnitude", seed=0)
     bundle = pl.build_model(cfg)
     pair = pl.synth_dataset(1, cfg=cfg, seed=0)[0]
-    out = pl.run_pipeline(bundle, [pair], with_reveal=False)
+    out = pl.run_pipeline(bundle, [pair])
     stego, spec = out["stego_planes"], out["specs"][0]
     assert np.array_equal(stego["phase"].data[0], spec.phase)
     assert stego["phase"] is out["cover_planes"]["phase"]

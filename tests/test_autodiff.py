@@ -256,7 +256,7 @@ def check_adjoint_identities(x, kernel, bias, rng):
     xt, kt = ad.Tensor(x, requires_grad=True), ad.Tensor(kernel, requires_grad=True)
     bt = ad.Tensor(np.zeros_like(bias), requires_grad=True)
     out = ad.conv2d(xt, kt, bt)
-    g = rng.normal(size=out.shape)
+    g = rng.normal(size=out.data.shape)
     ad.backward(inject(out, g))
     # with zero bias the conv is linear in x and in the kernel separately
     inner = np.sum(out.data * g)

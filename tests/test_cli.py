@@ -161,6 +161,19 @@ def test_robustness_empty_or_repeated_cells_exit_1_before_loading(workspace, cap
     assert not (ws / "s.csv").exists()
 
 
+@pytest.mark.parametrize("flag", ["--seed", "--steps"])
+@pytest.mark.parametrize("command", ["synth", "train", "cost", "spectrogram"])
+def test_config_commands_take_seed_and_steps_only_through_set(workspace, capsys, command, flag):
+    # `--set seed=N` / `--set steps=N` are the one spelling; robustness --seed is the frame-dropout seed
+    ws = workspace
+    pipeline.save_dataset(pipeline.synth_dataset(1), ws / "p")
+    argv = {"synth": ["--n", "1"], "train": ["--set", "steps=0", "--data", str(ws / "p")], "cost": [],
+            "spectrogram": ["--audio", str(ws / "p" / "cover_000.wav")]}[command]
+    assert run([command, *argv, "--out", str(ws / "out"), flag, "1"]) == 1
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+    assert not (ws / "out").exists()
+
+
 def test_argparse_usage_error_exits_1(capsys):
     assert run(["no_such_command"]) == 1
     assert run(["train"]) == 1  # missing required flags

@@ -57,7 +57,7 @@ def test_stft_zero_waveform():
     cfg = dsp.StftConfig(64, 16)
     s = dsp.transform(make_waveform(np.zeros(300)), cfg, "stft")
     assert np.all(s.magnitude == 0.0)
-    assert s.kind == "stft"
+    assert s.phase is not None
     assert s.magnitude.shape[0] == 32
 
 
@@ -243,10 +243,18 @@ def test_stdct_has_no_phase_plane():
     spec = dsp.transform(w, cfg, "stdct")
     assert spec.phase is None
     stft = dsp.transform(w, cfg, "stft")
-    with pytest.raises(ConfigError, match="stft spectrogram needs a phase plane"):
+    with pytest.raises(ConfigError, match=r"stdct spectrogram of frame length 16 needs \(16, T\) planes"):
         replace(stft, phase=None)
-    with pytest.raises(ConfigError, match="stdct spectrogram cannot have a phase plane"):
+    with pytest.raises(ConfigError, match=r"stft spectrogram of frame length 16 needs \(8, T\) planes"):
         replace(spec, phase=np.zeros_like(spec.magnitude))
+
+
+@pytest.mark.parametrize("shape,phased", [((8, 9), False), ((16, 9), True), ((16,), False), ((8,), True)])
+def test_spectrogram_rejects_planes_of_the_wrong_row_count(shape, phased):
+    # frame length 16: an STFT spectrogram has 8 rows, an STDCT one 16
+    plane = np.zeros(shape)
+    with pytest.raises(ConfigError, match="needs"):
+        dsp.Spectrogram(plane, plane if phased else None, dsp.StftConfig(16, 8), 64, 8000)
 
 
 def test_paper_scale_container_shape():

@@ -26,6 +26,21 @@ def test_divisibility_enforced():
         nets.unet_forward(cfg, params, ad.Tensor(np.zeros((2, 8, 8))), "u")
 
 
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_forward_reads_the_kernels_in_schedule_order(rng, depth):
+    cfg = nets.UNetConfig(1, 2, depth=depth, base_channels=2)
+    read = []
+
+    class Recording(dict):
+        def __getitem__(self, key):
+            read.append(key)
+            return super().__getitem__(key)
+
+    params = Recording(nets.init_unet(cfg, np.random.default_rng(0), "u"))
+    nets.unet_forward(cfg, params, ad.Tensor(rng.random((1, 8, 8))), "u")
+    assert [k for k in read if k.endswith(".w")] == [f"u.{s.name}.w" for s in nets.layer_schedule(cfg)]
+
+
 def test_zero_parameters_give_zero_output(rng):
     cfg = nets.UNetConfig(1, 1)
     params = nets.init_unet(cfg, np.random.default_rng(0), "u")

@@ -142,7 +142,7 @@ def test_magnitude_embedding_leaves_phase_bit_identical():
     cfg = pl.PipelineConfig(transform="stft", container="magnitude", steps=0)
     bundle = pl.build_model(cfg)
     pair = tiny_pairs(cfg, 1)[0]
-    out = pl.run_pipeline(bundle, [pair], with_reveal=False)
+    out = pl.run_pipeline(bundle, [pair])
     assert out["stego_planes"]["phase"] is out["cover_planes"]["phase"]
     assert np.array_equal(out["stego_planes"]["phase"].data[0], out["specs"][0].phase)
     assert not np.array_equal(out["stego_planes"]["magnitude"].data[0], out["specs"][0].magnitude)
@@ -152,7 +152,7 @@ def test_phase_embedding_leaves_magnitude_bit_identical():
     cfg = pl.PipelineConfig(transform="stft", container="phase")
     bundle = pl.build_model(cfg)
     pair = tiny_pairs(cfg, 1)[0]
-    out = pl.run_pipeline(bundle, [pair], with_reveal=False)
+    out = pl.run_pipeline(bundle, [pair])
     assert out["stego_planes"]["magnitude"] is out["cover_planes"]["magnitude"]
     assert np.array_equal(out["stego_planes"]["magnitude"].data[0], out["specs"][0].magnitude)
 
@@ -578,6 +578,21 @@ def test_dataset_dir_roundtrip(tmp_path):
         assert (tmp_path / "d" / name).read_bytes() == (tmp_path / "d2" / name).read_bytes()
     with pytest.raises(DataError):
         pl.load_dataset(tmp_path / "missing")
+
+
+def test_dataset_loads_in_index_order_past_999(tmp_path):
+    pl.save_dataset(pl.synth_dataset(3, cfg=DESK, seed=1), tmp_path)
+    saved = pl.load_dataset(tmp_path)
+    for old, new in (("000", "100"), ("001", "1000"), ("002", "101")):
+        for kind, ext in (("secret", "ppm"), ("cover", "wav")):
+            (tmp_path / f"{kind}_{old}.{ext}").rename(tmp_path / f"{kind}_{new}.{ext}")
+    back = pl.load_dataset(tmp_path)  # 100, 101, 1000
+    for want, got in zip([saved[0], saved[2], saved[1]], back, strict=True):
+        assert np.array_equal(got.secret, want.secret)
+        assert np.array_equal(got.cover.samples, want.cover.samples)
+    (tmp_path / "secret_100.ppm").rename(tmp_path / "secret_x.ppm")
+    with pytest.raises(DataError, match="secret_x.ppm: expected secret_<index>.ppm"):
+        pl.load_dataset(tmp_path)
 
 
 # -- wav io -----------------------------------------------------------------

@@ -16,7 +16,7 @@ def make_spec(t=32, f=16, seed=0):
     rng = np.random.default_rng(seed)
     cfg = dsp.StftConfig(2 * f, f // 2)
     return dsp.Spectrogram(rng.random((f, t)) + 0.1, rng.uniform(-3, 3, (f, t)),
-                           cfg, "stft", 400, 8000)
+                           cfg, 400, 8000)
 
 
 def test_keep_all_is_bitwise_identity():
