@@ -187,9 +187,6 @@ def _cell_list(flag, text, parse, name=repr):
 def _cmd_robustness(args):
     fractions = _cell_list("--fractions", args.fractions, float, _FRACTION_NAME)
     modes = _cell_list("--modes", args.modes, str)
-    for mode in modes:
-        if mode not in robustness.MODES:
-            raise UsageError(f"unknown mode {mode!r}; choose from {robustness.MODES}")
     bundle = pipeline.load_checkpoint(_require(args.model))
     pairs = pipeline.load_dataset(_require(args.data))
     on_cell = None if args.dump_dir is None else functools.partial(_dump_cells, args.dump_dir)

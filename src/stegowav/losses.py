@@ -134,10 +134,10 @@ def _sdtw_backward(x, y, gamma, T):
     return gx, gy
 
 
-def _soft_dtw(x, y, gamma, chunk=0):
-    """One `soft_dtw` node: the DP over aligned `chunk`-sample pieces (default: whole
-    sequences) as a batch plus a shorter tail, the values added in piece order;
-    x and y are sequences, or rows of them with one value per row."""
+def soft_dtw(x, y, gamma=1.0, chunk=0):
+    """Soft-DTW discrepancy with squared-difference cell cost, as one tape node: the DP over
+    aligned `chunk`-sample pieces (default: whole sequences) as a batch plus a shorter tail,
+    the values added in piece order; x and y are sequences, or rows of them with one value per row."""
     x, y = ad._as_tensor(x), ad._as_tensor(y)
     if x.data.ndim not in (1, 2) or x.data.shape[:-1] != y.data.shape[:-1] or 0 in x.data.shape + y.data.shape:
         raise UsageError("soft_dtw expects non-empty 1-D sequences or rows of them")
@@ -166,11 +166,6 @@ def _soft_dtw(x, y, gamma, chunk=0):
     return ad.register_op("soft_dtw", (x, y), fwd, bwd)
 
 
-def soft_dtw(x, y, gamma=1.0):
-    """Soft-DTW discrepancy with squared-difference cell cost over whole sequences, on the tape."""
-    return _soft_dtw(x, y, gamma)
-
-
 # ---------------------------------------------------------------------------
 # composite objectives
 
@@ -190,7 +185,7 @@ def waveform_term(cfg, w, w_stego):
     if cfg.wave_loss == "l1" or len(cfg.planes()) == 2:
         return l1(w, w_stego, -1)
     chunk = SOFT_DTW_CHUNK if w.data.shape[-1] > SOFT_DTW_CHUNK_THRESHOLD else 0
-    return _soft_dtw(w, w_stego, cfg.gamma, chunk)
+    return soft_dtw(w, w_stego, cfg.gamma, chunk)
 
 
 def composite_loss(cfg, secret, revealed, wave, wave_stego, planes):

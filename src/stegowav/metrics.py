@@ -125,6 +125,11 @@ def histogram_l1(h1, h2):
     return float(np.mean(np.sum(np.abs(h1 - h2), axis=-1)))
 
 
+def csv_line(values):
+    """One line of every CSV table: a float to 12 significant digits, any other value as str() writes it."""
+    return ",".join(format(v, ".12g") if isinstance(v, float) else str(v) for v in values)
+
+
 METRICS_CSV_HEADER = "method,container,beta,lambda,ssim,psnr_db,snr_db,waveform_loss,hist_l1"
 
 
@@ -148,4 +153,4 @@ class MetricsRow:
                    stego_snr, waveform_loss, float(np.mean(hists)))
 
     def to_csv(self):
-        return ",".join([self.method, self.container] + [format(float(v), ".12g") for v in astuple(self)[2:]])
+        return csv_line([self.method, self.container] + [float(v) for v in astuple(self)[2:]])

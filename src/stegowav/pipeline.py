@@ -373,12 +373,17 @@ def reveal_from_spectrogram(specs, bundle):
     One no-grad graph runs per chunk of pairs, as many as keep the chunk's
     stacked container planes within _CHUNK_FLOATS (at least one); a chunk of
     one pair reads its planes without a copy."""
-    shape, planes = bundle.ctx.container_shape, bundle.cfg.planes()
+    cfg, shape, planes = bundle.cfg, bundle.ctx.container_shape, bundle.cfg.planes()
     if not specs:
         raise UsageError("reveal: no spectrograms given")
+    want = (cfg.stft_config(), cfg.sample_rate, cfg.transform == "stft")
     for index, spec in enumerate(specs):
         if spec.shape != shape:
             raise UsageError(f"pair {index}: spectrogram shape {spec.shape} does not match model container {shape}")
+        got = (spec.config, spec.sample_rate, spec.phase is not None)
+        if got != want:
+            raise UsageError(f"pair {index}: spectrogram (config, sample rate, phase plane) {got} "
+                             f"does not match the model's {want}")
     per = max(1, _CHUNK_FLOATS // (len(planes) * shape[0] * shape[1]))
     out = np.empty((len(specs), 3) + bundle.ctx.image_hw)
     for s0 in range(0, len(specs), per):
@@ -512,17 +517,13 @@ class TrainLog:
     CSV_HEADER = "step,total,image_l1,wave_term,mag_l2,phase_l2"
 
     def append(self, step, total, terms):
-        self.rows.append((step, total, terms["image_l1"], terms["wave_term"],
-                          terms["mag_l2"], terms["phase_l2"]))
+        self.rows.append((step, total) + tuple(terms[name] for name in self.CSV_HEADER.split(",")[2:]))
 
     def totals(self):
         return [row[1] for row in self.rows]
 
     def to_csv(self):
-        lines = [self.CSV_HEADER]
-        for row in self.rows:
-            lines.append(",".join([str(row[0])] + [format(v, ".12g") for v in row[1:]]))
-        return "\n".join(lines) + "\n"
+        return "\n".join([self.CSV_HEADER] + [me.csv_line(row) for row in self.rows]) + "\n"
 
 
 class Adam:

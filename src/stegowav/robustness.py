@@ -6,10 +6,11 @@ embeds and analyses each pair once, and every (mode, fraction) cell attacks a
 copy of that cached spectrogram, reveals its pairs as one batch (see
 `pipeline.reveal_from_spectrogram`) and scores them with `metrics.image_scores`;
 cells that drop the same frames share one reveal and one score.
-Dropping a frame zeroes its magnitude column only; with zero magnitude the
-phase no longer influences the inverse transform, so this matches erasing
-the spectral content outright.  Cover content in dropped frames is lost
-along with the watermark.
+Dropping a frame erases its spectral content outright: the frame's column is
+zeroed in every plane, so it reads magnitude 0 and, as `np.angle` reports an
+erased bin, phase 0.  A model that reads phase loses the frame as surely as
+one that reads magnitude.  Cover content in dropped frames is lost along with
+the watermark.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ class DropoutSpec:
         if not 0.0 < self.keep_fraction <= 1.0:
             raise UsageError(f"keep fraction must be in (0, 1], got {self.keep_fraction}")
         if self.mode not in MODES:
-            raise UsageError(f"unknown dropout mode {self.mode!r}")
+            raise UsageError(f"unknown dropout mode {self.mode!r}; choose from {MODES}")
         if self.seed < 0:
             raise UsageError(f"dropout seed must be >= 0, got {self.seed}")
 
@@ -52,10 +53,13 @@ def _dropped_frames(frames, drop):
 
 
 def apply_frame_dropout(spec, drop):
-    """Zero the magnitude of the dropped frames; phase untouched."""
-    mag = spec.magnitude.copy()
-    mag[:, _dropped_frames(spec.shape[1], drop)] = 0.0
-    return replace(spec, magnitude=mag)
+    """Zero the dropped frames in every plane of `spec`."""
+    dropped, planes = _dropped_frames(spec.shape[1], drop), {}
+    for plane in ("magnitude", "phase"):
+        if getattr(spec, plane) is not None:
+            planes[plane] = getattr(spec, plane).copy()
+            planes[plane][:, dropped] = 0.0
+    return replace(spec, **planes)
 
 
 def _sweep_cell(bundle, specs, drop):
@@ -109,13 +113,5 @@ def robustness_sweep(bundle, data, fractions=DEFAULT_FRACTIONS, modes=MODES, see
 
 
 def sweep_to_csv(rows):
-    lines = [SWEEP_CSV_HEADER]
-    for row in rows:
-        lines.append(",".join([
-            row["method"],
-            row["mode"],
-            format(row["keep_fraction"], ".12g"),
-            format(row["mean_ssim"], ".12g"),
-            format(row["mean_psnr_db"], ".12g"),
-        ]))
-    return "\n".join(lines) + "\n"
+    return "\n".join([SWEEP_CSV_HEADER] + [me.csv_line(row[key] for key in SWEEP_CSV_HEADER.split(","))
+                                            for row in rows]) + "\n"

@@ -146,6 +146,17 @@ def test_robustness_negative_seed_exits_1(workspace, capsys):
     assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
 
+def test_robustness_unknown_mode_exits_1_naming_the_choices(workspace, capsys):
+    ws = workspace
+    cfg = pipeline.parse_config_text(DESK_CFG)
+    pipeline.save_dataset(pipeline.synth_dataset(2, cfg=cfg), ws / "p")
+    pipeline.save_checkpoint(pipeline.build_model(cfg), ws / "m.pxw2")
+    assert run(["robustness", "--model", str(ws / "m.pxw2"), "--data", str(ws / "p"),
+                "--modes", "sideways", "--out", str(ws / "s.csv")]) == 1
+    assert f"unknown dropout mode 'sideways'; choose from {robustness.MODES}" in capsys.readouterr().err
+    assert not (ws / "s.csv").exists()
+
+
 @pytest.mark.parametrize("flag,value,message", [
     ("--fractions", "", "--fractions list '' is empty"), ("--modes", ",", "--modes list ',' is empty"),
     ("--fractions", "0.5,0.5", "--fractions list '0.5,0.5' repeats 0.5"),

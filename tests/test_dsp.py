@@ -382,3 +382,13 @@ def test_program_modules_import_no_scipy():
     env = {**os.environ, "PYTHONPATH": str(Path(dsp.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_one_number_format_and_one_variant_list():
+    # every CSV table writes its floats through metrics.csv_line; the published cost rows live in VARIANTS
+    src = Path(dsp.__file__).parent
+    texts = {p.name: p.read_text(encoding="utf-8") for p in src.glob("*.py")}
+    assert {name for name, text in texts.items() if ".12g" in text} == {"metrics.py"}
+    csv_line = next(node for node in ast.parse(texts["metrics.py"]).body if getattr(node, "name", None) == "csv_line")
+    assert texts["metrics.py"].count(".12g") == ast.get_source_segment(texts["metrics.py"], csv_line).count(".12g")
+    assert not any("PAPER_DELTAS" in text for text in texts.values())

@@ -187,3 +187,8 @@ def test_metrics_row_csv():
     assert text.startswith("replicate,magnitude,0.75,1,")
     assert ",inf," in text
     assert len(text.split(",")) == len(me.METRICS_CSV_HEADER.split(","))
+
+
+def test_csv_line_writes_floats_to_twelve_digits_and_the_rest_with_str():
+    assert me.csv_line(["stft", 3, 1.0, np.float64(2 / 3), float("nan"), "+0%", True]) == (
+        "stft,3,1,0.666666666667,nan,+0%,True")

@@ -270,6 +270,21 @@ def test_batched_reveal_rejects_empty_and_mismatched_lists():
         pl.reveal_from_spectrogram(specs, bundle)
 
 
+@pytest.mark.parametrize("case", ["stdct_spectrogram", "two_stdct_spectrograms", "44100_hz"])
+def test_batched_reveal_rejects_spectrograms_the_model_cannot_read(case):
+    cfg = pl.PipelineConfig(transform="stft", container="phase")
+    bundle = pl.build_model(cfg)
+    specs = [dsp.transform(pair.cover, cfg.stft_config(), cfg.transform) for pair in tiny_pairs(cfg, 3)]
+    # an stdct spectrogram of half the frame length has the container's shape and no phase plane
+    stdct = replace(specs[1], phase=None, config=dsp.StftConfig(cfg.frame_length() // 2, cfg.hop_length()))
+    bad = {"stdct_spectrogram": {1: stdct}, "two_stdct_spectrograms": {1: stdct, 2: stdct},
+           "44100_hz": {1: replace(specs[1], sample_rate=44100)}}[case]
+    for index, spec in bad.items():
+        specs[index] = spec
+    with pytest.raises(UsageError, match=r"pair 1: spectrogram \(config, sample rate, phase plane\)"):
+        pl.reveal_from_spectrogram(specs, bundle)
+
+
 def test_evaluate_rejects_an_empty_dataset_before_embedding(monkeypatch):
     bundle = pl.build_model(pl.PipelineConfig())
     monkeypatch.setattr(pl, "embed", lambda *args: pytest.fail("embedded before the check"))

@@ -31,7 +31,18 @@ def test_sequential_drops_trailing_half():
     out = rob.apply_frame_dropout(spec, rob.DropoutSpec(0.5, "sequential"))
     assert np.all(out.magnitude[:, 16:] == 0.0)
     assert np.array_equal(out.magnitude[:, :16], spec.magnitude[:, :16])
-    assert np.array_equal(out.phase, spec.phase)  # phase untouched
+    assert np.all(out.phase[:, 16:] == 0.0)
+    assert np.array_equal(out.phase[:, :16], spec.phase[:, :16])
+
+
+def test_dropout_reaches_a_model_that_reads_phase():
+    # an erased frame reads phase 0 too, so a phase model's attacked rows move off its fraction-1.0 row
+    cfg = pl.PipelineConfig(transform="stft", container="phase", seed=3)
+    rows = rob.robustness_sweep(pl.build_model(cfg), pl.synth_dataset(2, cfg=cfg), fractions=(1.0, 0.5, 0.125))
+    scores = [(r["mean_ssim"], r["mean_psnr_db"]) for r in rows]
+    kept = [score for score, r in zip(scores, rows) if r["keep_fraction"] == 1.0]
+    assert len(set(kept)) == 1
+    assert all(score != kept[0] for score, r in zip(scores, rows) if r["keep_fraction"] < 1.0)
 
 
 def test_random_mode_seeded_and_counted():
