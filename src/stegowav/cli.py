@@ -41,6 +41,8 @@ def _load_config(args, base=None):
             text = args.config.read_text(encoding="utf-8")
         except OSError as exc:
             raise DataError(f"{args.config}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{args.config}: config text at byte {exc.start} is not UTF-8") from None
         cfg = pipeline.parse_config_text(text, base=cfg, source=str(args.config))
     return pipeline.parse_config_text("\n".join(args.set), base=cfg, source="--set")
 

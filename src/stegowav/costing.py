@@ -111,6 +111,9 @@ def cost_table(named_configs):
     names = [name for name, _ in named_configs]
     if "baseline" not in names:
         raise UsageError(f"cost table needs a 'baseline' row, got {names}")
+    repeated = [n for i, n in enumerate(names) if n in names[:i]]
+    if repeated:
+        raise UsageError(f"cost table repeats row name {repeated[0]!r}; each row needs its own name")
     costs = {name: model_cost(cfg) for name, cfg in named_configs}
     base = costs["baseline"]
     rows = []

@@ -97,7 +97,7 @@ class Waveform:
 
 @dataclass
 class Spectrogram:
-    """Magnitude/phase planes of shape (F, T) plus the transform setup.
+    """Magnitude/phase planes of shape (F, T), or a (B, F, T) stack of B >= 1, plus the transform setup.
 
     Having a phase plane names the transform: an STFT spectrogram has one
     and F = N/2 rows (Nyquist bin dropped); an STDCT spectrogram has none and
@@ -117,10 +117,11 @@ class Spectrogram:
         if self.phase is not None and self.magnitude.shape != self.phase.shape:
             raise ConfigError(
                 f"magnitude/phase shapes differ: {self.magnitude.shape} vs {self.phase.shape}")
-        rows = self.config.frame_length if self.phase is None else self.config.freq_bins
-        if self.magnitude.ndim != 2 or len(self.magnitude) != rows:
-            raise ConfigError(f"{'stdct' if self.phase is None else 'stft'} spectrogram of frame length "
-                              f"{self.config.frame_length} needs ({rows}, T) planes, got {self.magnitude.shape}")
+        kind, rows = ("stdct", self.config.frame_length) if self.phase is None else ("stft", self.config.freq_bins)
+        dims = self.magnitude.shape
+        if len(dims) not in (2, 3) or dims[-2] != rows or not dims[0]:
+            raise ConfigError(f"{kind} spectrogram of frame length {self.config.frame_length} needs "
+                              f"({'B >= 1, ' * (len(dims) == 3)}{rows}, T) planes, got {dims}")
 
     @property
     def shape(self):

@@ -91,18 +91,17 @@ def image_scores(secrets, revealed):
 
 
 def snr_db(reference, signal):
-    """10*log10(sum(ref^2)/sum((ref-sig)^2)); asymmetric in its arguments."""
+    """10*log10(sum(ref^2)/sum((ref-sig)^2)); asymmetric in its arguments.  A silent reference reads -inf
+    against a sounding signal and +inf against a silent one."""
     reference = np.asarray(reference, dtype=float)
     signal = np.asarray(signal, dtype=float)
     if reference.shape != signal.shape:
         raise ConfigError(f"snr: shapes differ: {reference.shape} vs {signal.shape}")
-    ref_energy = float(np.sum(reference ** 2))
-    if ref_energy == 0.0:
-        raise UsageError("snr: reference signal has zero energy")
     noise = float(np.sum((reference - signal) ** 2))
     if noise == 0.0:
         return float("inf")
-    return float(10.0 * np.log10(ref_energy / noise))
+    with np.errstate(divide="ignore"):  # a silent reference: log10(0) = -inf
+        return float(10.0 * np.log10(float(np.sum(reference ** 2)) / noise))
 
 
 def rgb_histogram(img):

@@ -14,7 +14,7 @@ and the robustness sweep score on one path: `stego_spectrograms`,
 The graph runs B pairs at once, one pair being a batch of one: waveforms are
 (B, L), planes (B, F, T), and the U-Nets stack samples along the rows (see
 `networks`).  A training step records one graph over its minibatch, and
-`reveal_from_spectrogram` runs one per chunk of the spectrograms it is given.
+`reveal_from_spectrogram` runs one per chunk of the stack it is given.
 
 A model is a `ModelBundle`: a `PipelineConfig`, checked in full wherever it
 is read (config file, `--set` or checkpoint), and named parameters.  A resumed
@@ -348,12 +348,7 @@ def embed(secret, cover, bundle):
     base = dsp.inverse_transform(spec)
     pert = float(np.sqrt(sum(np.mean((out["stego_planes"][plane].data[0] - getattr(spec, plane)) ** 2)
                              for plane in bundle.cfg.planes())))
-    diag = {
-        "stego_snr_db": me.snr_db(base.samples, stego.samples) if np.any(base.samples)
-        else -math.inf if np.any(stego.samples) else math.inf,
-        "container_l2": pert,
-    }
-    return stego, diag
+    return stego, {"stego_snr_db": me.snr_db(base.samples, stego.samples), "container_l2": pert}
 
 
 def reveal(stego, bundle):
@@ -364,36 +359,30 @@ def reveal(stego, bundle):
         raise UsageError(f"stego has {len(stego)} samples; this model requires exactly {need}")
     if stego.sample_rate != cfg.sample_rate:
         raise UsageError(f"stego is sampled at {stego.sample_rate} Hz; this model requires {cfg.sample_rate} Hz")
-    return reveal_from_spectrogram([dsp.transform(stego, cfg.stft_config(), cfg.transform)], bundle)[0]
+    return reveal_from_spectrogram(dsp.transform(stego, cfg.stft_config(), cfg.transform), bundle)[0]
 
 
-def reveal_from_spectrogram(specs, bundle):
-    """Decode B (possibly attacked) stego spectrograms into (B, 3, h, w) images clamped to [0,1].
+def reveal_from_spectrogram(spec, bundle):
+    """Decode a (possibly attacked) stego spectrogram, (F, T) or (B, F, T), into (B, 3, h, w) images in [0,1].
 
     One no-grad graph runs per chunk of pairs, as many as keep the chunk's
-    stacked container planes within _CHUNK_FLOATS (at least one); a chunk of
-    one pair reads its planes without a copy."""
+    container planes within _CHUNK_FLOATS (at least one); a chunk is a view
+    of the stack."""
     cfg, shape, planes = bundle.cfg, bundle.ctx.container_shape, bundle.cfg.planes()
-    if not specs:
-        raise UsageError("reveal: no spectrograms given")
+    if spec.shape[-2:] != shape:
+        raise UsageError(f"spectrogram shape {spec.shape} does not match model container {shape}")
+    got = (spec.config, spec.sample_rate, spec.phase is not None)
     want = (cfg.stft_config(), cfg.sample_rate, cfg.transform == "stft")
-    for index, spec in enumerate(specs):
-        if spec.shape != shape:
-            raise UsageError(f"pair {index}: spectrogram shape {spec.shape} does not match model container {shape}")
-        got = (spec.config, spec.sample_rate, spec.phase is not None)
-        if got != want:
-            raise UsageError(f"pair {index}: spectrogram (config, sample rate, phase plane) {got} "
-                             f"does not match the model's {want}")
+    if got != want:
+        raise UsageError(f"spectrogram (config, sample rate, phase plane) {got} does not match the model's {want}")
+    stack = {plane: getattr(spec, plane).reshape((-1,) + shape) for plane in planes}
+    out = np.empty((len(stack[planes[0]]), 3) + bundle.ctx.image_hw)
     per = max(1, _CHUNK_FLOATS // (len(planes) * shape[0] * shape[1]))
-    out = np.empty((len(specs), 3) + bundle.ctx.image_hw)
-    for s0 in range(0, len(specs), per):
-        chunk = specs[s0:s0 + per]
-        stacked = {plane: np.stack([getattr(spec, plane) for spec in chunk]) if len(chunk) > 1
-                   else getattr(chunk[0], plane)[None] for plane in planes}
+    for s0 in range(0, len(out), per):
         with ad.no_grad():
-            revealed = _reveal_from_planes(bundle, {plane: ad.Tensor(a) for plane, a in stacked.items()})
-        images = revealed.data.reshape((3, len(chunk)) + bundle.ctx.image_hw).transpose(1, 0, 2, 3)
-        np.clip(images, 0.0, 1.0, out=out[s0:s0 + len(chunk)])
+            revealed = _reveal_from_planes(bundle, {plane: ad.Tensor(a[s0:s0 + per]) for plane, a in stack.items()})
+        images = revealed.data.reshape((3, -1) + bundle.ctx.image_hw).transpose(1, 0, 2, 3)
+        np.clip(images, 0.0, 1.0, out=out[s0:s0 + per])
     return out
 
 
@@ -615,26 +604,29 @@ def best_constant_baseline_l1(secret):
 
 
 def stego_spectrograms(bundle, dataset, what):
-    """Check every pair, then embed each once and analyse its stego as the receiver does: (stegos, spectrograms,
-    embed diagnostics).  `evaluate` and the robustness sweep share this step; `what` names the caller in errors."""
+    """Check every pair, then embed each once and analyse its stego as the receiver does: (stegos, one (B, F, T)
+    spectrogram, embed diagnostics).  `evaluate` and the robustness sweep share this step; `what` names the caller."""
     if not dataset:
         raise UsageError(f"{what}: empty dataset")
     check_pairs(bundle, dataset)
     cfg = bundle.cfg
     stegos, diags = zip(*(embed(pair.secret, pair.cover, bundle) for pair in dataset))
-    return stegos, [dsp.transform(stego, cfg.stft_config(), cfg.transform) for stego in stegos], diags
+    specs = [dsp.transform(stego, cfg.stft_config(), cfg.transform) for stego in stegos]
+    stack = {plane: np.stack([getattr(s, plane) for s in specs])
+             for plane in ("magnitude", "phase") if getattr(specs[0], plane) is not None}
+    return stegos, replace(specs[0], **stack), diags
 
 
 def evaluate(bundle, dataset):
     """Mean metrics row over a dataset (the `eval` CLI output): `stego_spectrograms`, one batched reveal, one score."""
     cfg = bundle.cfg
-    stegos, specs, diags = stego_spectrograms(bundle, dataset, "evaluate")
+    stegos, spec, diags = stego_spectrograms(bundle, dataset, "evaluate")
     covers = np.stack([pair.cover.samples[:cfg.required_samples()] for pair in dataset])
     with ad.no_grad():
         waves = lo.waveform_term(cfg, ad.Tensor(covers), ad.Tensor(np.stack([s.samples for s in stegos]))).data
     with np.errstate(invalid="ignore"):  # a +inf pair and a -inf pair average to nan, which says so
         snr = float(np.mean([diag["stego_snr_db"] for diag in diags]))
-    revealed = reveal_from_spectrogram(specs, bundle)
+    revealed = reveal_from_spectrogram(spec, bundle)
     return me.MetricsRow.score(cfg, np.stack([pair.secret for pair in dataset]), revealed, snr, float(np.mean(waves)))
 
 

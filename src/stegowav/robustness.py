@@ -3,7 +3,7 @@ spectrogram, decode what survives, and measure the damage.
 
 The sweep is one serial pass on `evaluate`'s path: `pipeline.stego_spectrograms`
 embeds and analyses each pair once, and every (mode, fraction) cell attacks a
-copy of that cached spectrogram, reveals its pairs as one batch (see
+copy of that cached (B, F, T) spectrogram, reveals its pairs as one batch (see
 `pipeline.reveal_from_spectrogram`) and scores them with `metrics.image_scores`;
 cells that drop the same frames share one reveal and one score.
 Dropping a frame erases its spectral content outright: the frame's column is
@@ -53,18 +53,18 @@ def _dropped_frames(frames, drop):
 
 
 def apply_frame_dropout(spec, drop):
-    """Zero the dropped frames in every plane of `spec`."""
-    dropped, planes = _dropped_frames(spec.shape[1], drop), {}
+    """Zero the dropped frames in every plane of `spec`, one (F, T) spectrogram or a (B, F, T) stack."""
+    dropped, planes = _dropped_frames(spec.shape[-1], drop), {}
     for plane in ("magnitude", "phase"):
         if getattr(spec, plane) is not None:
             planes[plane] = getattr(spec, plane).copy()
-            planes[plane][:, dropped] = 0.0
+            planes[plane][..., dropped] = 0.0
     return replace(spec, **planes)
 
 
-def _sweep_cell(bundle, specs, drop):
-    """Revealed (B, 3, h, w) images of one cell: the cached spectrograms under one attack, revealed as one batch."""
-    return pl.reveal_from_spectrogram([apply_frame_dropout(spec, drop) for spec in specs], bundle)
+def _sweep_cell(bundle, spec, drop):
+    """Revealed (B, 3, h, w) images of one cell: the cached (B, F, T) spectrogram under one attack, one batch."""
+    return pl.reveal_from_spectrogram(apply_frame_dropout(spec, drop), bundle)
 
 
 def worker_count():
@@ -94,15 +94,14 @@ def robustness_sweep(bundle, data, fractions=DEFAULT_FRACTIONS, modes=MODES, see
     drops = [DropoutSpec(fraction, mode, seed) for mode in modes for fraction in fractions]
     if not drops:
         raise UsageError("robustness sweep has no cells: give at least one fraction and one mode")
-    _, specs, _ = pl.stego_spectrograms(bundle, data, "robustness sweep")
+    _, spec, _ = pl.stego_spectrograms(bundle, data, "robustness sweep")
     secrets = np.stack([pair.secret for pair in data])
-    # cells that drop the same frames (every fraction-1.0 cell) are revealed and scored once;
-    # every stego has the model's length, so one frame count serves all pairs
-    attacks = [np.sort(_dropped_frames(specs[0].shape[1], drop)).tobytes() for drop in drops]
+    # cells that drop the same frames (every fraction-1.0 cell) are revealed and scored once
+    attacks = [np.sort(_dropped_frames(spec.shape[-1], drop)).tobytes() for drop in drops]
     cells, rows = {}, []
     for index, (drop, attack) in enumerate(zip(drops, attacks)):
         if attack not in cells:
-            revealed = _sweep_cell(bundle, specs, drop)
+            revealed = _sweep_cell(bundle, spec, drop)
             cells[attack] = (revealed,) + me.image_scores(secrets, revealed)
         revealed, ssim, psnr = cells[attack] if attack in attacks[index + 1:] else cells.pop(attack)
         if on_cell is not None:

@@ -241,7 +241,7 @@ def test_robustness_dump_dir(workspace, capsys):
         stego, _ = pipeline.embed(pair.secret, pair.cover, bundle)
         spec = dsp.transform(stego, cfg.stft_config(), cfg.transform)
         attacked = robustness.apply_frame_dropout(spec, robustness.DropoutSpec(0.5, "sequential"))
-        imageops.write_ppm(pipeline.reveal_from_spectrogram([attacked], bundle)[0], ws / "expect.ppm")
+        imageops.write_ppm(pipeline.reveal_from_spectrogram(attacked, bundle)[0], ws / "expect.ppm")
         assert dump.read_bytes() == (ws / "expect.ppm").read_bytes()
 
 
@@ -328,11 +328,16 @@ def valid_files(tmp_path_factory):
                               d / "f.pgm")
     wavio.write_wav(pair.cover, d / "f.wav")
     pipeline.save_checkpoint(pipeline.build_model(cfg), d / "f.pxw2")
+    (d / "f.cfg").write_text(DESK_CFG, encoding="utf-8")
     return {p.suffix: p.read_bytes() for p in d.iterdir()}
 
 
+def _cost_with_config(path):
+    run(["cost", "--config", str(path)])  # a package error becomes an exit code; any other exception escapes
+
+
 READERS = {".ppm": imageops.read_ppm, ".pgm": read_pgm, ".wav": wavio.read_wav,
-           ".pxw2": pipeline.load_checkpoint}
+           ".pxw2": pipeline.load_checkpoint, ".cfg": _cost_with_config}
 
 
 @pytest.mark.parametrize("suffix", sorted(READERS))
@@ -352,6 +357,14 @@ def test_corrupt_files_raise_only_package_errors(valid_files, tmp_path, suffix, 
         READERS[suffix](path)
     except (StegoError, OSError):
         pass
+
+
+def test_config_that_is_not_utf8_exits_2_naming_the_file(workspace, capsys):
+    raw = DESK_CFG.encode("utf-8")
+    at = raw.index(b"stdct")
+    (workspace / "bad.cfg").write_bytes(raw[:at] + b"\xff" + raw[at + 1:])
+    assert run(["cost", "--config", str(workspace / "bad.cfg")]) == 2
+    assert f"bad.cfg: config text at byte {at} is not UTF-8" in capsys.readouterr().err
 
 
 def test_wav_corrupt_chunk_size_is_data_error(valid_files, tmp_path):

@@ -77,6 +77,13 @@ def test_table_requires_baseline():
         costing.cost_table([("other", pl.PipelineConfig())])
 
 
+def test_table_rejects_a_repeated_row_name():
+    named = [("baseline", pl.PipelineConfig()), ("x", pl.PipelineConfig(method="multichannel")),
+             ("x", pl.PipelineConfig(method="stretch"))]
+    with pytest.raises(UsageError, match="repeats row name 'x'"):
+        costing.cost_table(named)
+
+
 def test_csv_and_text_render():
     rows = _rows()
     csv = costing.cost_to_csv(rows)

@@ -249,12 +249,19 @@ def test_stdct_has_no_phase_plane():
         replace(spec, phase=np.zeros_like(spec.magnitude))
 
 
-@pytest.mark.parametrize("shape,phased", [((8, 9), False), ((16, 9), True), ((16,), False), ((8,), True)])
+@pytest.mark.parametrize("shape,phased", [((8, 9), False), ((16, 9), True), ((16,), False), ((8,), True),
+                                          ((2, 16, 9), True), ((0, 8, 9), True), ((1, 2, 16, 9), False)])
 def test_spectrogram_rejects_planes_of_the_wrong_row_count(shape, phased):
-    # frame length 16: an STFT spectrogram has 8 rows, an STDCT one 16
+    # frame length 16: an STFT spectrogram has 8 rows, an STDCT one 16; a stack holds at least one pair
     plane = np.zeros(shape)
     with pytest.raises(ConfigError, match="needs"):
         dsp.Spectrogram(plane, plane if phased else None, dsp.StftConfig(16, 8), 64, 8000)
+
+
+@pytest.mark.parametrize("shape,phased", [((8, 9), True), ((16, 9), False), ((1, 8, 9), True), ((3, 16, 9), False)])
+def test_spectrogram_takes_one_pair_or_a_stack(shape, phased):
+    plane = np.zeros(shape)
+    assert dsp.Spectrogram(plane, plane if phased else None, dsp.StftConfig(16, 8), 64, 8000).shape == shape
 
 
 def test_paper_scale_container_shape():

@@ -231,7 +231,7 @@ def test_no_grad_inference_matches_the_taped_path(overrides, monkeypatch):
     def run():
         stego, diag = pl.embed(pair.secret, pair.cover, bundle)
         spec = dsp.transform(stego, cfg.stft_config(), cfg.transform)
-        return stego.samples.tobytes(), diag, pl.reveal_from_spectrogram([spec], bundle)[0].tobytes()
+        return stego.samples.tobytes(), diag, pl.reveal_from_spectrogram(spec, bundle)[0].tobytes()
 
     lean = run()
     monkeypatch.setattr(ad, "no_grad", contextlib.nullcontext)
@@ -242,47 +242,65 @@ INFERENCE_CONFIGS = [{"method": m} for m in emb.METHODS] + [
     {"transform": "stft", "container": "dual"}, {"transform": "stft", "container": "phase"}]
 
 
+def stack_of(specs):
+    """One (B, F, T) spectrogram of B single ones."""
+    return replace(specs[0], **{plane: np.stack([getattr(s, plane) for s in specs])
+                                for plane in ("magnitude", "phase") if getattr(specs[0], plane) is not None})
+
+
 @pytest.mark.parametrize("overrides", INFERENCE_CONFIGS)
 def test_batched_reveal_equals_per_spectrogram_calls(overrides, monkeypatch):
     cfg = pl.PipelineConfig(**overrides)
     bundle = pl.build_model(cfg)
     specs = [dsp.transform(pl.embed(pair.secret, pair.cover, bundle)[0], cfg.stft_config(), cfg.transform)
              for pair in tiny_pairs(cfg, 16)]
-    singles = [pl.reveal_from_spectrogram([spec], bundle)[0] for spec in specs]
+    singles = [pl.reveal_from_spectrogram(spec, bundle) for spec in specs]
+    assert all(single.shape == (1, 3, cfg.image, cfg.image) for single in singles)
+    seen, reveal_from_planes = [], pl._reveal_from_planes
+
+    def recording(bundle, planes):
+        seen.extend(planes.items())
+        return reveal_from_planes(bundle, planes)
+
+    monkeypatch.setattr(pl, "_reveal_from_planes", recording)
     pair_floats = len(cfg.planes()) * np.prod(cfg.container_shape())
     for chunk_floats in (pl._CHUNK_FLOATS, 3 * pair_floats):  # default; chunks of 3, the last of 1
         monkeypatch.setattr(pl, "_CHUNK_FLOATS", chunk_floats)
+        per = max(1, chunk_floats // pair_floats)
         for n in (1, 3, 16):
-            revealed = pl.reveal_from_spectrogram(specs[:n], bundle)
+            stack, seen[:] = stack_of(specs[:n]), []
+            revealed = pl.reveal_from_spectrogram(stack, bundle)
             assert revealed.shape == (n, 3, cfg.image, cfg.image)
-            assert all(revealed[i].tobytes() == singles[i].tobytes() for i in range(n))
+            assert all(revealed[i].tobytes() == singles[i][0].tobytes() for i in range(n))
+            # each chunk is a view of the stack, and the chunks cover it once
+            assert len(seen) == len(cfg.planes()) * -(-n // per)
+            assert all(np.shares_memory(t.data, getattr(stack, plane)) for plane, t in seen)
 
 
 def test_batched_reveal_rejects_empty_and_mismatched_lists():
     cfg = pl.PipelineConfig()
     bundle = pl.build_model(cfg)
-    specs = [dsp.transform(pair.cover, cfg.stft_config(), cfg.transform) for pair in tiny_pairs(cfg, 3)]
-    with pytest.raises(UsageError, match="no spectrograms"):
-        pl.reveal_from_spectrogram([], bundle)
-    specs[2] = dsp.transform(dsp.Waveform(np.zeros(cfg.required_samples() + 64), cfg.sample_rate),
-                             cfg.stft_config(), cfg.transform)
-    with pytest.raises(UsageError, match=r"pair 2: spectrogram shape \(64, 34\)"):
-        pl.reveal_from_spectrogram(specs, bundle)
+    spec = dsp.transform(tiny_pairs(cfg, 1)[0].cover, cfg.stft_config(), cfg.transform)
+    with pytest.raises(ConfigError, match=r"needs \(B >= 1, 64, T\) planes, got \(0, 64, 32\)"):
+        replace(spec, magnitude=spec.magnitude[None, :, :][:0])
+    long = dsp.transform(dsp.Waveform(np.zeros(cfg.required_samples() + 64), cfg.sample_rate),
+                         cfg.stft_config(), cfg.transform)
+    with pytest.raises(UsageError, match=r"spectrogram shape \(3, 64, 34\) does not match model container"):
+        pl.reveal_from_spectrogram(stack_of([long] * 3), bundle)
 
 
 @pytest.mark.parametrize("case", ["stdct_spectrogram", "two_stdct_spectrograms", "44100_hz"])
 def test_batched_reveal_rejects_spectrograms_the_model_cannot_read(case):
     cfg = pl.PipelineConfig(transform="stft", container="phase")
     bundle = pl.build_model(cfg)
-    specs = [dsp.transform(pair.cover, cfg.stft_config(), cfg.transform) for pair in tiny_pairs(cfg, 3)]
-    # an stdct spectrogram of half the frame length has the container's shape and no phase plane
-    stdct = replace(specs[1], phase=None, config=dsp.StftConfig(cfg.frame_length() // 2, cfg.hop_length()))
-    bad = {"stdct_spectrogram": {1: stdct}, "two_stdct_spectrograms": {1: stdct, 2: stdct},
-           "44100_hz": {1: replace(specs[1], sample_rate=44100)}}[case]
-    for index, spec in bad.items():
-        specs[index] = spec
-    with pytest.raises(UsageError, match=r"pair 1: spectrogram \(config, sample rate, phase plane\)"):
-        pl.reveal_from_spectrogram(specs, bundle)
+    stack = stack_of([dsp.transform(pair.cover, cfg.stft_config(), cfg.transform) for pair in tiny_pairs(cfg, 3)])
+    # an stdct stack of half the frame length has the container's plane shape and no phase plane
+    stdct = replace(stack, phase=None, config=dsp.StftConfig(cfg.frame_length() // 2, cfg.hop_length()))
+    bad = {"stdct_spectrogram": replace(stdct, magnitude=stdct.magnitude[1:2]),
+           "two_stdct_spectrograms": replace(stdct, magnitude=stdct.magnitude[1:]),
+           "44100_hz": replace(stack, sample_rate=44100)}[case]
+    with pytest.raises(UsageError, match=r"^spectrogram \(config, sample rate, phase plane\)"):
+        pl.reveal_from_spectrogram(bad, bundle)
 
 
 def test_evaluate_rejects_an_empty_dataset_before_embedding(monkeypatch):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,18 @@ def test_random_mode_seeded_and_counted():
     assert not np.array_equal(a.magnitude, c.magnitude)
     zero_cols = np.all(a.magnitude == 0.0, axis=0)
     assert zero_cols.sum() == 8  # round((1-0.75)*32)
+
+
+def test_dropout_erases_a_frame_across_the_stack():
+    singles = [make_spec(seed=seed) for seed in range(3)]
+    stack = replace(singles[0], magnitude=np.stack([s.magnitude for s in singles]),
+                    phase=np.stack([s.phase for s in singles]))
+    drop = rob.DropoutSpec(0.75, "random", seed=5)
+    out = rob.apply_frame_dropout(stack, drop)
+    for i, single in enumerate(singles):
+        want = rob.apply_frame_dropout(single, drop)
+        assert np.array_equal(out.magnitude[i], want.magnitude) and np.array_equal(out.phase[i], want.phase)
+    assert np.all(out.magnitude == 0.0, axis=(0, 1)).sum() == 8  # the same 8 frames in every pair
 
 
 def test_dropout_idempotent():
@@ -134,11 +148,10 @@ def test_a_cell_reveals_in_chunks_and_embeds_each_pair_once(monkeypatch):
 
 def test_cells_that_drop_the_same_frames_reveal_once(monkeypatch):
     bundle = pl.build_model(pl.PipelineConfig())
-    cfg, pairs, fractions, seed = bundle.cfg, pl.synth_dataset(4, cfg=bundle.cfg), (1.0, 0.5), 3
-    specs = [dsp.transform(pl.embed(pair.secret, pair.cover, bundle)[0], cfg.stft_config(), cfg.transform)
-             for pair in pairs]
+    pairs, fractions, seed = pl.synth_dataset(4, cfg=bundle.cfg), (1.0, 0.5), 3
+    _, spec, _ = pl.stego_spectrograms(bundle, pairs, "test")
     drops = [rob.DropoutSpec(fraction, mode, seed) for mode in rob.MODES for fraction in fractions]
-    expected = [rob._sweep_cell(bundle, specs, drop) for drop in drops]
+    expected = [rob._sweep_cell(bundle, spec, drop) for drop in drops]
     reveals, dumped = [], []
     unet_forward = nets.unet_forward
 
