@@ -20,6 +20,9 @@ participates in a graph; all ops allocate fresh output buffers.
 Every op here is one the pipeline records.  :func:`conv2d` runs one correlate
 kernel over output row tiles (forward, input gradient, np.where(z > 0, z, slope * z));
 one 2x2 block-sum and one 2x2 block-fill kernel serve avg_pool2 and upsample_concat.
+A U-Net decoder conv given its skip records upsample_concat as its input on a
+tape; without one, its tiles are filled straight from the upsampled input and
+the skip, and the concatenated input is never built.
 
 A batch of B images travels as (C, B*H, W), the samples stacked along the
 rows: the 2x2 ops never mix two samples (H is even), and :func:`conv2d` pads
@@ -155,13 +158,15 @@ def _block_sums(a):
     return s[..., 0::2, :] + s[..., 1::2, :]
 
 
-def _upsample_into(a, out):
-    """Write each value of a's trailing two axes into a 2x2 block of out: four strided copies, no temporary
-    (one broadcast write into the (h, 2, w, 2) view ran twice as slow at desk)."""
-    *lead, h, w = a.shape
-    blocks = out.reshape(*lead, h, 2, w, 2, copy=False)
-    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        blocks[..., i, :, j] = a
+def _upsample_into(a, out, odd=0):
+    """Fill out (..., n, 2W) with rows odd, odd + 1, ... of a (..., m, W) upsampled 2x (nearest), `odd` 0 or 1:
+    four strided copies, no temporary (one broadcast write into an (h, 2, w, 2) view ran twice as slow at desk)."""
+    for j in (0, 1):
+        rows = out[..., j::2, :]
+        first = (j + odd) // 2  # out row j is upsampled row j + odd, a's row (j + odd) // 2
+        src = a[..., first:first + rows.shape[-2], :]
+        rows[..., 0::2] = src
+        rows[..., 1::2] = src
     return out
 
 
@@ -326,8 +331,12 @@ _TILE_POSITIONS = 8192  # output positions per conv row tile: a tile's buffers s
 _TILE_FLOATS = 60_000  # floats of padded input and output up to which one tile holds several whole samples
 
 
-def _row_tiles(src, k, samples=1, out_channels=0):
+def _row_tiles(src, k, samples=1, out_channels=0, skip=None):
     """Tiles of a 'same' k x k correlation over src (C, B*H, W), B = `samples` stacked along rows.
+
+    With a skip (C', B*H, W), src is (C, B*H/2, W/2) and the input is src
+    upsampled 2x (nearest) stacked over the skip by channel: the tiles read
+    both straight, and that (C + C', B*H, W) input is never built.
 
     Yields (rows, n, flat, cells) per tile: the output row slice, the tile's n
     output positions, its input zero-padded by k//2 on each side (each sample
@@ -342,7 +351,19 @@ def _row_tiles(src, k, samples=1, out_channels=0):
     rows facing the 2*(k//2) halo rows of each block are cropped.  Otherwise a
     tile holds about _TILE_POSITIONS output positions of one sample's rows, so
     with one sample every tile is the same."""
-    c, total, w = src.shape
+    if skip is None:
+        c, total, w = src.shape
+
+        def fill(dst, lo, hi):  # rows lo:hi of the input into dst (C, ..., W)
+            dst[...] = src[:, lo:hi].reshape(dst.shape)
+    else:
+        up = len(src)
+        c, total, w = up + len(skip), *skip.shape[1:]
+
+        def fill(dst, lo, hi):  # a tile's halo may start on an odd upsampled row
+            low = src[:, lo // 2:(hi + 1) // 2]
+            _upsample_into(low.reshape((up,) + dst.shape[1:-2] + (-1, low.shape[-1])), dst[:up], lo % 2)
+            dst[up:] = skip[:, lo:hi].reshape(dst[up:].shape)
     h, pad = total // samples, k // 2
     wp = w + 2 * pad
     per = max(1, min(samples, _TILE_FLOATS // ((c + out_channels) * (h + 2 * pad) * wp)))
@@ -356,20 +377,21 @@ def _row_tiles(src, k, samples=1, out_channels=0):
             r1 = min(r0 + step, h)
             if per > 1:  # whole samples: the halo rows are never written, so they stay zero
                 blocks = buf[:, :s * block].reshape(c, s, block, wp)
-                blocks[:, :, pad:pad + h, pad:pad + w] = src[:, s0 * h:(s0 + s) * h].reshape(c, s, h, w)
+                fill(blocks[:, :, pad:pad + h, pad:pad + w], s0 * h, (s0 + s) * h)
             else:
                 lo, hi = max(r0 - pad, 0), min(r1 + pad, h)
                 if r0 == 0 < s0:  # the last tiles of the sample before wrote the top rows
                     buf[:, :pad] = 0
-                buf[:, lo - r0 + pad:hi - r0 + pad, pad:pad + w] = src[:, s0 * h + lo:s0 * h + hi]
+                fill(buf[:, lo - r0 + pad:hi - r0 + pad, pad:pad + w], s0 * h + lo, s0 * h + hi)
                 buf[:, hi - r0 + pad:] = 0
             n = (s * block if per > 1 else r1 - r0) * wp  # whole blocks reshape to (C', s, block, Wp)
             yield (slice(s0 * h + r0, (s0 + s - 1) * h + r1), n, flat,
                    lambda a, s=s, rows=r1 - r0: a.reshape(len(a), s, -1, wp, copy=False)[:, :, :rows, :w])
 
 
-def _correlate(src, taps, k, bias, slope=None, samples=1):
-    """'Same' k x k correlation of src (C_in, B*H, W): bias + sum of m @ window(dy, dx).
+def _correlate(src, taps, k, bias, slope=None, samples=1, skip=None):
+    """'Same' k x k correlation of src (C_in, B*H, W), or of src and a skip read as :func:`_row_tiles` says:
+    bias + sum of m @ window(dy, dx).
 
     `taps` lists (m, dy, dx), m (C_out, C_in), added in list order in a tile-sized
     accumulator whose wrapped columns and rows between samples are cropped.  Over
@@ -377,10 +399,11 @@ def _correlate(src, taps, k, bias, slope=None, samples=1):
     the same bytes, faster.  With a slope, each tile becomes max(acc, slope * acc)
     before the crop: the bytes of np.where(acc > 0, acc, slope * acc) for 0 <= slope <= 1."""
     cout, cin = taps[0][0].shape
-    wp = src.shape[2] + k - 1
+    extents = (src if skip is None else skip).shape[1:]
+    wp = extents[1] + k - 1
     product = np.multiply if cin == 1 else np.matmul
-    out, buffers = np.empty((cout,) + src.shape[1:]), None
-    for rows, n, flat, cells in _row_tiles(src, k, samples, cout):
+    out, buffers = np.empty((cout,) + extents), None
+    for rows, n, flat, cells in _row_tiles(src, k, samples, cout, skip):
         buffers = buffers or (np.empty((cout, n)), np.empty((cout, n)))  # the first tile is the largest
         acc, prod = buffers[0][:, :n], buffers[1][:, :n]
         acc[:] = bias[:, None]
@@ -393,13 +416,17 @@ def _correlate(src, taps, k, bias, slope=None, samples=1):
     return out
 
 
-def conv2d(x, kernel, bias, slope=None, samples=1):
+def conv2d(x, kernel, bias, slope=None, samples=1, skip=None):
     """2-D convolution, stride 1, odd square kernel, zero 'same' padding.
 
     x: (C_in, B*H, W), B = `samples` images stacked along the rows, each padded
     on its own; kernel: (C_out, C_in, k, k); bias: (C_out,).  A slope in [0, 1]
     applies the leaky ReLU y = np.where(z > 0, z, slope * z) to the
     convolution z; the backward pass scales g by np.where(y > 0, 1.0, slope).
+    With a skip (C', B*2H, 2W), the input is upsample_concat(x, skip), the
+    bytes of a U-Net decoder level: on a tape that op is recorded as the
+    input; without one the row tiles read x and the skip straight, and the
+    (C + C', B*2H, 2W) input is never built.
 
     No im2col buffer and no padded copy of the whole input are built: every
     pass runs over tiles (:func:`_row_tiles`), of whole samples where they are
@@ -419,27 +446,33 @@ def conv2d(x, kernel, bias, slope=None, samples=1):
     cout, cin, k, kw = kernel.data.shape
     if k != kw or k % 2 == 0:
         raise ConfigError(f"conv2d: kernel must be odd square, got {k}x{kw}")
-    if cin != x.data.shape[0]:
+    if skip is not None:
+        skip = _as_tensor(skip)
+        if skip.data.ndim != 3 or skip.data.shape[1:] != tuple(2 * n for n in x.data.shape[1:]) \
+                or x.data.shape[0] + skip.data.shape[0] != cin:
+            raise ConfigError(f"conv2d: want x (C, B*H, W) and skip (C', B*2H, 2W) with C + C' = kernel depth "
+                              f"{cin}, got {x.data.shape}, {skip.data.shape}")
+        if _recording:  # a tape records the concat as the input: traced training reports its shape
+            x, skip = upsample_concat(x, skip), None
+    elif cin != x.data.shape[0]:
         raise ConfigError(f"conv2d: input depth {x.data.shape[0]} does not match kernel depth {cin}")
     if bias.data.shape != (cout,):
         raise ConfigError(f"conv2d: bias shape {bias.data.shape} does not match {cout} output channels")
-    wp = x.data.shape[2] + k - 1
     grid = [(dy, dx) for dy in range(k) for dx in range(k)]
     y = None  # the latest output, an array: a closure over the output Tensor would be a cycle
 
     def fwd():
         nonlocal y
         y = _correlate(x.data, [(kernel.data[:, :, dy, dx], dy, dx) for dy, dx in grid], k, bias.data, slope,
-                       samples)
+                       samples, None if skip is None else skip.data)
         return y
 
     def bwd(g, acc):
-        if slope is not None:  # g * np.where(y > 0, 1.0, slope) in one buffer: g * 1.0 is g
-            scaled = g * slope
-            np.copyto(scaled, g, where=y > 0)
-            g = scaled
+        if slope is not None:  # g * np.where(y > 0, 1.0, slope): max(True, slope) is 1.0, and g * 1.0 is g
+            scaled = np.maximum(y > 0, slope)
+            g = np.multiply(g, scaled, out=scaled)
         acc(bias, g.sum(axis=(1, 2)))
-        dk, buffer = np.zeros(kernel.data.shape), None
+        dk, buffer, wp = np.zeros(kernel.data.shape), None, x.data.shape[2] + k - 1
         for rows, n, flat, cells in _row_tiles(x.data, k, samples, cout):
             buffer = np.empty((cout, n)) if buffer is None else buffer
             gf = buffer[:, :n]
@@ -453,7 +486,7 @@ def conv2d(x, kernel, bias, slope=None, samples=1):
             taps = [(kernel.data[:, :, dy, dx].T, k - 1 - dy, k - 1 - dx) for dy, dx in grid]
             acc(x, _correlate(g, taps, k, np.zeros(cin), samples=samples))
 
-    return _node("conv2d", (x, kernel, bias), fwd, bwd)
+    return _node("conv2d", (x, kernel, bias) if skip is None else (x, kernel, bias, skip), fwd, bwd)
 
 
 def register_op(op, parents, forward, backward):

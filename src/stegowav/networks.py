@@ -1,7 +1,8 @@
 """U-Net style hiding/revealing networks and the dual-container coupler.
 
 Down path: conv+leaky ReLU -> 2x mean-pool per level; bottleneck conv+leaky
-ReLU; up path: nearest upsample+concat skip (one op) -> conv+leaky ReLU; final
+ReLU; up path: conv+leaky ReLU over the nearest-upsampled input stacked with
+the skip (read straight into the conv's row tiles without a tape); final
 1x1 linear conv.  Each leaky ReLU runs in its conv's row tiles.  Channel
 widths double per level from ``base_channels``.  A batch of B inputs runs as
 one (C, B*H, W) array, samples stacked along the rows, in every layer.  The
@@ -97,10 +98,10 @@ def unet_forward(cfg, params, x, prefix, samples=1):
     skips = []
     t = x
     for s in layer_schedule(cfg):
-        if s.name.startswith("dec"):
-            t = ad.upsample_concat(t, skips.pop())  # popped: without a tape, freed once copied
+        # a decoder conv reads its upsampled input and its skip, popped so that it is freed once read
         t = ad.conv2d(t, params[f"{prefix}.{s.name}.w"], params[f"{prefix}.{s.name}.b"],
-                      None if s.name == "head" else LEAKY_SLOPE, samples)
+                      None if s.name == "head" else LEAKY_SLOPE, samples,
+                      skips.pop() if s.name.startswith("dec") else None)
         if s.name.startswith("enc"):
             skips.append(t)
             t = ad.avg_pool2(t)

@@ -297,20 +297,26 @@ def _cover_spectrogram(bundle, cover):
     return cover, dsp.transform(cover, cfg.stft_config(), cfg.transform)
 
 
+def _stacked(specs):
+    """One (B, F, T) Spectrogram of B per-waveform (F, T) ones that share their setup."""
+    return replace(specs[0], **{plane: np.stack([getattr(s, plane) for s in specs])
+                                for plane in ("magnitude", "phase") if getattr(specs[0], plane) is not None})
+
+
 def run_pipeline(bundle, pairs):
     """Build the differentiable transmitter for a batch of B pairs; `_sample_loss` joins it to the receiver.
 
-    Returns a dict with the trimmed covers as (B, L) rows, their spectrograms,
-    the cover and stego plane tensors (B, F, T) keyed by plane name (every
-    plane of the transform; only the active ones carry the watermark) and the
-    stego waveform tensor.
+    Returns a dict with the trimmed covers as (B, L) rows, their one (B, F, T)
+    spectrogram, the cover and stego plane tensors (B, F, T) keyed by plane
+    name (every plane of the transform; only the active ones carry the
+    watermark) and the stego waveform tensor.
     """
     cfg = bundle.cfg
     check_pairs(bundle, pairs)
     covers, specs = zip(*(_cover_spectrogram(bundle, pair.cover) for pair in pairs))
-    spec = specs[0]
+    spec = _stacked(specs)
     secret_t = _secret_tensor(bundle, pairs)
-    cover_planes = {plane: ad.Tensor(np.stack([getattr(s, plane) for s in specs]))
+    cover_planes = {plane: ad.Tensor(getattr(spec, plane))
                     for plane in ("magnitude", "phase") if getattr(spec, plane) is not None}
     stego_planes = dict(cover_planes)
     for plane, prefix in _net_prefixes(cfg, "hide").items():
@@ -324,7 +330,7 @@ def run_pipeline(bundle, pairs):
 
     return {
         "cover": np.stack([cover.samples for cover in covers]),
-        "specs": specs,
+        "spec": spec,
         "cover_planes": cover_planes,
         "stego_planes": stego_planes,
         "stego_wave": stego_wave,
@@ -343,7 +349,8 @@ def embed(secret, cover, bundle):
     the cover's transform round trip; if that is silent, it reads -inf for a sounding stego, +inf for a silent one."""
     with ad.no_grad():
         out = run_pipeline(bundle, [SamplePair(secret, cover)])
-    spec = out["specs"][0]
+    stack = out["spec"]
+    spec = replace(stack, magnitude=stack.magnitude[0], phase=None if stack.phase is None else stack.phase[0])
     stego = dsp.Waveform(out["stego_wave"].data[0].copy(), cover.sample_rate)
     base = dsp.inverse_transform(spec)
     pert = float(np.sqrt(sum(np.mean((out["stego_planes"][plane].data[0] - getattr(spec, plane)) ** 2)
@@ -611,10 +618,7 @@ def stego_spectrograms(bundle, dataset, what):
     check_pairs(bundle, dataset)
     cfg = bundle.cfg
     stegos, diags = zip(*(embed(pair.secret, pair.cover, bundle) for pair in dataset))
-    specs = [dsp.transform(stego, cfg.stft_config(), cfg.transform) for stego in stegos]
-    stack = {plane: np.stack([getattr(s, plane) for s in specs])
-             for plane in ("magnitude", "phase") if getattr(specs[0], plane) is not None}
-    return stegos, replace(specs[0], **stack), diags
+    return stegos, _stacked([dsp.transform(stego, cfg.stft_config(), cfg.transform) for stego in stegos]), diags
 
 
 def evaluate(bundle, dataset):

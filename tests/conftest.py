@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -249,3 +250,13 @@ def assert_freed_by_refcount(build):
     finally:
         if enabled:
             gc.enable()
+
+
+def peak_bytes(run):
+    """tracemalloc's peak while run() runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -1,5 +1,6 @@
 import contextlib
 import inspect
+import re
 import tracemalloc
 
 import numpy as np
@@ -47,6 +48,11 @@ def test_conv2d_shape_errors_name_operands():
         ad.conv2d(x, ad.Tensor(np.ones((1, 2, 2, 2))), ad.Tensor(np.zeros(1)))
     with pytest.raises(ConfigError, match="bias"):
         ad.conv2d(x, ad.Tensor(np.ones((1, 2, 3, 3))), ad.Tensor(np.zeros(2)))
+    kernel = ad.Tensor(np.ones((1, 3, 3, 3)))  # 2 upsampled channels and a skip of 1
+    for skip in ((8, 8), (1, 8, 6), (1, 6, 8), (2, 8, 8)):
+        for record in (contextlib.nullcontext, ad.no_grad):
+            with record(), pytest.raises(ConfigError, match=rf"\(2, 4, 4\), {re.escape(str(skip))}"):
+                ad.conv2d(x, kernel, ad.Tensor(np.zeros(1)), skip=ad.Tensor(np.ones(skip)))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -355,6 +361,38 @@ def test_upsample_concat_matches_concat_of_nearest_upsample2(c, c_skip, h, w, se
             assert np.all(np.abs(got - want) <= 1e-15 * block_sums_reshaped(np.abs(g[:c])))
         else:
             assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("samples", [1, 4])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("slope", [None, 0.2])
+@pytest.mark.parametrize("tile_rows", [None, 1, 2, 3])  # None: whole-sample tiles
+def test_conv2d_skip_without_a_tape_equals_conv2d_of_upsample_concat(samples, k, slope, tile_rows, monkeypatch):
+    if tile_rows:  # several tiles per sample, some of whose halos start on an odd upsampled row
+        monkeypatch.setattr(ad, "_TILE_POSITIONS", tile_rows * (8 + k - 1))
+        monkeypatch.setattr(ad, "_TILE_FLOATS", 1)
+    rng = np.random.default_rng(10 * samples + k)
+    x, skip = rng.normal(size=(3, samples * 5, 4)), rng.normal(size=(2, samples * 10, 8))
+    kernel, bias = rng.normal(size=(4, 5, k, k)), rng.normal(size=4)
+    tiles = len(list(ad._row_tiles(np.zeros((5, samples * 10, 8)), k, samples, 4)))
+    assert tiles == (samples * -(-10 // tile_rows) if tile_rows else 1)
+    with ad.no_grad():
+        fused = ad.conv2d(x, kernel, bias, slope, samples, skip).data
+        want = ad.conv2d(ad.upsample_concat(x, skip), kernel, bias, slope, samples).data
+    assert fused.shape == want.shape and fused.tobytes() == want.tobytes()
+
+
+def test_conv2d_skip_on_a_tape_records_upsample_concat():
+    rng = np.random.default_rng(3)
+    arrays = rng.normal(size=(3, 6, 4)), rng.normal(size=(2, 12, 8)), rng.normal(size=(4, 5, 3, 3)), rng.normal(size=4)
+    g = rng.normal(size=(4, 12, 8))
+    fused, oracle = fused_and_oracle(lambda x, s, k, b: ad.conv2d(x, k, b, 0.2, 2, s),
+                                     lambda x, s, k, b: ad.conv2d(ad.upsample_concat(x, s), k, b, 0.2, 2), arrays, g)
+    for got, want in zip(fused, oracle):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    x, skip, kernel, bias = map(ad.Tensor, arrays)
+    parents = ad.conv2d(x, kernel, bias, 0.2, 2, skip)._parents
+    assert parents[0].op == "upsample_concat" and parents[1:] == (kernel, bias)
 
 
 def test_conv2d_leaky_graph_freed_by_refcount():

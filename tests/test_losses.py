@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +8,7 @@ from stegowav import losses as lo
 from stegowav import pipeline as pl
 from stegowav.errors import ConfigError, UsageError
 
-from conftest import _sdtw_backward, _sdtw_forward, hard_dtw
+from conftest import _sdtw_backward, _sdtw_forward, hard_dtw, peak_bytes
 
 
 def brute_force_soft_dtw(x, y, gamma):
@@ -150,15 +148,6 @@ def test_soft_dtw_backward_twice_accumulates_exactly():
     once = x.grad.copy()
     ad.backward(value)  # the first backward overwrote the DP tables with E
     assert np.array_equal(x.grad, once + once)
-
-
-def peak_bytes(run):
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_soft_dtw_peak_memory_is_bounded():

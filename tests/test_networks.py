@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import assert_freed_by_refcount
+from conftest import assert_freed_by_refcount, peak_bytes
 from stegowav import autodiff as ad
 from stegowav import networks as nets
 from stegowav.errors import ConfigError
@@ -115,6 +115,18 @@ def test_unet_inference_peak_memory():
     # end, peak at 15.26 MiB here; with the leaky ReLU in the conv tiles and one
     # upsample-concat op that frees its inputs, 11.08 MiB.
     assert peak < 13 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+
+
+def test_reveal_unet_inference_builds_no_decoder_input():
+    cfg = nets.UNetConfig(1, 1)  # the revealing U-Net of every profile
+    params = nets.init_unet(cfg, np.random.default_rng(0), "u")
+    x = ad.Tensor(np.random.default_rng(1).normal(size=(1, 512, 256)))
+    with ad.no_grad():
+        peak = peak_bytes(lambda: nets.unet_forward(cfg, params, x, "u"))
+    # dec0's upsampled input stacked with its skip, (24, 512, 256), is 24 MiB:
+    # built, it peaked at 36.0 MiB beside its 4 MiB deep input and 8 MiB skip;
+    # read straight into the conv's row tiles, 23.3 MiB.
+    assert peak < 28 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
 
 
 def test_couple_projection_and_average(rng):
