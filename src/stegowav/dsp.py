@@ -17,9 +17,10 @@ config, frame count and length), and `_gather_frames` is its adjoint.  Each
 transform has one kernel on numpy's real FFT (the STDCT's is `_dct`, the
 orthonormal DCT-II, and its transpose `_idct`), called by `transform`/
 `inverse_transform` and by the tape op over raw arrays (`stft_mag_op`,
-`istdct_op`, ...) that pipeline training records.  The kernels and tape ops
-take any leading axes: a batch of B waveforms is a (B, L) array and its
-planes are (B, F, T).
+`istdct_op`, ...) that pipeline training records.  The kernels, the tape
+ops and the two entry points take any leading axes: a `Waveform` holds one
+(L,) waveform or a (B, L) stack, as a `Spectrogram` holds (F, T) or
+(B, F, T) planes, so one call analyses or synthesises a whole batch.
 """
 
 from __future__ import annotations
@@ -78,13 +79,14 @@ class StftConfig:
 
 @dataclass
 class Waveform:
+    """One (L,) waveform, or a (B, L) stack of B >= 1, and its sample rate; `len()` is L."""
     samples: np.ndarray
     sample_rate: int
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=np.float64)
-        if arr.ndim != 1:
-            raise UsageError(f"waveform must be 1-D, got shape {arr.shape}")
+        if not (arr.ndim == 1 or arr.ndim == 2 and len(arr)):
+            raise UsageError(f"waveform must be (L,) or (B >= 1, L), got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise UsageError("waveform contains NaN or Inf")
         if self.sample_rate <= 0:
@@ -92,7 +94,7 @@ class Waveform:
         self.samples = arr
 
     def __len__(self):
-        return self.samples.size
+        return self.samples.shape[-1]
 
 
 @dataclass
@@ -311,7 +313,7 @@ def stdct_fwd_op(wave, cfg):
 
 
 def transform(w, cfg, kind):
-    """Analyse a waveform into a `kind` spectrogram ("stft" or "stdct").
+    """Analyse a waveform into a `kind` spectrogram ("stft" or "stdct"): (L,) into (F, T), (B, L) into (B, F, T).
 
     STFT keeps bins 0..N/2-1 (the Nyquist bin is dropped) as magnitude and
     phase planes; STDCT keeps all N orthonormal DCT-II bins as one signed
@@ -328,7 +330,7 @@ def transform(w, cfg, kind):
 
 
 def inverse_transform(s):
-    """Weighted overlap-add synthesis of `s`; a dropped Nyquist bin reads as zero."""
+    """Overlap-add synthesis of `s`: (F, T) into (L,), (B, F, T) into (B, L); a dropped Nyquist bin reads as zero."""
     if s.phase is None:
         x = _overlap_add(_idct(s.magnitude), s.config, s.num_samples)
     else:

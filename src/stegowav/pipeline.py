@@ -123,11 +123,8 @@ class PipelineConfig:
         """Spectral planes that carry the secret, in network order."""
         return ("magnitude", "phase") if self.container == "dual" else (self.container,)
 
-    def container_shape(self):
-        return self.context.container_shape
-
     def frame_length(self):
-        f = self.container_shape()[0]
+        f = self.context.container_shape[0]
         return 2 * f if self.transform == "stft" else f
 
     def hop_length(self):
@@ -140,7 +137,7 @@ class PipelineConfig:
         return dsp.StftConfig(self.frame_length(), self.hop_length())
 
     def required_samples(self):
-        return self.stft_config().samples_for_frames(self.container_shape()[1])
+        return self.stft_config().samples_for_frames(self.context.container_shape[1])
 
 
 # (config-file key, attribute, type) in field order, each typed by its default
@@ -202,8 +199,6 @@ class ModelBundle:
     cfg: PipelineConfig
     params: dict
     ctx = property(lambda self: self.cfg.context)
-    hide_cfg = property(lambda self: self.cfg.unets[0])
-    reveal_cfg = property(lambda self: self.cfg.unets[1])
 
     def param_count(self):
         return nets.param_count(self.params)
@@ -242,11 +237,13 @@ def check_secret(bundle, secret, where):
 
 
 def check_pairs(bundle, pairs):
-    """Reject the first pair whose secret shape, cover length or sample rate the model cannot take; name its index."""
+    """Reject the first pair whose secret, cover shape, length or sample rate the model cannot take; name its index."""
     cfg = bundle.cfg
     need = cfg.required_samples()
     for index, pair in enumerate(pairs):
         check_secret(bundle, pair.secret, f"pair {index}")
+        if pair.cover.samples.ndim != 1:
+            raise UsageError(f"pair {index}: cover has shape {pair.cover.samples.shape}; a pair holds one waveform")
         if len(pair.cover) < need:
             raise UsageError(f"pair {index}: cover has {len(pair.cover)} samples; this model requires {need}")
         if pair.cover.sample_rate != cfg.sample_rate:
@@ -261,16 +258,16 @@ def _secret_images(pairs):
 
 
 def _secret_tensor(bundle, pairs):
-    """The hiding network's input: (3, B*h, w) images, or (1, B*2h, 2w) pixel-shuffled planes."""
+    """The hiding network's input: (3, B*h, w) images, or (1, B*2h, 2w) planes, one shuffle of the stacked images."""
+    images = _secret_images(pairs)
     if bundle.cfg.method == "multichannel":
-        return ad.Tensor(_secret_images(pairs))
-    planes = [iops.shuffle_with_luma(pair.secret, use_luma=bundle.cfg.luma) for pair in pairs]
-    return ad.Tensor(np.concatenate(planes)[None])
+        return ad.Tensor(images)
+    return ad.Tensor(iops.shuffle_with_luma(images, use_luma=bundle.cfg.luma)[None])
 
 
 def _hide_branch(bundle, secret_t, prefix, samples):
     ctx = bundle.ctx
-    out = nets.unet_forward(bundle.hide_cfg, bundle.params, secret_t, prefix, samples)
+    out = nets.unet_forward(bundle.cfg.unets[0], bundle.params, secret_t, prefix, samples)
     # (count, B, h, w) replicas or (B, 2h, 2w) planes
     lead = (ctx.grid.count, samples) if bundle.cfg.method == "multichannel" else (samples,)
     return emb.encode_arrange(ad.reshape(out, lead + (-1, out.data.shape[-1])), ctx, bundle.params)
@@ -278,7 +275,7 @@ def _hide_branch(bundle, secret_t, prefix, samples):
 
 def _reveal_branch(bundle, container_t, prefix):
     xin = emb.decode_prepare(container_t, bundle.ctx)
-    return nets.unet_forward(bundle.reveal_cfg, bundle.params, xin, prefix, len(container_t.data))
+    return nets.unet_forward(bundle.cfg.unets[1], bundle.params, xin, prefix, len(container_t.data))
 
 
 def _finalize(bundle, net_out):
@@ -288,19 +285,11 @@ def _finalize(bundle, net_out):
     return iops.unshuffle_op(y, use_luma=bundle.cfg.luma)
 
 
-def _cover_spectrogram(bundle, cover):
-    """The cover trimmed to the model's length, and its spectrogram."""
+def _cover_spectrogram(bundle, pairs):
+    """The covers cut to the model's length as one (B, L) Waveform, and its (B, F, T) spectrogram from one call."""
     cfg = bundle.cfg
-    need = cfg.required_samples()
-    if len(cover) > need:
-        cover = dsp.Waveform(cover.samples[:need].copy(), cover.sample_rate)
-    return cover, dsp.transform(cover, cfg.stft_config(), cfg.transform)
-
-
-def _stacked(specs):
-    """One (B, F, T) Spectrogram of B per-waveform (F, T) ones that share their setup."""
-    return replace(specs[0], **{plane: np.stack([getattr(s, plane) for s in specs])
-                                for plane in ("magnitude", "phase") if getattr(specs[0], plane) is not None})
+    covers = dsp.Waveform(np.stack([pair.cover.samples[:cfg.required_samples()] for pair in pairs]), cfg.sample_rate)
+    return covers, dsp.transform(covers, cfg.stft_config(), cfg.transform)
 
 
 def run_pipeline(bundle, pairs):
@@ -313,8 +302,7 @@ def run_pipeline(bundle, pairs):
     """
     cfg = bundle.cfg
     check_pairs(bundle, pairs)
-    covers, specs = zip(*(_cover_spectrogram(bundle, pair.cover) for pair in pairs))
-    spec = _stacked(specs)
+    covers, spec = _cover_spectrogram(bundle, pairs)
     secret_t = _secret_tensor(bundle, pairs)
     cover_planes = {plane: ad.Tensor(getattr(spec, plane))
                     for plane in ("magnitude", "phase") if getattr(spec, plane) is not None}
@@ -329,7 +317,7 @@ def run_pipeline(bundle, pairs):
         stego_wave = istdct_op(stego_planes["magnitude"], spec.config, spec.num_samples)
 
     return {
-        "cover": np.stack([cover.samples for cover in covers]),
+        "cover": covers.samples,
         "spec": spec,
         "cover_planes": cover_planes,
         "stego_planes": stego_planes,
@@ -349,21 +337,19 @@ def embed(secret, cover, bundle):
     the cover's transform round trip; if that is silent, it reads -inf for a sounding stego, +inf for a silent one."""
     with ad.no_grad():
         out = run_pipeline(bundle, [SamplePair(secret, cover)])
-    stack = out["spec"]
-    spec = replace(stack, magnitude=stack.magnitude[0], phase=None if stack.phase is None else stack.phase[0])
     stego = dsp.Waveform(out["stego_wave"].data[0].copy(), cover.sample_rate)
-    base = dsp.inverse_transform(spec)
-    pert = float(np.sqrt(sum(np.mean((out["stego_planes"][plane].data[0] - getattr(spec, plane)) ** 2)
+    base = dsp.inverse_transform(out["spec"]).samples[0]
+    pert = float(np.sqrt(sum(np.mean((out["stego_planes"][plane].data[0] - out["cover_planes"][plane].data[0]) ** 2)
                              for plane in bundle.cfg.planes())))
-    return stego, {"stego_snr_db": me.snr_db(base.samples, stego.samples), "container_l2": pert}
+    return stego, {"stego_snr_db": me.snr_db(base, stego.samples), "container_l2": pert}
 
 
 def reveal(stego, bundle):
     """Decode the revealed image from a received stego waveform."""
     cfg = bundle.cfg
     need = cfg.required_samples()
-    if len(stego) != need:
-        raise UsageError(f"stego has {len(stego)} samples; this model requires exactly {need}")
+    if stego.samples.shape != (need,):
+        raise UsageError(f"stego has shape {stego.samples.shape}; this model requires exactly ({need},)")
     if stego.sample_rate != cfg.sample_rate:
         raise UsageError(f"stego is sampled at {stego.sample_rate} Hz; this model requires {cfg.sample_rate} Hz")
     return reveal_from_spectrogram(dsp.transform(stego, cfg.stft_config(), cfg.transform), bundle)[0]
@@ -611,23 +597,24 @@ def best_constant_baseline_l1(secret):
 
 
 def stego_spectrograms(bundle, dataset, what):
-    """Check every pair, then embed each once and analyse its stego as the receiver does: (stegos, one (B, F, T)
-    spectrogram, embed diagnostics).  `evaluate` and the robustness sweep share this step; `what` names the caller."""
+    """Check every pair, embed each once and analyse the stegos in one call, as the receiver does: (one (B, L)
+    stego Waveform, its spectrogram, embed diagnostics).  `evaluate` and the sweep call it; `what` names the caller."""
     if not dataset:
         raise UsageError(f"{what}: empty dataset")
     check_pairs(bundle, dataset)
     cfg = bundle.cfg
     stegos, diags = zip(*(embed(pair.secret, pair.cover, bundle) for pair in dataset))
-    return stegos, _stacked([dsp.transform(stego, cfg.stft_config(), cfg.transform) for stego in stegos]), diags
+    stego = dsp.Waveform(np.stack([s.samples for s in stegos]), cfg.sample_rate)
+    return stego, dsp.transform(stego, cfg.stft_config(), cfg.transform), diags
 
 
 def evaluate(bundle, dataset):
     """Mean metrics row over a dataset (the `eval` CLI output): `stego_spectrograms`, one batched reveal, one score."""
     cfg = bundle.cfg
-    stegos, spec, diags = stego_spectrograms(bundle, dataset, "evaluate")
+    stego, spec, diags = stego_spectrograms(bundle, dataset, "evaluate")
     covers = np.stack([pair.cover.samples[:cfg.required_samples()] for pair in dataset])
     with ad.no_grad():
-        waves = lo.waveform_term(cfg, ad.Tensor(covers), ad.Tensor(np.stack([s.samples for s in stegos]))).data
+        waves = lo.waveform_term(cfg, ad.Tensor(covers), ad.Tensor(stego.samples)).data
     with np.errstate(invalid="ignore"):  # a +inf pair and a -inf pair average to nan, which says so
         snr = float(np.mean([diag["stego_snr_db"] for diag in diags]))
     revealed = reveal_from_spectrogram(spec, bundle)

@@ -2,10 +2,11 @@
 spectrogram, decode what survives, and measure the damage.
 
 The sweep is one serial pass on `evaluate`'s path: `pipeline.stego_spectrograms`
-embeds and analyses each pair once, and every (mode, fraction) cell attacks a
-copy of that cached (B, F, T) spectrogram, reveals its pairs as one batch (see
-`pipeline.reveal_from_spectrogram`) and scores them with `metrics.image_scores`;
-cells that drop the same frames share one reveal and one score.
+embeds each pair once and analyses the (B, L) stegos in one call, and every
+(mode, fraction) cell attacks a copy of that cached (B, F, T) spectrogram,
+reveals its pairs as one batch (see `pipeline.reveal_from_spectrogram`) and
+scores them with `metrics.image_scores`; cells that drop the same frames
+share one reveal and one score.
 Dropping a frame erases its spectral content outright: the frame's column is
 zeroed in every plane, so it reads magnitude 0 and, as `np.angle` reports an
 erased bin, phase 0.  A model that reads phase loses the frame as surely as

@@ -11,7 +11,7 @@ import wave
 import numpy as np
 
 from .dsp import Waveform
-from .errors import DataError
+from .errors import DataError, UsageError
 
 
 def read_wav(path):
@@ -37,6 +37,8 @@ def read_wav(path):
 
 
 def write_wav(w, path):
+    if w.samples.ndim != 1:
+        raise UsageError(f"{path}: a WAV file holds one waveform, got shape {w.samples.shape}")
     scaled = w.samples * 32768.0
     ints = np.where(scaled >= 0, np.floor(scaled + 0.5), np.ceil(scaled - 0.5))
     ints = np.clip(ints, -32768, 32767).astype("<i2")

@@ -1,6 +1,7 @@
 import ast
 import inspect
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -90,25 +91,53 @@ def test_cosine_at_bin_center_energy():
     assert np.allclose(shares, share3, atol=1e-9)
 
 
+def assert_stack_is_its_rows(rows, cfg, kind):
+    """One transform of the (B, L) stack and one inverse of its (B, F, T) spectrogram equal the per-row calls
+    byte for byte."""
+    stack = dsp.transform(make_waveform(rows), cfg, kind)
+    back = dsp.inverse_transform(stack)
+    assert back.samples.shape == rows.shape and len(back) == rows.shape[1] and stack.num_samples == rows.shape[1]
+    assert (stack.phase is None) == (kind == "stdct")
+    for i, row in enumerate(rows):
+        single = dsp.transform(make_waveform(row), cfg, kind)
+        assert stack.magnitude[i].tobytes() == single.magnitude.tobytes()
+        assert kind == "stdct" or stack.phase[i].tobytes() == single.phase.tobytes()
+        assert back.samples[i].tobytes() == dsp.inverse_transform(single).samples.tobytes()
+
+
 @pytest.mark.parametrize("n,hop", SWEEP)
 def test_stft_roundtrip_nyquist_free(n, hop):
     cfg = dsp.StftConfig(n, hop)
+    rows = []
     for seed in range(10):
         x = nyquist_free_signal(8 * n, cfg, np.random.default_rng(seed))
         w = make_waveform(x)
         back = dsp.inverse_transform(dsp.transform(w, cfg, "stft"))
         err = np.linalg.norm(back.samples - x) / np.linalg.norm(x)
         assert err < 1e-8
+        rows.append(x)
+    assert_stack_is_its_rows(np.stack(rows), cfg, "stft")
 
 
 @pytest.mark.parametrize("n,hop", SWEEP)
 def test_stdct_roundtrip_arbitrary(n, hop):
     cfg = dsp.StftConfig(n, hop)
+    rows = []
     for seed in range(10):
         x = np.random.default_rng(seed).normal(size=5 * n + 7)
         back = dsp.inverse_transform(dsp.transform(make_waveform(x), cfg, "stdct"))
         err = np.linalg.norm(back.samples - x) / np.linalg.norm(x)
         assert err < 1e-8
+        rows.append(x)
+    assert_stack_is_its_rows(np.stack(rows), cfg, "stdct")
+
+
+def test_waveform_holds_one_waveform_or_a_stack_and_len_is_the_row_length():
+    assert len(make_waveform(np.zeros(64))) == len(make_waveform(np.zeros((3, 64)))) == 64
+    assert len(make_waveform(np.zeros((1, 0)))) == len(make_waveform(np.zeros(0))) == 0
+    for shape in ((0, 64), (2, 3, 64), ()):
+        with pytest.raises(UsageError, match=re.escape(f"waveform must be (L,) or (B >= 1, L), got shape {shape}")):
+            make_waveform(np.zeros(shape))
 
 
 def test_istft_zero_spectrogram():

@@ -35,10 +35,10 @@ def test_config_geometry_desk():
     cfg = pl.PipelineConfig()
     assert cfg.transform == "stdct"
     assert cfg.frame_length() == 64 and cfg.hop_length() == 32
-    assert cfg.container_shape() == (64, 32)
+    assert cfg.context.container_shape == (64, 32)
     stft = pl.PipelineConfig(transform="stft")
     assert stft.frame_length() == 128 and stft.hop_length() == 32
-    assert stft.container_shape() == (64, 32)
+    assert stft.context.container_shape == (64, 32)
 
 
 def test_config_rejects_inconsistencies():
@@ -83,14 +83,14 @@ def test_bundle_holds_cfg_and_params_and_reads_geometry_from_cfg(monkeypatch):
     bundle = pl.build_model(cfg)
     assert [f.name for f in fields(pl.ModelBundle)] == ["cfg", "params"]
     assert bundle.ctx is cfg.context and bundle.ctx == emb.make_context("ws_replicate", (16, 16), True)
-    assert (bundle.hide_cfg, bundle.reveal_cfg) == emb.net_depths(cfg, cfg.context.grid.count)
+    assert bundle.cfg.unets == emb.net_depths(cfg, cfg.context.grid.count)
     # the geometry was derived once, when the config was made
     monkeypatch.setattr(emb, "make_context", lambda *args: pytest.fail("geometry derived again"))
     monkeypatch.setattr(emb, "net_depths", lambda *args: pytest.fail("U-Net configs derived again"))
     pair = tiny_pairs(cfg, 1)[0]
     stego, _ = pl.embed(pair.secret, pair.cover, bundle)
     assert pl.reveal(stego, bundle).shape == (3, 16, 16)
-    assert cfg.required_samples() == len(stego) and cfg.frame_length() == cfg.container_shape()[0]
+    assert cfg.required_samples() == len(stego) and cfg.frame_length() == cfg.context.container_shape[0]
 
 
 def test_config_text_roundtrip_and_rejection():
@@ -109,7 +109,7 @@ def test_config_text_roundtrip_and_rejection():
 
 def test_paper_shape_profile():
     cfg = pl.profile_config("paper_shape")
-    assert cfg.container_shape() == (1024, 512)
+    assert cfg.context.container_shape == (1024, 512)
     assert cfg.image == 256 and cfg.sample_rate == 44100
     with pytest.raises(UsageError):
         pl.profile_config("galaxy")
@@ -148,6 +148,27 @@ def test_magnitude_embedding_leaves_phase_bit_identical():
     assert not np.array_equal(out["stego_planes"]["magnitude"].data[0], out["spec"].magnitude[0])
 
 
+@pytest.mark.parametrize("overrides", [{}, {"method": "multichannel"}, {"transform": "stft", "container": "dual"}])
+def test_run_pipeline_over_a_batch_matches_one_pair_calls_row_for_row(overrides):
+    # pins the one analysis of the (B, L) covers, cut from covers of unequal length, and the one pixel shuffle
+    cfg = pl.PipelineConfig(**overrides)
+    bundle = pl.build_model(cfg)
+    pairs = tiny_pairs(cfg, 4)
+    longer = np.concatenate([pairs[1].cover.samples, np.ones(50)])
+    pairs[1] = pl.SamplePair(pairs[1].secret, dsp.Waveform(longer, cfg.sample_rate))
+    with ad.no_grad():
+        batch = pl.run_pipeline(bundle, pairs)
+        singles = [pl.run_pipeline(bundle, [pair]) for pair in pairs]
+    assert batch["cover"].shape == (4, cfg.required_samples())
+    for i, single in enumerate(singles):
+        assert batch["cover"][i].tobytes() == single["cover"][0].tobytes()
+        assert batch["stego_wave"].data[i].tobytes() == single["stego_wave"].data[0].tobytes()
+        for key in ("cover_planes", "stego_planes"):
+            assert batch[key].keys() == single[key].keys()
+            for plane, t in batch[key].items():
+                assert t.data[i].tobytes() == single[key][plane].data[0].tobytes(), (key, plane)
+
+
 def test_phase_embedding_leaves_magnitude_bit_identical():
     cfg = pl.PipelineConfig(transform="stft", container="phase")
     bundle = pl.build_model(cfg)
@@ -183,6 +204,17 @@ def test_embed_cover_length_errors():
         pl.embed(tiny_pairs(DESK, 1)[0].secret, short, bundle)
     with pytest.raises(UsageError):
         pl.reveal(dsp.Waveform(np.zeros(DESK.required_samples() + 5), 16000), bundle)
+
+
+def test_embed_and_reveal_take_one_waveform_not_a_stack():
+    bundle = pl.build_model(DESK)
+    pair = tiny_pairs(DESK, 1)[0]
+    n = DESK.required_samples()
+    with pytest.raises(UsageError, match=rf"pair 0: cover has shape \(2, {n}\); a pair holds one waveform"):
+        pl.embed(pair.secret, dsp.Waveform(np.stack([pair.cover.samples] * 2), 16000), bundle)
+    stego, _ = pl.embed(pair.secret, pair.cover, bundle)
+    with pytest.raises(UsageError, match=rf"stego has shape \(2, {n}\); this model requires exactly \({n},\)"):
+        pl.reveal(dsp.Waveform(np.stack([stego.samples] * 2), 16000), bundle)
 
 
 def test_sample_rate_mismatch_rejected():
@@ -263,7 +295,7 @@ def test_batched_reveal_equals_per_spectrogram_calls(overrides, monkeypatch):
         return reveal_from_planes(bundle, planes)
 
     monkeypatch.setattr(pl, "_reveal_from_planes", recording)
-    pair_floats = len(cfg.planes()) * np.prod(cfg.container_shape())
+    pair_floats = len(cfg.planes()) * np.prod(cfg.context.container_shape)
     for chunk_floats in (pl._CHUNK_FLOATS, 3 * pair_floats):  # default; chunks of 3, the last of 1
         monkeypatch.setattr(pl, "_CHUNK_FLOATS", chunk_floats)
         per = max(1, chunk_floats // pair_floats)
@@ -560,7 +592,9 @@ def test_nan_loss_aborts_with_step_and_term():
     (lambda p: pl.SamplePair(p.secret, dsp.Waveform(p.cover.samples[:100], 16000)),
      rf"pair 2: cover has 100 samples; this model requires {DESK.required_samples()}"),
     (lambda p: pl.SamplePair(p.secret, dsp.Waveform(p.cover.samples, 44100)),
-     r"pair 2: cover is sampled at 44100 Hz; this model requires 16000 Hz")])
+     r"pair 2: cover is sampled at 44100 Hz; this model requires 16000 Hz"),
+    (lambda p: pl.SamplePair(p.secret, dsp.Waveform(np.stack([p.cover.samples] * 2), 16000)),
+     rf"pair 2: cover has shape \(2, {DESK.required_samples()}\); a pair holds one waveform")])
 def test_train_checks_every_pair_before_step_0(bad, message, monkeypatch):
     pairs = tiny_pairs(DESK, 3)
     pairs[2] = bad(pairs[2])
@@ -644,6 +678,12 @@ def test_wav_rounds_half_away_and_clips(tmp_path):
     wavio.write_wav(w, tmp_path / "y.wav")
     back = wavio.read_wav(tmp_path / "y.wav")
     assert np.array_equal(np.round(back.samples * 32768.0), [1, -1, 32767, -32768])
+
+
+def test_write_wav_rejects_a_stack_and_writes_nothing(tmp_path):
+    with pytest.raises(UsageError, match=r"a WAV file holds one waveform, got shape \(2, 64\)"):
+        wavio.write_wav(dsp.Waveform(np.zeros((2, 64)), 8000), tmp_path / "stack.wav")
+    assert not (tmp_path / "stack.wav").exists()
 
 
 def test_wav_rejects_garbage(tmp_path):

@@ -124,6 +124,16 @@ def test_every_pair_is_checked_with_its_index_before_the_first_embed(run, monkey
         run(bundle, pairs)
 
 
+@pytest.mark.parametrize("run", [pl.evaluate, rob.robustness_sweep])
+def test_a_stacked_cover_is_rejected_with_its_pair_index_before_the_first_embed(run, monkeypatch):
+    bundle = pl.build_model(pl.PipelineConfig())
+    pairs = pl.synth_dataset(4, cfg=bundle.cfg)
+    pairs[2] = pl.SamplePair(pairs[2].secret, dsp.Waveform(np.stack([pairs[2].cover.samples] * 3), 16000))
+    monkeypatch.setattr(pl, "embed", lambda *args: pytest.fail("embedded before the check"))
+    with pytest.raises(UsageError, match=rf"pair 2: cover has shape \(3, {bundle.cfg.required_samples()}\)"):
+        run(bundle, pairs)
+
+
 def test_a_cell_reveals_in_chunks_and_embeds_each_pair_once(monkeypatch):
     bundle = pl.build_model(pl.PipelineConfig())
     pairs = pl.synth_dataset(16, cfg=bundle.cfg)
