@@ -65,10 +65,10 @@ class CostBreakdown:
 
 def model_cost(cfg):
     """Parameter and MAC totals for one pipeline configuration."""
-    ctx, (hide_cfg, reveal_cfg) = cfg.context, cfg.unets
-    f, t = ctx.container_shape
-    plane_px = ctx.plane_hw[0] * ctx.plane_hw[1]
+    grid, (hide_cfg, reveal_cfg) = cfg.grid, cfg.unets
+    f, t = grid.container_shape
     image_px = cfg.image * cfg.image
+    plane_px = 4 * image_px
 
     # both networks run per replica cell, except that the container-merging
     # methods reveal from the whole container; the
@@ -76,13 +76,13 @@ def model_cost(cfg):
     # encode_arrange always emits a container (upsample, packed copies, or
     # scaled copies alike), so stretch and replicate stay exactly equal
     container_stage = 2 * f * t         # encode_arrange output + residual add onto the cover
-    image_stage = nets.unet_mac_count(hide_cfg, ctx.grid.cell_h, ctx.grid.cell_w)
+    image_stage = nets.unet_mac_count(hide_cfg, grid.cell_h, grid.cell_w)
     if cfg.method in emb.CONTAINER_REVEAL:
         container_stage += nets.unet_mac_count(reveal_cfg, f, t)
         image_stage += plane_px         # finalize: downsample or replica merge
     else:
         container_stage += f * t        # decode_prepare unpack/stack
-        image_stage += nets.unet_mac_count(reveal_cfg, ctx.grid.cell_h, ctx.grid.cell_w)
+        image_stage += nets.unet_mac_count(reveal_cfg, grid.cell_h, grid.cell_w)
     if cfg.method != "multichannel":
         image_stage += 3 * image_px     # pixel unshuffle back to RGB
 

@@ -1,15 +1,20 @@
 """Container arrangement strategies around the hiding/revealing networks.
 
-Five methods share three hooks:
+This module alone decides what each of the five methods does, in four hooks
+that read the model's ``PipelineConfig`` (``method``, ``luma``, ``image``, ``grid``):
 
-* ``encode_arrange``: watermark (plane or channel stack) -> container shape
-* ``decode_prepare``: container plane -> revealing-network input
-* ``decode_finalize``: revealing-network output -> plane or RGB image
+* ``encode_prepare``: secret images (3, B*h, w) -> hiding-network input
+* ``encode_arrange``: hiding-network output -> (B, *container_shape) containers
+* ``decode_prepare``: containers -> revealing-network input
+* ``decode_finalize``: revealing-network output -> RGB images (3, B*h, w)
 
-Replicas form one (count, cell_h, cell_w) stack, replica index first, that
-the ``imageops`` pack/unpack adjoint pair moves in and out of the container,
-so each hook records the same number of tape nodes at any replica count.
-The ``multichannel`` watermark is the stack; the plane methods build it with
+``replica_grid`` holds the published replica counts, which the config keeps
+as ``cfg.grid``: 2 or 8 (4x2, large) pixel-shuffled planes (luma-buffered
+unless ``cfg.luma`` is off), whose container ``stretch`` shares, or 8 (4x2)
+or 32 (8x4, large) RGB images for ``multichannel``.  Replicas form one
+(count, cell_h, cell_w) stack that the ``imageops`` pack/unpack adjoint pair
+moves in and out of the container, so each hook records the same number of
+tape nodes at any replica count.  The plane methods build the stack with
 ``autodiff.replicas``, scaling the plane by ones (``replicate``) or by the
 trainable ``embed.enc_weights`` (``w_replicate``, ``ws_replicate``).
 ``ws_replicate`` and ``multichannel`` reveal from the unpacked stack.  The
@@ -17,16 +22,11 @@ trainable ``embed.enc_weights`` (``w_replicate``, ``ws_replicate``).
 resizes the output down, which keeps its MAC count equal to ``replicate``'s,
 and ``replicate``/``w_replicate`` merge the unpacked stack in one weighted sum
 over the replica axis, by 1/count or by the trained ``embed.dec_weights``
-normalised by their sum.
-The replica weights live in the model's ``params``, made by ``init_weights``;
-the hooks read them from there, and an ``EmbeddingContext`` holds geometry only.
-A batch of B samples enters ``encode_arrange`` with a batch axis and leaves
-as (B, *container_shape); the reveal hooks keep the U-Net's (C, B*H, W).
+normalised by their sum.  The replica weights live in the model's ``params``,
+made by ``init_weights``.  The U-Nets stack B samples along the rows.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,37 +40,20 @@ METHODS = ("stretch", "replicate", "w_replicate", "ws_replicate", "multichannel"
 CONTAINER_REVEAL = ("stretch", "replicate", "w_replicate")
 
 
-@dataclass(frozen=True)
-class EmbeddingContext:
-    method: str
-    image_hw: tuple
-    grid: iops.ReplicaGrid
-
-    @property
-    def plane_hw(self):
-        return (2 * self.image_hw[0], 2 * self.image_hw[1])
-
-    @property
-    def container_shape(self):
-        return self.grid.container_shape
-
-
-def make_context(method, image_hw, large):
-    """The geometry of one method/size: its replica grid, and so its container shape."""
+def replica_grid(method, image, large):
+    """The replica grid of one method and image size, and so its container shape."""
     if method not in METHODS:
         raise ConfigError(f"unknown embedding method {method!r}")
-    h, w = image_hw
-    # stretch shares the replicate container so sizes stay comparable
-    grid = (iops.ReplicaGrid(*iops.channel_grid_shape(large), h, w) if method == "multichannel"
-            else iops.ReplicaGrid(*iops.plane_grid_shape(large), 2 * h, 2 * w))
-    return EmbeddingContext(method, (h, w), grid)
+    if method == "multichannel":
+        return iops.ReplicaGrid(*((8, 4) if large else (4, 2)), image, image)
+    return iops.ReplicaGrid(*((4, 2) if large else (2, 1)), 2 * image, 2 * image)
 
 
-def init_weights(ctx):
+def init_weights(cfg):
     """{name: tensor} of the method's trainable replica weights, all ones: embed.enc_weights
     (w_replicate, ws_replicate), then embed.dec_weights (w_replicate)."""
-    names = {"w_replicate": ("enc", "dec"), "ws_replicate": ("enc",)}.get(ctx.method, ())
-    return {f"embed.{name}_weights": ad.Tensor(np.ones(ctx.grid.count), requires_grad=True) for name in names}
+    names = {"w_replicate": ("enc", "dec"), "ws_replicate": ("enc",)}.get(cfg.method, ())
+    return {f"embed.{name}_weights": ad.Tensor(np.ones(cfg.grid.count), requires_grad=True) for name in names}
 
 
 def net_depths(cfg, n):
@@ -89,45 +72,50 @@ def _check_shape(t, want, what):
         raise ConfigError(f"{what}: expected shape {want}, with samples stacked, got {shape}")
 
 
-def encode_arrange(wmark, ctx, params):
-    """Watermark (..., 2h, 2w), or multichannel (count, ..., h, w) -> (..., *container_shape), differentiable."""
-    if ctx.method == "multichannel":
-        return iops.pack_grid_op(wmark, ctx.grid)
-    _check_shape(wmark, ctx.plane_hw, "encode_arrange")
-    if ctx.method == "stretch":
-        return iops.bilinear_resize_op(wmark, *ctx.container_shape)
-    weights = np.ones(ctx.grid.count) if ctx.method == "replicate" else params["embed.enc_weights"]
-    return iops.pack_grid_op(ad.replicas(wmark, weights), ctx.grid)
+def encode_prepare(images, cfg):
+    """Secret images (3, B*h, w) -> hiding-network input: the images, or one (1, B*2h, 2w) shuffle of them."""
+    if cfg.method == "multichannel":
+        return ad.Tensor(images)
+    return ad.Tensor(iops.shuffle_with_luma(images, use_luma=cfg.luma)[None])
 
 
-def decode_prepare(container, ctx):
+def encode_arrange(out, cfg, params, samples):
+    """Hiding-network output (C, B*H, W) of `samples` samples -> (B, *container_shape) containers, differentiable."""
+    grid, width = cfg.grid, out.data.shape[-1]
+    if cfg.method == "multichannel":  # (count, B*h, w) -> the (count, B, h, w) replica stack
+        return iops.pack_grid_op(ad.reshape(out, (grid.count, samples, -1, width)), grid)
+    wmark = ad.reshape(out, (samples, -1, width))
+    _check_shape(wmark, (2 * cfg.image,) * 2, "encode_arrange")
+    if cfg.method == "stretch":
+        return iops.bilinear_resize_op(wmark, *grid.container_shape)
+    weights = np.ones(grid.count) if cfg.method == "replicate" else params["embed.enc_weights"]
+    return iops.pack_grid_op(ad.replicas(wmark, weights), grid)
+
+
+def decode_prepare(container, cfg):
     """Containers (..., *container_shape) -> (C, B*H, W) revealing-network input, differentiable."""
-    _check_shape(container, ctx.container_shape, "decode_prepare")
-    if ctx.method in CONTAINER_REVEAL:
-        return ad.reshape(container, (1, -1, ctx.container_shape[1]))
-    return iops.unpack_grid_op(container, ctx.grid)
+    shape = cfg.grid.container_shape
+    _check_shape(container, shape, "decode_prepare")
+    if cfg.method in CONTAINER_REVEAL:
+        return ad.reshape(container, (1, -1, shape[1]))
+    return iops.unpack_grid_op(container, cfg.grid)
 
 
-def decode_finalize(net_out, ctx, params):
-    """Revealing-network output (C, B*H, W) -> planes (B*2h, 2w) or RGB images (3, B*h, w)."""
-    method = ctx.method
+def decode_finalize(net_out, cfg, params):
+    """Revealing-network output (C, B*H, W) -> RGB images (3, B*h, w), differentiable and unclamped."""
+    method, grid, plane_hw = cfg.method, cfg.grid, (2 * cfg.image,) * 2
     if method == "multichannel":
-        _check_shape(net_out, (3,) + ctx.image_hw, "decode_finalize")
+        _check_shape(net_out, (3, cfg.image, cfg.image), "decode_finalize")
         return net_out
-    plane_w = ctx.plane_hw[1]
+    _check_shape(net_out, (1,) + (plane_hw if method == "ws_replicate" else grid.container_shape), "decode_finalize")
     if method == "ws_replicate":
-        _check_shape(net_out, (1,) + ctx.plane_hw, "decode_finalize")
-        return ad.reshape(net_out, (-1, plane_w))
-
-    _check_shape(net_out, (1,) + ctx.container_shape, "decode_finalize")
-    if method == "stretch":
-        planes = iops.bilinear_resize_op(ad.reshape(net_out, (-1,) + ctx.container_shape), *ctx.plane_hw)
-        return ad.reshape(planes, (-1, plane_w))
-    n = ctx.grid.count
-    if method == "replicate":
-        weights = np.full(n, 1.0 / n)
+        planes = ad.reshape(net_out, (-1, plane_hw[1]))
+    elif method == "stretch":
+        resized = iops.bilinear_resize_op(ad.reshape(net_out, (-1,) + grid.container_shape), *plane_hw)
+        planes = ad.reshape(resized, (-1, plane_hw[1]))
     else:
-        # w_replicate: trained weights normalised by their sum
-        dec = params["embed.dec_weights"]
-        weights = ad.replicas(ad.recip(ad.scale(ad.mean(dec), n)), dec)
-    return ad.merge(iops.unpack_grid_op(net_out, ctx.grid), weights)
+        n, dec = grid.count, params.get("embed.dec_weights")  # w_replicate's weights, normalised by their sum
+        weights = (np.full(n, 1.0 / n) if method == "replicate"
+                   else ad.replicas(ad.recip(ad.scale(ad.mean(dec), n)), dec))
+        planes = ad.merge(iops.unpack_grid_op(net_out, grid), weights)
+    return iops.unshuffle_op(planes, use_luma=cfg.luma)

@@ -179,16 +179,6 @@ class ReplicaGrid:
         return out
 
 
-def plane_grid_shape(large):
-    """Replica counts for pixel-shuffled plane methods: 2 small, 8 (4x2) large."""
-    return (4, 2) if large else (2, 1)
-
-
-def channel_grid_shape(large):
-    """Replica counts for multichannel: 8 (4x2) small, 32 (8x4) large."""
-    return (8, 4) if large else (4, 2)
-
-
 def pack_grid_op(stack, grid):
     """Tape op: (count, ..., cell_h, cell_w) replica stack -> (..., *container_shape) containers."""
     shape = stack.data.shape

@@ -1,14 +1,17 @@
 """End-to-end embed/reveal data flow, training loop, datasets, checkpoints.
 
 The transmitter, `run_pipeline`, follows the transmit-side picture: the
-secret image is pixel-shuffled (luma-buffered unless disabled), pushed
-through the hiding network, arranged to container shape and residually added
-onto the cover's spectral plane(s); the inverse transform makes the stego
-waveform.  `embed` runs it alone; a training step (`_sample_loss`) joins it
-to the receiver, re-analysing the stego waveform on the tape and revealing
-from those planes as `reveal_from_spectrogram` does from a received
-waveform's transform.  Inference runs under `autodiff.no_grad`.  `evaluate`
-and the robustness sweep score on one path: `stego_spectrograms`,
+secret image is prepared for the hiding network, pushed through it, arranged
+to container shape and residually added onto the cover's spectral plane(s);
+the inverse transform makes the stego waveform.  `embed` runs it alone; a
+training step (`_sample_loss`) joins it to the receiver, re-analysing the
+stego waveform on the tape and revealing from those planes as
+`reveal_from_spectrogram` does from a received waveform's transform.
+What the embedding method does on either side of each network is left to
+the four `embeddings` hooks, which read the model's config; no function here
+branches on the method.  Inference runs under `autodiff.no_grad`, and a stego
+or revealed image that is not finite is a `NumericError`.  `evaluate` and the
+robustness sweep score on one path: `stego_spectrograms`,
 `reveal_from_spectrogram`, `metrics.image_scores`.
 
 The graph runs B pairs at once, one pair being a batch of one: waveforms are
@@ -90,9 +93,9 @@ class PipelineConfig:
             raise ConfigError("stdct is a real transform: container must be 'magnitude'")
         if self.image < 4 or self.image % 2:
             raise ConfigError(f"image size must be even and >= 4, got {self.image}")
-        # make_context rejects an unknown method, UNetConfig a depth, kernel or channel count no layer can take
-        object.__setattr__(self, "context", emb.make_context(self.method, (self.image, self.image), self.large))
-        object.__setattr__(self, "unets", emb.net_depths(self, self.context.grid.count))
+        # replica_grid rejects an unknown method, UNetConfig a depth, kernel or channel count no layer can take
+        object.__setattr__(self, "grid", emb.replica_grid(self.method, self.image, self.large))
+        object.__setattr__(self, "unets", emb.net_depths(self, self.grid.count))
         n = self.frame_length()
         if self.frame and self.frame != n:
             raise ConfigError(
@@ -114,8 +117,9 @@ class PipelineConfig:
                 ("wave_loss", self.wave_loss in ("l1", "soft_dtw"), "'l1' or 'soft_dtw'")):
             if not ok:
                 raise ConfigError(f"{_CONFIG_KEYS.get(name, name)} must be {rule}, got {getattr(self, name)!r}")
-        ctx, div = self.context, 2 ** self.depth
-        for what, (h, w) in (("container", ctx.container_shape), ("plane", ctx.plane_hw), ("image", ctx.image_hw)):
+        div = 2 ** self.depth
+        for what, (h, w) in (("container", self.grid.container_shape), ("plane", (2 * self.image,) * 2),
+                             ("image", (self.image,) * 2)):
             if h % div or w % div:
                 raise ConfigError(f"{what} extents {h}x{w} not divisible by 2^{self.depth}")
 
@@ -124,7 +128,7 @@ class PipelineConfig:
         return ("magnitude", "phase") if self.container == "dual" else (self.container,)
 
     def frame_length(self):
-        f = self.context.container_shape[0]
+        f = self.grid.container_shape[0]
         return 2 * f if self.transform == "stft" else f
 
     def hop_length(self):
@@ -137,7 +141,7 @@ class PipelineConfig:
         return dsp.StftConfig(self.frame_length(), self.hop_length())
 
     def required_samples(self):
-        return self.stft_config().samples_for_frames(self.context.container_shape[1])
+        return self.stft_config().samples_for_frames(self.grid.container_shape[1])
 
 
 # (config-file key, attribute, type) in field order, each typed by its default
@@ -198,7 +202,6 @@ class ModelBundle:
     """A model: its cfg, checked in full when made, which fixes geometry and objective, and its named parameters."""
     cfg: PipelineConfig
     params: dict
-    ctx = property(lambda self: self.cfg.context)
 
     def param_count(self):
         return nets.param_count(self.params)
@@ -221,7 +224,7 @@ def build_model(cfg):
             params.update(nets.init_unet(net_cfg, rng, prefix))
     if len(cfg.planes()) == 2:
         params.update(nets.init_coupling())
-    params.update(emb.init_weights(cfg.context))
+    params.update(emb.init_weights(cfg))
     return ModelBundle(cfg, params)
 
 
@@ -258,31 +261,22 @@ def _secret_images(pairs):
 
 
 def _secret_tensor(bundle, pairs):
-    """The hiding network's input: (3, B*h, w) images, or (1, B*2h, 2w) planes, one shuffle of the stacked images."""
-    images = _secret_images(pairs)
-    if bundle.cfg.method == "multichannel":
-        return ad.Tensor(images)
-    return ad.Tensor(iops.shuffle_with_luma(images, use_luma=bundle.cfg.luma)[None])
+    """The hiding network's input, made from the secrets stacked as one (3, B*h, w) array."""
+    return emb.encode_prepare(_secret_images(pairs), bundle.cfg)
 
 
 def _hide_branch(bundle, secret_t, prefix, samples):
-    ctx = bundle.ctx
     out = nets.unet_forward(bundle.cfg.unets[0], bundle.params, secret_t, prefix, samples)
-    # (count, B, h, w) replicas or (B, 2h, 2w) planes
-    lead = (ctx.grid.count, samples) if bundle.cfg.method == "multichannel" else (samples,)
-    return emb.encode_arrange(ad.reshape(out, lead + (-1, out.data.shape[-1])), ctx, bundle.params)
+    return emb.encode_arrange(out, bundle.cfg, bundle.params, samples)
 
 
 def _reveal_branch(bundle, container_t, prefix):
-    xin = emb.decode_prepare(container_t, bundle.ctx)
+    xin = emb.decode_prepare(container_t, bundle.cfg)
     return nets.unet_forward(bundle.cfg.unets[1], bundle.params, xin, prefix, len(container_t.data))
 
 
 def _finalize(bundle, net_out):
-    y = emb.decode_finalize(net_out, bundle.ctx, bundle.params)
-    if bundle.cfg.method == "multichannel":
-        return y
-    return iops.unshuffle_op(y, use_luma=bundle.cfg.luma)
+    return emb.decode_finalize(net_out, bundle.cfg, bundle.params)
 
 
 def _cover_spectrogram(bundle, pairs):
@@ -337,6 +331,8 @@ def embed(secret, cover, bundle):
     the cover's transform round trip; if that is silent, it reads -inf for a sounding stego, +inf for a silent one."""
     with ad.no_grad():
         out = run_pipeline(bundle, [SamplePair(secret, cover)])
+    if not np.isfinite(out["stego_wave"].data).all():
+        raise NumericError("embed: the stego waveform holds NaN or Inf")
     stego = dsp.Waveform(out["stego_wave"].data[0].copy(), cover.sample_rate)
     base = dsp.inverse_transform(out["spec"]).samples[0]
     pert = float(np.sqrt(sum(np.mean((out["stego_planes"][plane].data[0] - out["cover_planes"][plane].data[0]) ** 2)
@@ -361,7 +357,7 @@ def reveal_from_spectrogram(spec, bundle):
     One no-grad graph runs per chunk of pairs, as many as keep the chunk's
     container planes within _CHUNK_FLOATS (at least one); a chunk is a view
     of the stack."""
-    cfg, shape, planes = bundle.cfg, bundle.ctx.container_shape, bundle.cfg.planes()
+    cfg, shape, planes = bundle.cfg, bundle.cfg.grid.container_shape, bundle.cfg.planes()
     if spec.shape[-2:] != shape:
         raise UsageError(f"spectrogram shape {spec.shape} does not match model container {shape}")
     got = (spec.config, spec.sample_rate, spec.phase is not None)
@@ -369,12 +365,16 @@ def reveal_from_spectrogram(spec, bundle):
     if got != want:
         raise UsageError(f"spectrogram (config, sample rate, phase plane) {got} does not match the model's {want}")
     stack = {plane: getattr(spec, plane).reshape((-1,) + shape) for plane in planes}
-    out = np.empty((len(stack[planes[0]]), 3) + bundle.ctx.image_hw)
+    image_hw = (cfg.image, cfg.image)
+    out = np.empty((len(stack[planes[0]]), 3) + image_hw)
     per = max(1, _CHUNK_FLOATS // (len(planes) * shape[0] * shape[1]))
     for s0 in range(0, len(out), per):
         with ad.no_grad():
             revealed = _reveal_from_planes(bundle, {plane: ad.Tensor(a[s0:s0 + per]) for plane, a in stack.items()})
-        images = revealed.data.reshape((3, -1) + bundle.ctx.image_hw).transpose(1, 0, 2, 3)
+        images = revealed.data.reshape((3, -1) + image_hw).transpose(1, 0, 2, 3)
+        finite = np.isfinite(images).all(axis=(1, 2, 3))
+        if not finite.all():
+            raise NumericError(f"pair {s0 + int(np.argmin(finite))}: the revealed image holds NaN or Inf")
         np.clip(images, 0.0, 1.0, out=out[s0:s0 + per])
     return out
 
@@ -449,6 +449,8 @@ def synth_dataset(n, profile="desk", seed=0, cfg=None):
     if n < 1:
         raise UsageError(f"dataset size must be >= 1, got {n}")
     cfg = profile_config(profile, cfg)
+    if cfg.sample_rate < 100:  # cover tones are drawn from [40 Hz, 0.4 * rate]
+        raise UsageError(f"synth: sample rate {cfg.sample_rate} Hz is below the 100 Hz minimum")
     rng = np.random.default_rng(seed)
     length = cfg.required_samples()
     pairs = []

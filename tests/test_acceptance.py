@@ -265,13 +265,13 @@ def test_c05_embedding_geometry():
     rng = np.random.default_rng(0)
     cases = [
         # (grid shape source, cell, expected container, expected count)
-        (iops.plane_grid_shape(False), (512, 512), (1024, 512), 2),
-        (iops.plane_grid_shape(True), (512, 512), (2048, 1024), 8),
-        (iops.channel_grid_shape(False), (256, 256), (1024, 512), 8),
-        (iops.channel_grid_shape(True), (256, 256), (2048, 1024), 32),
+        (emb.replica_grid("replicate", 256, False), (512, 512), (1024, 512), 2),
+        (emb.replica_grid("replicate", 256, True), (512, 512), (2048, 1024), 8),
+        (emb.replica_grid("multichannel", 256, False), (256, 256), (1024, 512), 8),
+        (emb.replica_grid("multichannel", 256, True), (256, 256), (2048, 1024), 32),
     ]
-    for (rows, cols), cell, container_shape, count in cases:
-        grid = iops.ReplicaGrid(rows, cols, *cell)
+    for grid, cell, container_shape, count in cases:
+        assert (grid.cell_h, grid.cell_w) == cell
         assert grid.count == count
         assert grid.container_shape == container_shape
         reps = rng.random((count,) + cell)
@@ -279,8 +279,8 @@ def test_c05_embedding_geometry():
         back = unpack(container, grid)
         assert all(np.array_equal(a, b) for a, b in zip(reps, back))
         assert np.array_equal(pack(back, grid), container)
-    assert (iops.channel_grid_shape(False)) == (4, 2)
-    assert (iops.channel_grid_shape(True)) == (8, 4)
+    assert (cases[2][0].rows, cases[2][0].cols) == (4, 2)
+    assert (cases[3][0].rows, cases[3][0].cols) == (8, 4)
     print("\nACCEPTANCE 5 PASS: pack/unpack exact partitions: 2 replicas (small plane), "
           "8 in 4x2 (large plane & small multichannel), 32 in 8x4 (large multichannel)")
 

@@ -317,6 +317,40 @@ def test_nonfinite_checkpoint_exits_2(workspace, capsys):
     assert not (ws / "r.ppm").exists()
 
 
+def test_nonfinite_outputs_exit_3_and_write_nothing(workspace, capsys):
+    # finite but huge weights load; the NaN or Inf they make is a NumericError, not a clipped or zeroed file
+    ws = workspace
+    cfg = pipeline.parse_config_text(DESK_CFG)
+    pipeline.save_dataset(pipeline.synth_dataset(2, cfg=cfg), ws / "p")
+    for role in ("hide", "reveal"):
+        bundle = pipeline.build_model(cfg)
+        for name, tensor in bundle.params.items():
+            tensor.data = tensor.data * (1e200 if name.startswith(role) else 1.0)
+        pipeline.save_checkpoint(bundle, ws / f"{role}.pxw2")
+    embed = ["embed", "--image", str(ws / "p" / "secret_000.ppm"), "--audio", str(ws / "p" / "cover_000.wav")]
+    data = ["--data", str(ws / "p")]
+    with np.errstate(all="ignore"):
+        assert run(embed + ["--model", str(ws / "reveal.pxw2"), "--out", str(ws / "s.wav")]) == 0
+        capsys.readouterr()
+        assert run(embed + ["--model", str(ws / "hide.pxw2"), "--out", str(ws / "bad.wav")]) == 3
+        assert "stego" in capsys.readouterr().err
+        for argv, message in (
+                (["reveal", "--audio", str(ws / "s.wav"), "--out", str(ws / "r.ppm")], "pair 0"),
+                (["eval", *data], "pair 0"),
+                (["robustness", *data, "--out", str(ws / "sweep.csv")], "pair 0")):
+            assert run(argv + ["--model", str(ws / "reveal.pxw2")]) == 3
+            assert message in capsys.readouterr().err
+    assert not any((ws / name).exists() for name in ("bad.wav", "r.ppm", "sweep.csv"))
+
+
+def test_synth_below_100_hz_exits_1_without_a_traceback(workspace, capsys):
+    for rate in (1, 99):
+        assert run(["synth", "--set", f"sample_rate={rate}", "--n", "1", "--out", str(workspace / "p")]) == 1
+        err = capsys.readouterr().err
+        assert f"sample rate {rate} Hz" in err and "100 Hz minimum" in err and "Traceback" not in err
+    assert not (workspace / "p").exists()
+
+
 @pytest.fixture(scope="module")
 def valid_files(tmp_path_factory):
     """One valid file of each kind the CLI reads, keyed by suffix."""

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from stegowav import autodiff as ad
+from stegowav import embeddings as emb
 from stegowav import imageops as iops
 from stegowav.errors import ConfigError, DataError, UsageError
 
@@ -134,13 +135,13 @@ def test_pack_unpack_exact_partition(rng):
 
 def test_paper_replica_counts():
     # 2 x (512 x 512) -> 1024 x 512 with replica 0 in the low-frequency half
-    grid = iops.ReplicaGrid(*iops.plane_grid_shape(False), 512, 512)
+    grid = emb.replica_grid("replicate", 256, False)
     reps = np.stack([np.zeros((512, 512)), np.ones((512, 512))])
     container = pack(reps, grid)
     assert container.shape == (1024, 512)
     assert np.all(container[:512] == 0.0) and np.all(container[512:] == 1.0)
     # 8 x (256 x 256) in a 4 x 2 grid -> 1024 x 512
-    grid8 = iops.ReplicaGrid(*iops.channel_grid_shape(False), 256, 256)
+    grid8 = emb.replica_grid("multichannel", 256, False)
     container8 = pack(np.stack([np.full((256, 256), i) for i in range(8)]), grid8)
     assert container8.shape == (1024, 512)
     assert container8[0, 0] == 0 and container8[0, 256] == 1 and container8[768, 256] == 7

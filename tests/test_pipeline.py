@@ -35,10 +35,10 @@ def test_config_geometry_desk():
     cfg = pl.PipelineConfig()
     assert cfg.transform == "stdct"
     assert cfg.frame_length() == 64 and cfg.hop_length() == 32
-    assert cfg.context.container_shape == (64, 32)
+    assert cfg.grid.container_shape == (64, 32)
     stft = pl.PipelineConfig(transform="stft")
     assert stft.frame_length() == 128 and stft.hop_length() == 32
-    assert stft.context.container_shape == (64, 32)
+    assert stft.grid.container_shape == (64, 32)
 
 
 def test_config_rejects_inconsistencies():
@@ -82,15 +82,15 @@ def test_bundle_holds_cfg_and_params_and_reads_geometry_from_cfg(monkeypatch):
     cfg = pl.PipelineConfig(method="ws_replicate", large=True)
     bundle = pl.build_model(cfg)
     assert [f.name for f in fields(pl.ModelBundle)] == ["cfg", "params"]
-    assert bundle.ctx is cfg.context and bundle.ctx == emb.make_context("ws_replicate", (16, 16), True)
-    assert bundle.cfg.unets == emb.net_depths(cfg, cfg.context.grid.count)
+    assert bundle.cfg.grid is cfg.grid and cfg.grid == emb.replica_grid("ws_replicate", 16, True)
+    assert bundle.cfg.unets == emb.net_depths(cfg, cfg.grid.count)
     # the geometry was derived once, when the config was made
-    monkeypatch.setattr(emb, "make_context", lambda *args: pytest.fail("geometry derived again"))
+    monkeypatch.setattr(emb, "replica_grid", lambda *args: pytest.fail("geometry derived again"))
     monkeypatch.setattr(emb, "net_depths", lambda *args: pytest.fail("U-Net configs derived again"))
     pair = tiny_pairs(cfg, 1)[0]
     stego, _ = pl.embed(pair.secret, pair.cover, bundle)
     assert pl.reveal(stego, bundle).shape == (3, 16, 16)
-    assert cfg.required_samples() == len(stego) and cfg.frame_length() == cfg.context.container_shape[0]
+    assert cfg.required_samples() == len(stego) and cfg.frame_length() == cfg.grid.container_shape[0]
 
 
 def test_config_text_roundtrip_and_rejection():
@@ -109,7 +109,7 @@ def test_config_text_roundtrip_and_rejection():
 
 def test_paper_shape_profile():
     cfg = pl.profile_config("paper_shape")
-    assert cfg.context.container_shape == (1024, 512)
+    assert cfg.grid.container_shape == (1024, 512)
     assert cfg.image == 256 and cfg.sample_rate == 44100
     with pytest.raises(UsageError):
         pl.profile_config("galaxy")
@@ -295,7 +295,7 @@ def test_batched_reveal_equals_per_spectrogram_calls(overrides, monkeypatch):
         return reveal_from_planes(bundle, planes)
 
     monkeypatch.setattr(pl, "_reveal_from_planes", recording)
-    pair_floats = len(cfg.planes()) * np.prod(cfg.context.container_shape)
+    pair_floats = len(cfg.planes()) * np.prod(cfg.grid.container_shape)
     for chunk_floats in (pl._CHUNK_FLOATS, 3 * pair_floats):  # default; chunks of 3, the last of 1
         monkeypatch.setattr(pl, "_CHUNK_FLOATS", chunk_floats)
         per = max(1, chunk_floats // pair_floats)
@@ -522,7 +522,7 @@ def test_resumed_train_at_another_image_size_keeps_the_size_free_params():
     bundle = pl.build_model(DESK)
     cfg = replace(DESK, image=32, steps=1)
     trained, _ = pl.train(tiny_pairs(cfg, 2), cfg, bundle=bundle)
-    assert trained.cfg == cfg and trained.ctx.image_hw == (32, 32)
+    assert trained.cfg == cfg and trained.cfg.image == 32
     pair = tiny_pairs(cfg, 1)[0]
     stego, _ = pl.embed(pair.secret, pair.cover, trained)
     assert pl.reveal(stego, trained).shape == (3, 32, 32)
@@ -535,7 +535,7 @@ def test_replica_weights_are_read_from_params():
     pair = tiny_pairs(cfg, 1)[0]
     assert pl.embed(pair.secret, pair.cover, bundle)[1]["container_l2"] > 0.0
     # a replaced tensor takes effect: zero encoder weights leave the container unchanged
-    bundle.params["embed.enc_weights"] = ad.Tensor(np.zeros(bundle.ctx.grid.count), requires_grad=True)
+    bundle.params["embed.enc_weights"] = ad.Tensor(np.zeros(bundle.cfg.grid.count), requires_grad=True)
     assert pl.embed(pair.secret, pair.cover, bundle)[1]["container_l2"] == 0.0
 
 
