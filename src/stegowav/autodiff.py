@@ -22,7 +22,8 @@ kernel over output row tiles (forward, input gradient, np.where(z > 0, z, slope 
 one 2x2 block-sum and one 2x2 block-fill kernel serve avg_pool2 and upsample_concat.
 A U-Net decoder conv given its skip records upsample_concat as its input on a
 tape; without one, its tiles are filled straight from the upsampled input and
-the skip, and the concatenated input is never built.
+the skip, and the concatenated input is never built.  Handed the net's 1x1 head
+too, it records a second conv2d on a tape; without one its tiles go through the head.
 
 A batch of B images travels as (C, B*H, W), the samples stacked along the
 rows: the 2x2 ops never mix two samples (H is even), and :func:`conv2d` pads
@@ -389,7 +390,7 @@ def _row_tiles(src, k, samples=1, out_channels=0, skip=None):
                    lambda a, s=s, rows=r1 - r0: a.reshape(len(a), s, -1, wp, copy=False)[:, :, :rows, :w])
 
 
-def _correlate(src, taps, k, bias, slope=None, samples=1, skip=None):
+def _correlate(src, taps, k, bias, slope=None, samples=1, skip=None, head=None):
     """'Same' k x k correlation of src (C_in, B*H, W), or of src and a skip read as :func:`_row_tiles` says:
     bias + sum of m @ window(dy, dx).
 
@@ -397,26 +398,30 @@ def _correlate(src, taps, k, bias, slope=None, samples=1, skip=None):
     accumulator whose wrapped columns and rows between samples are cropped.  Over
     one input channel m @ window is an outer product: a broadcast multiply gives
     the same bytes, faster.  With a slope, each tile becomes max(acc, slope * acc)
-    before the crop: the bytes of np.where(acc > 0, acc, slope * acc) for 0 <= slope <= 1."""
+    before the crop: the bytes of np.where(acc > 0, acc, slope * acc) for 0 <= slope <= 1.  A head
+    (w (C_h, C_out), b (C_h,)) then maps each tile to b + w @ tile by the same product rule; only that is written."""
     cout, cin = taps[0][0].shape
     extents = (src if skip is None else skip).shape[1:]
     wp = extents[1] + k - 1
     product = np.multiply if cin == 1 else np.matmul
-    out, buffers = np.empty((cout,) + extents), None
+    heads = 0 if head is None else len(head[1])
+    out, buffers = np.empty((heads or cout,) + extents), None
     for rows, n, flat, cells in _row_tiles(src, k, samples, cout, skip):
-        buffers = buffers or (np.empty((cout, n)), np.empty((cout, n)))  # the first tile is the largest
-        acc, prod = buffers[0][:, :n], buffers[1][:, :n]
+        buffers = buffers or tuple(np.empty((c, n)) for c in (cout, cout, heads))  # the first tile is the largest
+        acc, prod, top = (buffer[:, :n] for buffer in buffers)
         acc[:] = bias[:, None]
         for m, dy, dx in taps:
             o = dy * wp + dx
             np.add(acc, product(m, flat[:, o:o + n], out=prod), out=acc)
         acc = acc if slope is None else np.maximum(acc, np.multiply(acc, slope, out=prod), out=prod)
+        if head is not None:
+            acc = np.add(head[1][:, None], (np.multiply if cout == 1 else np.matmul)(head[0], acc, out=top), out=top)
         tile = cells(acc)
         out[:, rows].reshape(tile.shape, copy=False)[...] = tile
     return out
 
 
-def conv2d(x, kernel, bias, slope=None, samples=1, skip=None):
+def conv2d(x, kernel, bias, slope=None, samples=1, skip=None, head=None):
     """2-D convolution, stride 1, odd square kernel, zero 'same' padding.
 
     x: (C_in, B*H, W), B = `samples` images stacked along the rows, each padded
@@ -426,7 +431,11 @@ def conv2d(x, kernel, bias, slope=None, samples=1, skip=None):
     With a skip (C', B*2H, 2W), the input is upsample_concat(x, skip), the
     bytes of a U-Net decoder level: on a tape that op is recorded as the
     input; without one the row tiles read x and the skip straight, and the
-    (C + C', B*2H, 2W) input is never built.
+    (C + C', B*2H, 2W) input is never built.  A head (kernel (C_h, C_out, 1, 1),
+    bias (C_h,)) returns conv2d(y, *head, samples=samples), a U-Net's linear output:
+    two conv2d nodes on a tape; without one each row tile of y goes through the head
+    in cache, and y is never built.  BLAS rounds a matmul's last few columns in another
+    order, so the two agree in every bit where both tilings round alike, as at the U-Net shapes.
 
     No im2col buffer and no padded copy of the whole input are built: every
     pass runs over tiles (:func:`_row_tiles`), of whole samples where they are
@@ -446,6 +455,12 @@ def conv2d(x, kernel, bias, slope=None, samples=1, skip=None):
     cout, cin, k, kw = kernel.data.shape
     if k != kw or k % 2 == 0:
         raise ConfigError(f"conv2d: kernel must be odd square, got {k}x{kw}")
+    if head is not None:
+        head = tuple(_as_tensor(t) for t in head)
+        if len(head) != 2 or head[0].data.shape != head[1].data.shape[:1] + (cout, 1, 1) or head[1].data.ndim != 1:
+            raise ConfigError(f"conv2d: head wants (C_h, {cout}, 1, 1) and (C_h,), got {[t.data.shape for t in head]}")
+        if _recording:
+            return conv2d(conv2d(x, kernel, bias, slope, samples, skip), *head, samples=samples)
     if skip is not None:
         skip = _as_tensor(skip)
         if skip.data.ndim != 3 or skip.data.shape[1:] != tuple(2 * n for n in x.data.shape[1:]) \
@@ -464,7 +479,8 @@ def conv2d(x, kernel, bias, slope=None, samples=1, skip=None):
     def fwd():
         nonlocal y
         y = _correlate(x.data, [(kernel.data[:, :, dy, dx], dy, dx) for dy, dx in grid], k, bias.data, slope,
-                       samples, None if skip is None else skip.data)
+                       samples, None if skip is None else skip.data,
+                       None if head is None else (head[0].data[:, :, 0, 0], head[1].data))
         return y
 
     def bwd(g, acc):
@@ -486,7 +502,8 @@ def conv2d(x, kernel, bias, slope=None, samples=1, skip=None):
             taps = [(kernel.data[:, :, dy, dx].T, k - 1 - dy, k - 1 - dx) for dy, dx in grid]
             acc(x, _correlate(g, taps, k, np.zeros(cin), samples=samples))
 
-    return _node("conv2d", (x, kernel, bias) if skip is None else (x, kernel, bias, skip), fwd, bwd)
+    # parents[1] stays the kernel, which names the layer; a head is only ever run without a tape, so bwd omits it
+    return _node("conv2d", ((x, kernel, bias) if skip is None else (x, kernel, bias, skip)) + (head or ()), fwd, bwd)
 
 
 def register_op(op, parents, forward, backward):

@@ -13,6 +13,7 @@ import functools
 import sys
 from pathlib import Path
 
+import numpy as np
 
 from . import costing, dsp, imageops, metrics, pipeline, robustness, wavio
 from .errors import ConfigError, DataError, NumericError, UsageError
@@ -239,7 +240,8 @@ def run(argv):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        with np.errstate(all="ignore"):  # a NaN or Inf is reported once, as a NumericError, not as numpy warnings
+            return _COMMANDS[args.command](args)
     except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

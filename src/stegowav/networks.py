@@ -2,8 +2,9 @@
 
 Down path: conv+leaky ReLU -> 2x mean-pool per level; bottleneck conv+leaky
 ReLU; up path: conv+leaky ReLU over the nearest-upsampled input stacked with
-the skip (read straight into the conv's row tiles without a tape); final
-1x1 linear conv.  Each leaky ReLU runs in its conv's row tiles.  Channel
+the skip (read straight into the conv's row tiles without a tape); a linear
+1x1 head, handed to the last decoder conv (run on its row tiles without a
+tape).  Each leaky ReLU runs in its conv's row tiles.  Channel
 widths double per level from ``base_channels``.  A batch of B inputs runs as
 one (C, B*H, W) array, samples stacked along the rows, in every layer.  The
 layer schedule is the single source of truth shared by initialization,
@@ -95,14 +96,15 @@ def unet_forward(cfg, params, x, prefix, samples=1):
     if x.data.shape[0] != cfg.in_depth:
         raise ConfigError(f"unet input depth {x.data.shape[0]} != configured {cfg.in_depth}")
 
-    skips = []
-    t = x
-    for s in layer_schedule(cfg):
-        # a decoder conv reads its upsampled input and its skip, popped so that it is freed once read
-        t = ad.conv2d(t, params[f"{prefix}.{s.name}.w"], params[f"{prefix}.{s.name}.b"],
-                      None if s.name == "head" else LEAKY_SLOPE, samples,
-                      skips.pop() if s.name.startswith("dec") else None)
-        if s.name.startswith("enc"):
+    *convs, head = [(s.name, params[f"{prefix}.{s.name}.w"], params[f"{prefix}.{s.name}.b"])
+                    for s in layer_schedule(cfg)]
+    skips, t = [], x
+    for name, w, b in convs:
+        # a decoder conv reads its upsampled input and its skip, popped so that it is freed once read; the last
+        # one, dec0, runs the head too
+        t = ad.conv2d(t, w, b, LEAKY_SLOPE, samples, skips.pop() if name.startswith("dec") else None,
+                      head[1:] if name == "dec0" else None)
+        if name.startswith("enc"):
             skips.append(t)
             t = ad.avg_pool2(t)
     return t

@@ -587,6 +587,9 @@ def train(dataset, cfg, bundle=None):
         ad.backward(total)
         del total  # the graph dies here, not while the next step records its own
         opt.step()
+        bad = next((name for name, p in bundle.params.items() if not np.isfinite(np.vdot(p.data, p.data))), None)
+        if bad is not None:  # finite weights whose squares overflow make the next forward pass overflow too
+            raise NumericError(f"training aborted at step {step}: sum of squares of parameter '{bad}' is not finite")
         log.append(step, value, terms)
     return bundle, log
 
@@ -605,7 +608,13 @@ def stego_spectrograms(bundle, dataset, what):
         raise UsageError(f"{what}: empty dataset")
     check_pairs(bundle, dataset)
     cfg = bundle.cfg
-    stegos, diags = zip(*(embed(pair.secret, pair.cover, bundle) for pair in dataset))
+    done = []
+    for pair in dataset:
+        try:
+            done.append(embed(pair.secret, pair.cover, bundle))
+        except NumericError as exc:
+            raise NumericError(f"pair {len(done)}: {exc}") from None
+    stegos, diags = zip(*done)
     stego = dsp.Waveform(np.stack([s.samples for s in stegos]), cfg.sample_rate)
     return stego, dsp.transform(stego, cfg.stft_config(), cfg.transform), diags
 

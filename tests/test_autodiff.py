@@ -395,6 +395,56 @@ def test_conv2d_skip_on_a_tape_records_upsample_concat():
     assert parents[0].op == "upsample_concat" and parents[1:] == (kernel, bias)
 
 
+@pytest.mark.parametrize("tiling", [None] + sorted(TILINGS))  # None: the default tiles, whole samples here
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(cout=st.integers(1, 4), heads=st.integers(1, 3), k=st.sampled_from([1, 3]), samples=st.integers(1, 3),
+       with_skip=st.booleans(), slope=st.sampled_from([None, 0.2]), c=st.integers(1, 3), h=st.integers(1, 4),
+       w=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_conv2d_head_equals_a_1x1_conv2d_of_its_output(tiling, cout, heads, k, samples, with_skip, slope, c, h, w,
+                                                         seed):
+    rng = np.random.default_rng(seed)
+    f = 2 if with_skip else 1  # a skip doubles the output extents over x's
+    arrays = [rng.normal(size=(c, samples * h, w)), rng.normal(size=(cout, c + with_skip, k, k)),
+              rng.normal(size=cout), rng.normal(size=(heads, cout, 1, 1)), rng.normal(size=heads)]
+    arrays += [rng.normal(size=(1, samples * f * h, f * w))] if with_skip else []
+    g = rng.normal(size=(heads, samples * f * h, f * w))
+
+    def fused(x, kernel, bias, head_w, head_b, *skip):
+        return ad.conv2d(x, kernel, bias, slope, samples, *skip, head=(head_w, head_b))
+
+    def separate(x, kernel, bias, head_w, head_b, *skip):
+        return ad.conv2d(ad.conv2d(x, kernel, bias, slope, samples, *skip), head_w, head_b, samples=samples)
+
+    with pytest.MonkeyPatch.context() as mp:
+        if tiling:  # tiles of TILINGS[tiling] rows of one sample
+            mp.setattr(ad, "_TILE_POSITIONS", min(f * h, TILINGS[tiling](f * h)) * (f * w + k - 1))
+            mp.setattr(ad, "_TILE_FLOATS", 1)
+        with ad.no_grad():
+            got, want = (build(*map(ad.Tensor, arrays)).data for build in (fused, separate))
+            y = ad.conv2d(*map(ad.Tensor, arrays[:3]), slope, samples, *map(ad.Tensor, arrays[5:])).data
+            scale = ad.conv2d(np.abs(y), np.abs(arrays[3]), np.abs(arrays[4]), samples=samples).data
+        # Not byte for byte: BLAS rounds the last few columns of a matmul (its last n % 4 for one output row)
+        # in another order than the rest, and a head tile's columns sit at other offsets than a 1x1 conv's.
+        # At the U-Net's shapes both tilings round alike: test_networks checks those bytes.
+        assert got.shape == want.shape and np.all(np.abs(got - want) <= 1e-15 * scale)
+        # on a tape the head is a second conv2d node, with the gradients of the two calls
+        for got, want in zip(*fused_and_oracle(fused, separate, arrays, g)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        leaves = list(map(ad.Tensor, arrays))
+        y = fused(*leaves)
+        assert y.op == y._parents[0].op == "conv2d" and y._parents[1:] == tuple(leaves[3:5])
+        assert y._parents[0]._parents[1:3] == tuple(leaves[1:3])
+
+
+def test_conv2d_head_shapes_are_checked():
+    x, kernel, bias = ad.Tensor(np.ones((2, 4, 4))), ad.Tensor(np.ones((3, 2, 3, 3))), ad.Tensor(np.zeros(3))
+    for head in ((np.ones((1, 3, 1, 1)),), (np.ones((1, 2, 1, 1)), np.zeros(1)), (np.ones((1, 3, 3, 3)), np.zeros(1)),
+                 (np.ones((2, 3, 1, 1)), np.zeros(1)), (np.ones((1, 3, 1, 1)), np.zeros(()))):
+        for record in (contextlib.nullcontext, ad.no_grad):
+            with record(), pytest.raises(ConfigError, match=r"head wants \(C_h, 3, 1, 1\) and \(C_h,\), got \["):
+                ad.conv2d(x, kernel, bias, 0.2, head=head)
+
+
 def test_conv2d_leaky_graph_freed_by_refcount():
     rng = np.random.default_rng(0)
     x, kernel, bias = (ad.Tensor(rng.normal(size=s), requires_grad=True) for s in ((2, 5, 4), (3, 2, 3, 3), (3,)))

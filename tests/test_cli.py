@@ -1,4 +1,6 @@
+import re
 import struct
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -341,6 +343,38 @@ def test_nonfinite_outputs_exit_3_and_write_nothing(workspace, capsys):
             assert run(argv + ["--model", str(ws / "reveal.pxw2")]) == 3
             assert message in capsys.readouterr().err
     assert not any((ws / name).exists() for name in ("bad.wav", "r.ppm", "sweep.csv"))
+
+
+def test_training_that_overflows_the_parameters_exits_3_and_writes_no_checkpoint(workspace, capsys):
+    # one Adam step at lr=1e300 leaves finite weights near 1e300, whose squares (and next forward pass) overflow
+    ws = workspace
+    assert run(["synth", "--config", str(ws / "desk.cfg"), "--n", "2", "--out", str(ws / "p")]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")  # as outside the tests: a numpy warning would print to stderr
+        assert run(["train", "--config", str(ws / "desk.cfg"), "--set", "lr=1e300", "--set", "steps=1",
+                    "--set", "batch=2", "--data", str(ws / "p"), "--out", str(ws / "m.pxw2")]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: training aborted at step 0: sum of squares of parameter '[\w.]+' is not finite\n", err)
+    assert not (ws / "m.pxw2").exists()
+
+
+def test_embed_overflow_prints_only_the_error_line_naming_the_pair(workspace, capsys):
+    ws = workspace
+    cfg = pipeline.parse_config_text(DESK_CFG)
+    pipeline.save_dataset(pipeline.synth_dataset(2, cfg=cfg), ws / "p")
+    bundle = pipeline.build_model(cfg)
+    for name, tensor in bundle.params.items():
+        tensor.data = tensor.data * (1e200 if name.startswith("hide") else 1.0)
+    pipeline.save_checkpoint(bundle, ws / "hide.pxw2")
+    embed = ["embed", "--image", str(ws / "p" / "secret_000.ppm"), "--audio", str(ws / "p" / "cover_000.wav"),
+             "--out", str(ws / "s.wav")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")  # as outside the tests: a numpy warning would print to stderr
+        for argv, where in ((embed, ""), (["eval", "--data", str(ws / "p")], "pair 0: ")):
+            assert run(argv + ["--model", str(ws / "hide.pxw2")]) == 3
+            assert capsys.readouterr().err == f"error: {where}embed: the stego waveform holds NaN or Inf\n"
+    assert not (ws / "s.wav").exists()
 
 
 def test_synth_below_100_hz_exits_1_without_a_traceback(workspace, capsys):

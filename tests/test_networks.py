@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -127,6 +128,44 @@ def test_reveal_unet_inference_builds_no_decoder_input():
     # built, it peaked at 36.0 MiB beside its 4 MiB deep input and 8 MiB skip;
     # read straight into the conv's row tiles, 23.3 MiB.
     assert peak < 28 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+
+
+@pytest.mark.parametrize("record,convs", [(contextlib.nullcontext, 6), (ad.no_grad, 5)])
+def test_dec0_runs_the_head_without_a_tape(rng, monkeypatch, record, convs):
+    cfg = nets.UNetConfig(1, 3, depth=2, base_channels=2)
+    params = nets.init_unet(cfg, np.random.default_rng(0), "u")
+    made, node = [], ad._node
+
+    def recording(op, parents, forward, backward):
+        t = node(op, parents, forward, backward)
+        if op == "conv2d":
+            made.append((parents, t.data.shape))
+        return t
+
+    monkeypatch.setattr(ad, "_node", recording)
+    with record():
+        nets.unet_forward(cfg, params, ad.Tensor(rng.random((1, 8, 8))), "u")
+    assert len(made) == convs
+    parents, shape = made[-1]
+    assert shape == (cfg.out_depth, 8, 8) and parents[-2:] == (params["u.head.w"], params["u.head.b"])
+    assert parents[1] is params["u.head.w" if convs == 6 else "u.dec0.w"]
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("kernel", [1, 3, 5])
+@pytest.mark.parametrize("channels,out_depth", [(1, 1), (8, 1), (8, 3), (16, 4)])
+@pytest.mark.parametrize("samples,h,w", [(1, 64, 32), (3, 24, 40), (2, 8, 16)])
+def test_unet_without_a_tape_gives_the_bytes_of_the_taped_forward(depth, kernel, channels, out_depth, samples, h, w):
+    cfg = nets.UNetConfig(2, out_depth, depth, channels, kernel)
+    rng = np.random.default_rng(depth * kernel * channels)
+    params = nets.init_unet(cfg, rng, "u")
+    for tensor in params.values():  # non-zero biases too
+        tensor.data = tensor.data + rng.normal(0.0, 0.1, tensor.data.shape)
+    x = ad.Tensor(rng.normal(size=(2, samples * h, w)))
+    with ad.no_grad():
+        got = nets.unet_forward(cfg, params, x, "u", samples).data
+    want = nets.unet_forward(cfg, params, x, "u", samples).data
+    assert got.shape == want.shape == (out_depth, samples * h, w) and got.tobytes() == want.tobytes()
 
 
 def test_couple_projection_and_average(rng):
