@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Subcommands: synth, train, embed, reveal, eval, robustness, cost,
-spectrogram.  Exit codes: 0 success, 1 usage/config error, 2 data/IO error,
-3 numeric failure.  Config files are flat key=value text ('#' comments);
---set key=value flags override file values.
+spectrogram.  Exit codes: 0 success, 1 usage/config error or an allocation
+numpy refused (MemoryError), 2 data/IO error, 3 numeric failure.  Config
+files are flat key=value text ('#' comments); --set key=value flags override
+file values.
 """
 
 from __future__ import annotations
@@ -153,25 +154,34 @@ def _cmd_reveal(args):
     imageops.write_ppm(revealed, args.out)
     print(f"revealed: {args.out}")
     if args.reference is not None:
-        print(metrics.METRICS_CSV_HEADER)
-        print(metrics.MetricsRow.score(bundle.cfg, secret[None], revealed[None]).to_csv())
+        row = metrics.score_row(bundle.cfg, secret[None], revealed[None])
+        print(metrics.csv_table(metrics.METRICS_CSV_HEADER, [row]), end="")
     return 0
 
 
 def _cmd_eval(args):
     bundle = pipeline.load_checkpoint(_require(args.model))
     pairs = pipeline.load_dataset(_require(args.data))
-    row = pipeline.evaluate(bundle, pairs)
-    line = row.to_csv()
-    print(metrics.METRICS_CSV_HEADER)
-    print(line)
+    skip = None if args.out is None else _written_head(args.out, metrics.METRICS_CSV_HEADER)  # before evaluating
+    table = metrics.csv_table(metrics.METRICS_CSV_HEADER, [pipeline.evaluate(bundle, pairs)])
+    print(table, end="")
     if args.out is not None:
-        fresh = not args.out.exists()
         with open(args.out, "a", encoding="utf-8") as f:
-            if fresh:
-                f.write(metrics.METRICS_CSV_HEADER + "\n")
-            f.write(line + "\n")
+            f.write(table[skip:])
     return 0
+
+
+def _written_head(path, header):
+    """How much of a table under `header` `path` already holds: 0 if it is missing or empty, else its first line,
+    which must be `header` (with its line end unless the file stops there) or it is a DataError."""
+    try:
+        with open(path, "rb") as f:
+            first = f.readline(len(header) + 1).decode("utf-8", "backslashreplace")
+    except FileNotFoundError:
+        first = ""
+    if first and first.rstrip("\n") != header:
+        raise DataError(f"{path}: first line starts {first.rstrip()!r}, not the header {header!r}; nothing written")
+    return len(first)
 
 
 def _cell_list(flag, text, parse, name=repr):
@@ -195,7 +205,7 @@ def _cmd_robustness(args):
     on_cell = None if args.dump_dir is None else functools.partial(_dump_cells, args.dump_dir)
     rows = robustness.robustness_sweep(bundle, pairs, fractions, modes, seed=args.seed,
                                        on_cell=on_cell)
-    args.out.write_text(robustness.sweep_to_csv(rows), encoding="utf-8")
+    args.out.write_text(metrics.csv_table(robustness.SWEEP_CSV_HEADER, rows), encoding="utf-8")
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
@@ -242,7 +252,7 @@ def run(argv):
         args = parser.parse_args(argv)
         with np.errstate(all="ignore"):  # a NaN or Inf is reported once, as a NumericError, not as numpy warnings
             return _COMMANDS[args.command](args)
-    except (UsageError, ConfigError) as exc:
+    except (UsageError, ConfigError, MemoryError) as exc:  # MemoryError: the config asks for more than there is
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (DataError, OSError) as exc:

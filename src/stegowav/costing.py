@@ -8,7 +8,8 @@ pixel.  MACs are split into container-resolution stages (the revealing
 network when it consumes the full container, plus the residual add) and
 image-resolution stages (the hiding network and replica-resolution
 decoders), which exhibits why growing the container four-fold leaves the
-hiding cost flat while the revealing cost scales with container area.
+hiding cost flat while the revealing cost scales with container area.  Costs
+and table rows are plain dicts; the CSV holds the `COST_CSV_HEADER` columns.
 
 Published reference deltas are printed alongside for comparison, never
 asserted: the underlying architecture here is desk-scale, so only the
@@ -18,7 +19,7 @@ duality, free luma buffering) are reproduced exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from . import embeddings as emb
 from . import metrics as me
@@ -55,16 +56,8 @@ COST_CSV_HEADER = ("name,params,param_delta,macs,mac_delta_pct,"
                    "paper_param_delta,paper_mac_delta_pct")
 
 
-@dataclass(frozen=True)
-class CostBreakdown:
-    params: int
-    macs: int
-    macs_container_stage: int
-    macs_image_stage: int
-
-
 def model_cost(cfg):
-    """Parameter and MAC totals for one pipeline configuration."""
+    """{params, macs, macs_container_stage, macs_image_stage} of one pipeline configuration."""
     grid, (hide_cfg, reveal_cfg) = cfg.grid, cfg.unets
     f, t = grid.container_shape
     image_px = cfg.image * cfg.image
@@ -91,12 +84,8 @@ def model_cost(cfg):
     image_stage *= duplication
     if duplication == 2:  # the coupler's two MACs per revealed pixel
         image_stage += 2 * (3 * image_px if cfg.method == "multichannel" else plane_px)
-    return CostBreakdown(
-        params=pl.build_model(cfg).param_count(),
-        macs=int(container_stage + image_stage),
-        macs_container_stage=int(container_stage),
-        macs_image_stage=int(image_stage),
-    )
+    return {"params": pl.build_model(cfg).param_count(), "macs": int(container_stage + image_stage),
+            "macs_container_stage": int(container_stage), "macs_image_stage": int(image_stage)}
 
 
 def standard_variants(base_cfg):
@@ -117,27 +106,17 @@ def cost_table(named_configs):
     costs = {name: model_cost(cfg) for name, cfg in named_configs}
     base = costs["baseline"]
     rows = []
-    for name, _ in named_configs:
-        c = costs[name]
-        paper_p, paper_m = VARIANTS.get(name, (None, "", ""))[1:]
-        rows.append({
-            "name": name,
-            "params": c.params,
-            "param_delta": c.params - base.params,
-            "macs": c.macs,
-            "mac_delta_pct": 100.0 * (c.macs - base.macs) / base.macs,
-            "macs_container_stage": c.macs_container_stage,
-            "macs_image_stage": c.macs_image_stage,
-            "paper_param_delta": paper_p,
-            "paper_mac_delta_pct": paper_m,
-        })
+    for name, c in costs.items():
+        _, paper_p, paper_m = VARIANTS.get(name, (None, "", ""))
+        rows.append(dict(c, name=name, param_delta=c["params"] - base["params"],
+                         mac_delta_pct=100.0 * (c["macs"] - base["macs"]) / base["macs"],
+                         paper_param_delta=paper_p, paper_mac_delta_pct=paper_m))
     return rows
 
 
-def cost_to_csv(rows):
-    return "\n".join([COST_CSV_HEADER] + [me.csv_line([
-        r["name"], r["params"], f"{r['param_delta']:+d}", r["macs"], f"{r['mac_delta_pct']:+.2f}",
-        r["paper_param_delta"], r["paper_mac_delta_pct"]]) for r in rows]) + "\n"
+def cost_to_csv(rows):  # the two deltas signed, the MAC one to 2 decimals
+    return me.csv_table(COST_CSV_HEADER, [dict(r, param_delta=f"{r['param_delta']:+d}",
+                                               mac_delta_pct=f"{r['mac_delta_pct']:+.2f}") for r in rows])
 
 
 def cost_to_text(rows):

@@ -1,5 +1,7 @@
 """Evaluation metrics: SSIM/PSNR for images, SNR for audio, RGB histograms;
-`image_scores` and `MetricsRow.score` are the one scorer of revealed images.
+`image_scores` and `score_row` are the one scorer of revealed images.  An
+output table's header is the only spelling of its columns: its rows are plain
+dicts keyed by the header's names, and `csv_table` writes every table.
 
 The RGB density histogram distance stands in for subjective color-restoration
 judgements: a revealed image that lost its colors shows collapsed channel
@@ -7,8 +9,6 @@ densities and a large L1 gap to the secret's histograms.
 """
 
 from __future__ import annotations
-
-from dataclasses import astuple, dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -129,27 +129,18 @@ def csv_line(values):
     return ",".join(format(v, ".12g") if isinstance(v, float) else str(v) for v in values)
 
 
+def csv_table(header, rows):
+    """The one CSV table writer: `header`, then each row's values in the header's order, one `csv_line` each."""
+    names = header.split(",")
+    return "\n".join([header] + [csv_line(row[name] for name in names) for row in rows]) + "\n"
+
+
 METRICS_CSV_HEADER = "method,container,beta,lambda,ssim,psnr_db,snr_db,waveform_loss,hist_l1"
 
 
-@dataclass
-class MetricsRow:
-    method: str
-    container: str
-    beta: float
-    lam: float
-    revealed_ssim: float
-    revealed_psnr: float
-    stego_snr: float
-    waveform_loss: float
-    histogram_l1: float
-
-    @classmethod
-    def score(cls, cfg, secrets, revealed, stego_snr=float("nan"), waveform_loss=float("nan")):
-        """The row of model config `cfg` for (N, 3, h, w) revealed images: `image_scores` and the mean histogram L1."""
-        hists = [histogram_l1(rgb_histogram(secret), rgb_histogram(image)) for secret, image in zip(secrets, revealed)]
-        return cls(cfg.method, cfg.container, cfg.beta, cfg.lam, *image_scores(secrets, revealed),
-                   stego_snr, waveform_loss, float(np.mean(hists)))
-
-    def to_csv(self):
-        return csv_line([self.method, self.container] + [float(v) for v in astuple(self)[2:]])
+def score_row(cfg, secrets, revealed, snr_db=float("nan"), waveform_loss=float("nan")):
+    """The `METRICS_CSV_HEADER` row of model config `cfg` for (N, 3, h, w) revealed images: `image_scores` and
+    the mean histogram L1."""
+    hists = [histogram_l1(rgb_histogram(secret), rgb_histogram(image)) for secret, image in zip(secrets, revealed)]
+    values = (cfg.beta, cfg.lam, *image_scores(secrets, revealed), snr_db, waveform_loss, np.mean(hists))
+    return dict(zip(METRICS_CSV_HEADER.split(","), [cfg.method, cfg.container, *map(float, values)]))

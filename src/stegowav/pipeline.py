@@ -507,7 +507,7 @@ class TrainLog:
         return [row[1] for row in self.rows]
 
     def to_csv(self):
-        return "\n".join([self.CSV_HEADER] + [me.csv_line(row) for row in self.rows]) + "\n"
+        return me.csv_table(self.CSV_HEADER, [dict(zip(self.CSV_HEADER.split(","), row)) for row in self.rows])
 
 
 class Adam:
@@ -620,7 +620,7 @@ def stego_spectrograms(bundle, dataset, what):
 
 
 def evaluate(bundle, dataset):
-    """Mean metrics row over a dataset (the `eval` CLI output): `stego_spectrograms`, one batched reveal, one score."""
+    """Mean `metrics.score_row` over a dataset (the `eval` row): `stego_spectrograms`, one batched reveal, one score."""
     cfg = bundle.cfg
     stego, spec, diags = stego_spectrograms(bundle, dataset, "evaluate")
     covers = np.stack([pair.cover.samples[:cfg.required_samples()] for pair in dataset])
@@ -629,7 +629,7 @@ def evaluate(bundle, dataset):
     with np.errstate(invalid="ignore"):  # a +inf pair and a -inf pair average to nan, which says so
         snr = float(np.mean([diag["stego_snr_db"] for diag in diags]))
     revealed = reveal_from_spectrogram(spec, bundle)
-    return me.MetricsRow.score(cfg, np.stack([pair.secret for pair in dataset]), revealed, snr, float(np.mean(waves)))
+    return me.score_row(cfg, np.stack([pair.secret for pair in dataset]), revealed, snr, np.mean(waves))
 
 
 # ---------------------------------------------------------------------------

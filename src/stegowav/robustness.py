@@ -85,7 +85,7 @@ def worker_count():
 
 def robustness_sweep(bundle, data, fractions=DEFAULT_FRACTIONS, modes=MODES, seed=0,
                      on_cell=None):
-    """One aggregated row per (mode, fraction), ordered deterministically.
+    """One `SWEEP_CSV_HEADER` row per (mode, fraction), ordered deterministically.
 
     `on_cell(mode, fraction, revealed)`, when given, receives each cell's
     revealed (B, 3, h, w) images in pair order; cells that drop the same
@@ -107,11 +107,7 @@ def robustness_sweep(bundle, data, fractions=DEFAULT_FRACTIONS, modes=MODES, see
         revealed, ssim, psnr = cells[attack] if attack in attacks[index + 1:] else cells.pop(attack)
         if on_cell is not None:
             on_cell(drop.mode, drop.keep_fraction, revealed)
-        rows.append({"method": bundle.cfg.method, "mode": drop.mode, "keep_fraction": drop.keep_fraction,
-                     "mean_ssim": ssim, "mean_psnr_db": psnr})
+        values = (bundle.cfg.method, drop.mode, drop.keep_fraction, ssim, psnr)
+        rows.append(dict(zip(SWEEP_CSV_HEADER.split(","), values)))
     return rows
 
-
-def sweep_to_csv(rows):
-    return "\n".join([SWEEP_CSV_HEADER] + [me.csv_line(row[key] for key in SWEEP_CSV_HEADER.split(","))
-                                            for row in rows]) + "\n"

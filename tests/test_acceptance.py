@@ -393,7 +393,7 @@ def test_c10_determinism(tmp_path):
         pl.save_checkpoint(bundle, ckpt)
         (tmp_path / f"loss_{tag}.csv").write_text(log.to_csv(), encoding="utf-8")
         rows = rob.robustness_sweep(bundle, pairs, (1.0, 0.5), ("sequential", "random"))
-        (tmp_path / f"sweep_{tag}.csv").write_text(rob.sweep_to_csv(rows), encoding="utf-8")
+        (tmp_path / f"sweep_{tag}.csv").write_text(me.csv_table(rob.SWEEP_CSV_HEADER, rows), encoding="utf-8")
         artifacts.append({
             "data": [(p.name, p.read_bytes()) for p in sorted(data_dir.iterdir())],
             "ckpt": ckpt.read_bytes(),

@@ -137,6 +137,51 @@ def test_silent_cover_embeds_and_evaluates(workspace, capsys):
     assert row[metrics.METRICS_CSV_HEADER.split(",").index("snr_db")] == "-inf"
 
 
+def _eval_to(ws, out):
+    """`eval --out out` of an untrained desk model over two pairs; returns the exit code."""
+    cfg = pipeline.parse_config_text(DESK_CFG)
+    pipeline.save_dataset(pipeline.synth_dataset(2, cfg=cfg), ws / "p")
+    pipeline.save_checkpoint(pipeline.build_model(cfg), ws / "m.pxw2")
+    return run(["eval", "--model", str(ws / "m.pxw2"), "--data", str(ws / "p"), "--out", str(out)])
+
+
+@pytest.mark.parametrize("start", ["", None, metrics.METRICS_CSV_HEADER], ids=["empty", "missing", "header_no_eol"])
+def test_eval_out_starts_or_continues_a_metrics_table(workspace, capsys, start):
+    out = workspace / "eval.csv"
+    if start is not None:
+        out.write_text(start, encoding="utf-8")
+    assert _eval_to(workspace, out) == 0
+    printed = capsys.readouterr().out
+    assert printed.splitlines()[0] == metrics.METRICS_CSV_HEADER
+    assert out.read_text(encoding="utf-8") == printed
+    assert _eval_to(workspace, out) == 0
+    assert out.read_text(encoding="utf-8") == printed + capsys.readouterr().out.splitlines(keepends=True)[1]
+
+
+@pytest.mark.parametrize("first", [(robustness.SWEEP_CSV_HEADER + "\n").encode(), b"\xff\xfe not text\n"],
+                         ids=["sweep_header", "not_utf8"])
+def test_eval_out_refuses_another_tables_file_before_evaluating(workspace, capsys, monkeypatch, first):
+    out = workspace / "eval.csv"
+    out.write_bytes(first + b"sequential,1,0.5,20\n")
+
+    def never(*args):
+        raise AssertionError("evaluate ran")
+
+    monkeypatch.setattr(pipeline, "evaluate", never)
+    assert _eval_to(workspace, out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}: first line starts ") and metrics.METRICS_CSV_HEADER in err
+    assert (robustness.SWEEP_CSV_HEADER in err) == first.startswith(b"method")
+    assert out.read_bytes() == first + b"sequential,1,0.5,20\n"
+
+
+def test_refused_allocation_is_one_error_line(capsys):
+    # enc1's kernel alone is 131 TiB, past the address space: refused at once under any overcommit mode
+    assert run(["cost", "--set", "channels=1000000"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_robustness_negative_seed_exits_1(workspace, capsys):
     ws = workspace
     cfg = pipeline.parse_config_text(DESK_CFG)
@@ -498,7 +543,8 @@ def test_reveal_reference_prints_the_scores_evaluate_reports(workspace, capsys, 
     embed = pipeline.embed
     monkeypatch.setattr(pipeline, "embed", lambda *args: (wavio.read_wav(ws / "stego.wav"), embed(*args)[1]))
     pair = pipeline.SamplePair(imageops.read_ppm(ws / "secret.ppm"), wavio.read_wav(ws / "cover.wav"))
-    row = pipeline.evaluate(pipeline.load_checkpoint(ws / "m.pxw2"), [pair]).to_csv().split(",")
+    row = pipeline.evaluate(pipeline.load_checkpoint(ws / "m.pxw2"), [pair])
+    row = metrics.csv_table(metrics.METRICS_CSV_HEADER, [row]).splitlines()[1].split(",")
     names = metrics.METRICS_CSV_HEADER.split(",")
     for name in ("ssim", "psnr_db", "hist_l1"):
         assert printed[names.index(name)] == row[names.index(name)], name

@@ -63,13 +63,13 @@ def test_costs_are_pure_functions_of_config():
 def test_analytic_params_match_built_models():
     for name, cfg in costing.standard_variants(pl.PipelineConfig(method="stretch")):
         bundle = pl.build_model(cfg)
-        assert bundle.param_count() == costing.model_cost(cfg).params, name
+        assert bundle.param_count() == costing.model_cost(cfg)["params"], name
 
 
 def test_stage_split_sums_to_total():
     for name, cfg in costing.standard_variants(pl.PipelineConfig(method="stretch")):
         c = costing.model_cost(cfg)
-        assert c.macs == c.macs_container_stage + c.macs_image_stage, name
+        assert c["macs"] == c["macs_container_stage"] + c["macs_image_stage"], name
 
 
 def test_table_requires_baseline():

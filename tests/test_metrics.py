@@ -184,9 +184,9 @@ def test_histogram_grayscale_vs_colorful(rng):
 
 
 def test_metrics_row_csv():
-    row = me.MetricsRow("replicate", "magnitude", 0.75, 1.0, 0.9, 25.0,
-                        float("inf"), 1e-4, 0.2)
-    text = row.to_csv()
+    row = dict(zip(me.METRICS_CSV_HEADER.split(","), ("replicate", "magnitude", 0.75, 1.0, 0.9, 25.0,
+                                                       float("inf"), 1e-4, 0.2)))
+    text = me.csv_table(me.METRICS_CSV_HEADER, [row]).splitlines()[1]
     assert text.startswith("replicate,magnitude,0.75,1,")
     assert ",inf," in text
     assert len(text.split(",")) == len(me.METRICS_CSV_HEADER.split(","))

@@ -359,7 +359,7 @@ def test_evaluate_row_equals_the_per_pair_formula(wave_loss):
         psnrs.append(me.psnr_db(pair.secret, revealed))
         hists.append(me.histogram_l1(me.rgb_histogram(pair.secret), me.rgb_histogram(revealed)))
     row = pl.evaluate(bundle, pairs)
-    assert (row.revealed_ssim, row.revealed_psnr, row.stego_snr, row.waveform_loss, row.histogram_l1) == tuple(
+    assert (row["ssim"], row["psnr_db"], row["snr_db"], row["waveform_loss"], row["hist_l1"]) == tuple(
         float(np.mean(values)) for values in (ssims, psnrs, snrs, waves, hists))
 
 
@@ -370,9 +370,9 @@ def test_evaluate_snr_is_the_plain_mean_over_pairs():
     quiet_secret.secret = np.zeros_like(quiet_secret.secret)
     silent_cover.cover = dsp.Waveform(np.zeros(DESK.required_samples()), DESK.sample_rate)
     assert pl.embed(quiet_secret.secret, quiet_secret.cover, bundle)[1]["stego_snr_db"] == float("inf")
-    assert pl.evaluate(bundle, [loud, silent_cover]).stego_snr == float("-inf")
-    assert pl.evaluate(bundle, [loud, quiet_secret]).stego_snr == float("inf")
-    assert np.isnan(pl.evaluate(bundle, [loud, quiet_secret, silent_cover]).stego_snr)
+    assert pl.evaluate(bundle, [loud, silent_cover])["snr_db"] == float("-inf")
+    assert pl.evaluate(bundle, [loud, quiet_secret])["snr_db"] == float("inf")
+    assert np.isnan(pl.evaluate(bundle, [loud, quiet_secret, silent_cover])["snr_db"])
 
 
 def test_soft_dtw_evaluate_records_no_tape(monkeypatch):
@@ -388,7 +388,7 @@ def test_soft_dtw_evaluate_records_no_tape(monkeypatch):
 
     monkeypatch.setattr(ad, "_node", recording_node)
     row = pl.evaluate(bundle, pairs)
-    assert made and np.isfinite(row.waveform_loss)
+    assert made and np.isfinite(row["waveform_loss"])
     assert [t.op for t in made if t._parents] == []
 
 

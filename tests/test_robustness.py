@@ -215,7 +215,7 @@ def test_sweep_row_count_and_order(trained_desk):
     assert len(rows) == 4
     assert [(r["mode"], r["keep_fraction"]) for r in rows] == [
         ("sequential", 1.0), ("sequential", 0.5), ("random", 1.0), ("random", 0.5)]
-    csv = rob.sweep_to_csv(rows)
+    csv = me.csv_table(rob.SWEEP_CSV_HEADER, rows)
     assert csv.splitlines()[0] == rob.SWEEP_CSV_HEADER
     assert len(csv.splitlines()) == 5
 
@@ -241,7 +241,7 @@ def test_fraction_one_rows_are_evaluates_scores_exactly(trained_desk, cfg):
     row = pl.evaluate(bundle, pairs)
     kept = [r for r in rob.robustness_sweep(bundle, pairs, fractions=(1.0, 0.5)) if r["keep_fraction"] == 1.0]
     assert len(kept) == len(rob.MODES)
-    assert all((r["mean_ssim"], r["mean_psnr_db"]) == (row.revealed_ssim, row.revealed_psnr) for r in kept)
+    assert all((r["mean_ssim"], r["mean_psnr_db"]) == (row["ssim"], row["psnr_db"]) for r in kept)
 
 
 def test_sweep_deterministic_across_runs(trained_desk):
