@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: synth, train, embed, reveal, eval, robustness, cost,
-spectrogram.  Exit codes: 0 success, 1 usage/config error or an allocation
-numpy refused (MemoryError), 2 data/IO error, 3 numeric failure.  Config
+spectrogram.  Exit codes: 0 success, 1 usage/config error or a refused
+allocation ("out of memory"), 2 data/IO error, 3 numeric failure.  Config
 files are flat key=value text ('#' comments); --set key=value flags override
 file values.
 """
@@ -172,8 +172,7 @@ def _cmd_eval(args):
 
 
 def _written_head(path, header):
-    """How much of a table under `header` `path` already holds: 0 if it is missing or empty, else its first line,
-    which must be `header` (with its line end unless the file stops there) or it is a DataError."""
+    """0 if `path` is missing or empty, else the length of its first line, which must be `header` or a DataError."""
     try:
         with open(path, "rb") as f:
             first = f.readline(len(header) + 1).decode("utf-8", "backslashreplace")
@@ -252,15 +251,16 @@ def run(argv):
         args = parser.parse_args(argv)
         with np.errstate(all="ignore"):  # a NaN or Inf is reported once, as a NumericError, not as numpy warnings
             return _COMMANDS[args.command](args)
-    except (UsageError, ConfigError, MemoryError) as exc:  # MemoryError: the config asks for more than there is
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except MemoryError as exc:  # a refused allocation; Python's own bare MemoryError() has no message
+        message, code = "out of memory" + (f": {exc}" if str(exc) else ""), 1
+    except (UsageError, ConfigError) as exc:
+        message, code = exc, 1
     except (DataError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message, code = exc, 2
     except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        message, code = exc, 3
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def main():

@@ -1,9 +1,9 @@
 """Exception taxonomy shared by all modules.
 
 The CLI maps these onto exit codes: UsageError/ConfigError -> 1,
-DataError (and plain OSError) -> 2, NumericError -> 3.  A MemoryError (an
-allocation numpy refused, as for `cost --set channels=1000000`) also exits 1:
-the config asked for more memory than the machine has.
+DataError (and plain OSError) -> 2, NumericError -> 3.  A refused allocation
+(MemoryError, as for `cost --set channels=1000000`) prints "out of memory" and
+exits 1, whether a config size or a large input asked for it.
 """
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from stegowav import dsp, imageops, metrics, pipeline, robustness, wavio
+from stegowav import cli, dsp, imageops, metrics, pipeline, robustness, wavio
 from stegowav.cli import run
 from stegowav.errors import DataError, StegoError
 
@@ -179,7 +179,16 @@ def test_refused_allocation_is_one_error_line(capsys):
     # enc1's kernel alone is 131 TiB, past the address space: refused at once under any overcommit mode
     assert run(["cost", "--set", "channels=1000000"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_bare_memory_error_still_names_its_cause(monkeypatch, capsys):
+    def refuse(args):
+        raise MemoryError()  # Python's own allocations raise it without a message
+
+    monkeypatch.setitem(cli._COMMANDS, "cost", refuse)
+    assert run(["cost"]) == 1
+    assert capsys.readouterr().err == "error: out of memory\n"
 
 
 def test_robustness_negative_seed_exits_1(workspace, capsys):

@@ -11,8 +11,8 @@ _SPEC.loader.exec_module(seeded_digests)
 
 def test_manifest_of_one_desk_config_repeats(tmp_path):
     configs = {"replicate": seeded_digests.CONFIGS["replicate"]}
-    first = seeded_digests.manifest(tmp_path / "a", configs, paper_shape=False)
-    assert first == seeded_digests.manifest(tmp_path / "b", configs, paper_shape=False)
+    first = seeded_digests.manifest(tmp_path / "a", configs)
+    assert first == seeded_digests.manifest(tmp_path / "b", configs)
     assert sorted(first) == sorted(
         [f"replicate/{name}" for name in ("checkpoint", "loss.csv", "stego.wav", "revealed.ppm", "reveal_reference",
                                           "eval.csv", "eval_stdout")]

@@ -1,23 +1,22 @@
 """Digests of the seeded outputs: `{artifact: sha256}` JSON for every file the CLI writes from a seed.
 
-    PYTHONPATH=src python tools/seeded_digests.py [--out digests.json]
+    PYTHONPATH=src python tools/seeded_digests.py > digests.json
 
 Run it from the root of two checkouts: a change that keeps seeded outputs
 byte-identical prints the same JSON on both.  Everything runs in process
 through `cli.run`, in a temporary directory.  Per configuration (the five
 embedding methods, small and `large`; STFT `dual` and `phase`;
 `channels=1`, `kernel=5`, `depth=3`; soft-DTW): synth 3 pairs, train 6
-steps (batch 2, lr 0.005), then the checkpoint, the loss CSV, the stego WAV
-and revealed PPM of pair 0, the `reveal --reference` metrics row, and an
-`eval --out` CSV written twice (header, row, row) with its standard output.
-Then the sweep CSV and the dumped PPMs of the first configuration, the
-`cost` CSV and text, and an untrained `paper_shape` model's checkpoint,
-loss CSV, stego WAV, revealed PPM and `reveal --reference` row.
+steps (batch 2, lr 0.005); for an untrained `paper_shape` model: synth 1
+pair.  Of each: the checkpoint, the loss CSV, the stego WAV and revealed PPM
+of pair 0, the `reveal --reference` metrics row, and an `eval --out` CSV
+written twice (header, row, row) with its standard output.  Then the sweep
+CSV and the dumped PPMs of the first configuration, and the `cost` CSV and
+text.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -28,8 +27,12 @@ from pathlib import Path
 
 from stegowav import cli
 
+def _sets(keys):
+    return [arg for key in keys for arg in ("--set", key)]
+
+
 _METHODS = ("stretch", "replicate", "w_replicate", "ws_replicate", "multichannel")
-CONFIGS = {
+_VARIANTS = {
     **{method: [f"method={method}"] for method in _METHODS},
     **{f"{method}_large": [f"method={method}", "large=true"] for method in _METHODS},
     "stft_dual": ["transform=stft", "container=dual"],
@@ -39,12 +42,12 @@ CONFIGS = {
     "depth_3": ["depth=3"],
     "soft_dtw": ["wave_loss=soft_dtw"],
 }
-TRAIN_KEYS = ["steps=6", "batch=2", "lr=0.005", "seed=0"]
-PAPER_SHAPE_KEYS = ["image=256", "transform=stft", "hop=128", "sample_rate=44100", "steps=0", "seed=0"]
-
-
-def _sets(keys):
-    return [arg for key in keys for arg in ("--set", key)]
+_TRAIN_KEYS = ["steps=6", "batch=2", "lr=0.005", "seed=0"]
+CONFIGS = {  # name: (synth arguments, train keys); the sweep runs on the first
+    **{name: (_sets(keys + _TRAIN_KEYS) + ["--n", 3], keys + _TRAIN_KEYS) for name, keys in _VARIANTS.items()},
+    "paper_shape": (["--profile", "paper_shape", "--n", 1],
+                    ["image=256", "transform=stft", "hop=128", "sample_rate=44100", "steps=0", "seed=0"]),
+}
 
 
 def _cli(*argv):
@@ -77,13 +80,13 @@ def _model_outputs(work, keys):
     return {f"{work.name}/{name}": digest for name, digest in digests.items()}
 
 
-def manifest(workdir, configs=CONFIGS, paper_shape=True):
-    """{artifact: sha256 hex} of every seeded output, written under `workdir`."""
+def manifest(workdir, configs=CONFIGS):
+    """{artifact: sha256 hex} of every seeded output of `configs`, written under `workdir`."""
     workdir, digests = Path(workdir), {}
-    for name, keys in configs.items():
+    for name, (synth_args, train_keys) in configs.items():
         work = workdir / name
-        _cli("synth", *_sets(keys + TRAIN_KEYS), "--n", 3, "--out", work / "pairs")
-        digests.update(_model_outputs(work, keys + TRAIN_KEYS))
+        _cli("synth", *synth_args, "--out", work / "pairs")
+        digests.update(_model_outputs(work, train_keys))
         printed = "".join(_cli("eval", "--model", work / "model.pxw2", "--data", work / "pairs",
                                "--out", work / "eval.csv") for _ in range(2))
         digests[f"{name}/eval.csv"] = _sha((work / "eval.csv").read_bytes())
@@ -97,22 +100,12 @@ def manifest(workdir, configs=CONFIGS, paper_shape=True):
     printed = _cli("cost", "--out", workdir / "cost.csv")
     digests["cost/cost.csv"] = _sha((workdir / "cost.csv").read_bytes())
     digests["cost/stdout"] = _sha(printed)
-    if paper_shape:
-        work = workdir / "paper_shape"
-        _cli("synth", "--profile", "paper_shape", "--n", 1, "--out", work / "pairs")
-        digests.update(_model_outputs(work, PAPER_SHAPE_KEYS))
     return digests
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--out", type=Path, help="write the JSON here as well as to stdout")
-    args = parser.parse_args(argv)
+def main():
     with tempfile.TemporaryDirectory() as tmp:
-        text = json.dumps(manifest(tmp), indent=1, sort_keys=True)
-    if args.out is not None:
-        args.out.write_text(text + "\n", encoding="utf-8")
-    print(text)
+        print(json.dumps(manifest(tmp), indent=1, sort_keys=True))
     return 0
 
 
