@@ -2,9 +2,10 @@
 
 Subcommands: synth, train, embed, reveal, eval, robustness, cost,
 spectrogram.  Exit codes: 0 success, 1 usage/config error or a refused
-allocation ("out of memory"), 2 data/IO error, 3 numeric failure.  Config
-files are flat key=value text ('#' comments); --set key=value flags override
-file values.
+allocation ("out of memory"), 2 data/IO error, 3 numeric failure.  Before any
+work, an output file whose directory is missing exits 2 and a model too small
+for SSIM's window exits 1 where it would be scored.  Config files are flat
+key=value text ('#' comments); --set key=value flags override file values.
 """
 
 from __future__ import annotations
@@ -49,6 +50,13 @@ def _load_config(args, base=None):
     return pipeline.parse_config_text("\n".join(args.set), base=cfg, source="--set")
 
 
+def _output_file(text):
+    """An output file's path, refused as the flags are parsed, before any work, unless its directory exists."""
+    if not Path(text).parent.is_dir():
+        raise DataError(f"{text}: directory {Path(text).parent} not found; nothing written")
+    return Path(text)
+
+
 def _build_parser():
     parser = _Parser(prog="stegowav",
                      description="Image-in-audio steganography on spectral containers.")
@@ -63,26 +71,25 @@ def _build_parser():
     p = subs.add_parser("train", help="train a model on a dataset directory")
     _add_config_args(p)
     p.add_argument("--data", type=Path, required=True)
-    p.add_argument("--out", type=Path, required=True, help="checkpoint path")
-    p.add_argument("--log", type=Path, help="per-step loss CSV path")
+    p.add_argument("--out", type=_output_file, required=True, help="checkpoint path")
+    p.add_argument("--log", type=_output_file, help="per-step loss CSV path")
 
     p = subs.add_parser("embed", help="hide an image in a cover audio file")
     p.add_argument("--model", type=Path, required=True)
     p.add_argument("--image", type=Path, required=True, help="secret image (P6 .ppm)")
     p.add_argument("--audio", type=Path, required=True, help="cover audio (PCM16 mono .wav)")
-    p.add_argument("--out", type=Path, required=True, help="stego .wav path")
+    p.add_argument("--out", type=_output_file, required=True, help="stego .wav path")
 
     p = subs.add_parser("reveal", help="decode the hidden image from stego audio")
     p.add_argument("--model", type=Path, required=True)
     p.add_argument("--audio", type=Path, required=True, help="stego .wav")
-    p.add_argument("--out", type=Path, required=True, help="revealed image .ppm path")
-    p.add_argument("--reference", type=Path,
-                   help="original secret (P6); prints a metrics row when given")
+    p.add_argument("--out", type=_output_file, required=True, help="revealed image .ppm path")
+    p.add_argument("--reference", type=Path, help="original secret (P6); prints a metrics row when given")
 
     p = subs.add_parser("eval", help="metrics row over a dataset")
     p.add_argument("--model", type=Path, required=True)
     p.add_argument("--data", type=Path, required=True)
-    p.add_argument("--out", type=Path, help="append CSV here (header if new)")
+    p.add_argument("--out", type=_output_file, help="append CSV here (header if new)")
 
     p = subs.add_parser("robustness", help="frame-dropout sweep")
     p.add_argument("--model", type=Path, required=True)
@@ -90,17 +97,17 @@ def _build_parser():
     p.add_argument("--fractions", default=",".join(map(str, robustness.DEFAULT_FRACTIONS)))
     p.add_argument("--modes", default=",".join(robustness.MODES))
     p.add_argument("--seed", type=int, default=0, help="seed of the random frame-dropout mode")
-    p.add_argument("--out", type=Path, required=True)
+    p.add_argument("--out", type=_output_file, required=True)
     p.add_argument("--dump-dir", type=Path, help="optionally dump revealed images per cell")
 
     p = subs.add_parser("cost", help="parameter/MAC cost table")
     _add_config_args(p)
-    p.add_argument("--out", type=Path, help="CSV path (text table prints to stdout)")
+    p.add_argument("--out", type=_output_file, help="CSV path (text table prints to stdout)")
 
     p = subs.add_parser("spectrogram", help="dump a log-magnitude raster (P5)")
     _add_config_args(p)
     p.add_argument("--audio", type=Path, required=True)
-    p.add_argument("--out", type=Path, required=True)
+    p.add_argument("--out", type=_output_file, required=True)
 
     return parser
 
@@ -109,6 +116,15 @@ def _require(path):
     if not path.exists():
         raise DataError(f"{path}: file not found")
     return path
+
+
+def _model(path, scored=False):
+    """The checkpoint at `path`; a `scored` model's images must hold SSIM's window, checked before any work."""
+    bundle, window = pipeline.load_checkpoint(_require(path)), metrics.SSIM_WINDOW
+    if scored and bundle.cfg.image < window:
+        raise UsageError(f"{path}: the model's {bundle.cfg.image}x{bundle.cfg.image} images are smaller than the "
+                         f"{window}x{window} SSIM window; nothing written")
+    return bundle
 
 
 def _cmd_synth(args):
@@ -134,7 +150,7 @@ def _cmd_train(args):
 
 
 def _cmd_embed(args):
-    bundle = pipeline.load_checkpoint(_require(args.model))
+    bundle = _model(args.model)
     secret = imageops.read_ppm(_require(args.image))
     cover = wavio.read_wav(_require(args.audio))
     stego, diag = pipeline.embed(secret, cover, bundle)
@@ -145,7 +161,7 @@ def _cmd_embed(args):
 
 
 def _cmd_reveal(args):
-    bundle = pipeline.load_checkpoint(_require(args.model))
+    bundle = _model(args.model, scored=args.reference is not None)
     stego = wavio.read_wav(_require(args.audio))
     if args.reference is not None:  # checked before decoding, so a bad reference writes nothing
         secret = imageops.read_ppm(_require(args.reference))
@@ -160,7 +176,7 @@ def _cmd_reveal(args):
 
 
 def _cmd_eval(args):
-    bundle = pipeline.load_checkpoint(_require(args.model))
+    bundle = _model(args.model, scored=True)
     pairs = pipeline.load_dataset(_require(args.data))
     skip = None if args.out is None else _written_head(args.out, metrics.METRICS_CSV_HEADER)  # before evaluating
     table = metrics.csv_table(metrics.METRICS_CSV_HEADER, [pipeline.evaluate(bundle, pairs)])
@@ -199,11 +215,10 @@ def _cell_list(flag, text, parse, name=repr):
 def _cmd_robustness(args):
     fractions = _cell_list("--fractions", args.fractions, float, _FRACTION_NAME)
     modes = _cell_list("--modes", args.modes, str)
-    bundle = pipeline.load_checkpoint(_require(args.model))
+    bundle = _model(args.model, scored=True)
     pairs = pipeline.load_dataset(_require(args.data))
     on_cell = None if args.dump_dir is None else functools.partial(_dump_cells, args.dump_dir)
-    rows = robustness.robustness_sweep(bundle, pairs, fractions, modes, seed=args.seed,
-                                       on_cell=on_cell)
+    rows = robustness.robustness_sweep(bundle, pairs, fractions, modes, seed=args.seed, on_cell=on_cell)
     args.out.write_text(metrics.csv_table(robustness.SWEEP_CSV_HEADER, rows), encoding="utf-8")
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0

@@ -260,11 +260,6 @@ def _secret_images(pairs):
     return secrets.reshape(3, -1, secrets.shape[-1])
 
 
-def _secret_tensor(bundle, pairs):
-    """The hiding network's input, made from the secrets stacked as one (3, B*h, w) array."""
-    return emb.encode_prepare(_secret_images(pairs), bundle.cfg)
-
-
 def _hide_branch(bundle, secret_t, prefix, samples):
     out = nets.unet_forward(bundle.cfg.unets[0], bundle.params, secret_t, prefix, samples)
     return emb.encode_arrange(out, bundle.cfg, bundle.params, samples)
@@ -297,7 +292,7 @@ def run_pipeline(bundle, pairs):
     cfg = bundle.cfg
     check_pairs(bundle, pairs)
     covers, spec = _cover_spectrogram(bundle, pairs)
-    secret_t = _secret_tensor(bundle, pairs)
+    secret_t = emb.encode_prepare(_secret_images(pairs), cfg)  # the hiding network's input
     cover_planes = {plane: ad.Tensor(getattr(spec, plane))
                     for plane in ("magnitude", "phase") if getattr(spec, plane) is not None}
     stego_planes = dict(cover_planes)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from stegowav import cli, dsp, imageops, metrics, pipeline, robustness, wavio
+from stegowav import cli, costing, dsp, imageops, metrics, pipeline, robustness, wavio
 from stegowav.cli import run
 from stegowav.errors import DataError, StegoError
 
@@ -173,6 +173,76 @@ def test_eval_out_refuses_another_tables_file_before_evaluating(workspace, capsy
     assert err.startswith(f"error: {out}: first line starts ") and metrics.METRICS_CSV_HEADER in err
     assert (robustness.SWEEP_CSV_HEADER in err) == first.startswith(b"method")
     assert out.read_bytes() == first + b"sequential,1,0.5,20\n"
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("the work ran")
+
+
+@pytest.fixture
+def model_files(workspace, monkeypatch):
+    """A desk dataset of one pair, an untrained model and a stego of the pair; then the work of every command
+    fails, so a command that reaches it is caught."""
+    cfg = pipeline.parse_config_text(DESK_CFG)
+    pairs = pipeline.synth_dataset(1, cfg=cfg)
+    pipeline.save_dataset(pairs, workspace / "p")
+    bundle = pipeline.build_model(cfg)
+    pipeline.save_checkpoint(bundle, workspace / "m.pxw2")
+    wavio.write_wav(pipeline.embed(pairs[0].secret, pairs[0].cover, bundle)[0], workspace / "stego.wav")
+    for owner, name in ((pipeline, "train"), (pipeline, "embed"), (pipeline, "reveal"), (pipeline, "evaluate"),
+                        (robustness, "robustness_sweep"), (costing, "cost_table"), (dsp, "transform")):
+        monkeypatch.setattr(owner, name, _never)
+    return workspace
+
+
+_OUTPUT_CASES = {  # argv with {w} for the workspace; the output under a missing directory is nodir/<name>
+    "train_out": "train --config {w}/desk.cfg --data {w}/p --out {w}/nodir/m2.pxw2",
+    "train_log": "train --config {w}/desk.cfg --data {w}/p --out {w}/m2.pxw2 --log {w}/nodir/loss.csv",
+    "embed": "embed --model {w}/m.pxw2 --image {w}/p/secret_000.ppm --audio {w}/p/cover_000.wav --out {w}/nodir/s.wav",
+    "reveal": "reveal --model {w}/m.pxw2 --audio {w}/stego.wav --out {w}/nodir/r.ppm",
+    "eval": "eval --model {w}/m.pxw2 --data {w}/p --out {w}/nodir/e.csv",
+    "robustness": "robustness --model {w}/m.pxw2 --data {w}/p --out {w}/nodir/s.csv --dump-dir {w}/dump",
+    "cost": "cost --out {w}/nodir/c.csv",
+    "spectrogram": "spectrogram --audio {w}/stego.wav --out {w}/nodir/s.pgm",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OUTPUT_CASES))
+def test_output_file_in_a_missing_directory_is_refused_before_any_work(model_files, capsys, case):
+    ws = model_files
+    before = sorted(ws.rglob("*"))
+    argv = _OUTPUT_CASES[case].format(w=ws).split()
+    assert run(argv) == 2
+    bad = next(arg for arg in argv if "/nodir/" in arg)
+    assert capsys.readouterr() == ("", f"error: {bad}: directory {ws / 'nodir'} not found; nothing written\n")
+    assert sorted(ws.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", ["eval", "robustness", "reveal"])
+def test_model_too_small_to_score_is_refused_before_any_work(workspace, capsys, monkeypatch, command):
+    ws = workspace
+    (ws / "desk.cfg").write_text(DESK_CFG + "image=8\n", encoding="utf-8")
+    cfg = pipeline.parse_config_text(DESK_CFG + "image=8\n")
+    pairs = pipeline.synth_dataset(1, cfg=cfg)
+    pipeline.save_dataset(pairs, ws / "p")
+    bundle = pipeline.build_model(cfg)
+    pipeline.save_checkpoint(bundle, ws / "m.pxw2")
+    wavio.write_wav(pipeline.embed(pairs[0].secret, pairs[0].cover, bundle)[0], ws / "stego.wav")
+    assert run(["reveal", "--model", str(ws / "m.pxw2"), "--audio", str(ws / "stego.wav"),
+                "--out", str(ws / "unscored.ppm")]) == 0  # revealing alone scores nothing, so it is not refused
+    for name in ("embed", "reveal", "evaluate"):
+        monkeypatch.setattr(pipeline, name, _never)
+    before = sorted(ws.rglob("*"))
+    capsys.readouterr()
+    model, data = ["--model", str(ws / "m.pxw2")], ["--data", str(ws / "p")]
+    argv = {"eval": ["eval", *model, *data, "--out", str(ws / "e.csv")],
+            "robustness": ["robustness", *model, *data, "--out", str(ws / "s.csv"), "--dump-dir", str(ws / "dump")],
+            "reveal": ["reveal", *model, "--audio", str(ws / "stego.wav"), "--out", str(ws / "r.ppm"),
+                       "--reference", str(ws / "p" / "secret_000.ppm")]}[command]
+    assert run(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {ws / 'm.pxw2'}: the model's 8x8 images are smaller than the "
+                                       "11x11 SSIM window; nothing written\n")
+    assert sorted(ws.rglob("*")) == before
 
 
 def test_refused_allocation_is_one_error_line(capsys):

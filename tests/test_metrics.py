@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from conftest import peak_bytes
 from stegowav import metrics as me
 from stegowav.errors import ConfigError, UsageError
 
@@ -96,12 +97,13 @@ def test_ssim_shift_invariance_unclamped(rng):
 
 
 def one_plane_ssim(a, b):
-    """SSIM with one tensordot per filtered plane and a mean per plane, then per image."""
-    win = me._gaussian_window(me.SSIM_WINDOW, me.SSIM_SIGMA)
+    """SSIM with each statistic of each plane filtered on its own by two 1-D passes, a mean per plane, then per
+    image."""
+    g = me._gaussian_window(me.SSIM_WINDOW, me.SSIM_SIGMA)
     c1, c2 = me.SSIM_K1 ** 2, me.SSIM_K2 ** 2
 
     def filt(z):
-        return np.tensordot(sliding_window_view(z, (me.SSIM_WINDOW, me.SSIM_WINDOW)), win, axes=([2, 3], [0, 1]))
+        return sliding_window_view(sliding_window_view(z, me.SSIM_WINDOW, axis=1) @ g, me.SSIM_WINDOW, axis=0) @ g
 
     values = []
     for x, y in zip(a, b):
@@ -112,11 +114,8 @@ def one_plane_ssim(a, b):
     return float(np.mean(values))
 
 
-@pytest.mark.parametrize("size", [16, 32])
-@pytest.mark.parametrize("budget", [None, 1])
-def test_stacked_ssim_equals_single_calls_byte_for_byte(size, budget, rng, monkeypatch):
-    if budget is not None:  # one plane per filter call
-        monkeypatch.setattr(me, "_SSIM_PATCH_FLOATS", budget)
+@pytest.mark.parametrize("size", [16, 32, 256])
+def test_stacked_ssim_equals_single_calls_byte_for_byte(size, rng):
     a = rng.random((5, 3, size, size))
     b = np.clip(a + rng.normal(0.0, 0.2, a.shape), 0.0, 1.0)
     stacked = me.ssim(a, b)
@@ -124,6 +123,12 @@ def test_stacked_ssim_equals_single_calls_byte_for_byte(size, budget, rng, monke
     singles = [me.ssim(x, y) for x, y in zip(a, b)]
     assert all(isinstance(v, float) for v in singles)
     assert stacked.tolist() == singles == [one_plane_ssim(x, y) for x, y in zip(a, b)]
+
+
+def test_paper_size_ssim_copies_no_window_patches(rng):
+    # the five filtered statistics of three 256x256 planes are ~22 MiB; an 11x11 patch matrix of one plane is 56 MiB
+    a, b = rng.random((2, 3, 256, 256))
+    assert peak_bytes(lambda: me.ssim(a, b)) <= 32 * 2 ** 20
 
 
 def test_ssim_rejects_other_ranks():

@@ -8,11 +8,12 @@ through `cli.run`, in a temporary directory.  Per configuration (the five
 embedding methods, small and `large`; STFT `dual` and `phase`;
 `channels=1`, `kernel=5`, `depth=3`; soft-DTW): synth 3 pairs, train 6
 steps (batch 2, lr 0.005); for an untrained `paper_shape` model: synth 1
-pair.  Of each: the checkpoint, the loss CSV, the stego WAV and revealed PPM
-of pair 0, the `reveal --reference` metrics row, and an `eval --out` CSV
-written twice (header, row, row) with its standard output.  Then the sweep
-CSV and the dumped PPMs of the first configuration, and the `cost` CSV and
-text.
+pair.  Of each: the synth files (secret PPMs and cover WAVs), the
+`spectrogram` PGM of cover 0, the checkpoint, the loss CSV, the stego WAV and
+revealed PPM of pair 0, the `reveal --reference` metrics row, and an
+`eval --out` CSV written twice (header, row, row) with its standard output.
+Then the sweep CSV and the dumped PPMs of the first configuration, and the
+`cost` CSV and text.
 """
 
 from __future__ import annotations
@@ -64,6 +65,11 @@ def _sha(data):
     return hashlib.sha256(data if isinstance(data, bytes) else data.encode("utf-8")).hexdigest()
 
 
+def _sha_dir(directory):
+    """sha256 of every file of `directory`, each name then its bytes, in name order."""
+    return _sha(b"".join(p.name.encode() + p.read_bytes() for p in sorted(directory.iterdir())))
+
+
 def _model_outputs(work, keys):
     """{"<work's name>/<artifact>": sha256} of the model `keys` trains on `work`/pairs (steps=0: untrained),
     run on pair 0."""
@@ -86,6 +92,10 @@ def manifest(workdir, configs=CONFIGS):
     for name, (synth_args, train_keys) in configs.items():
         work = workdir / name
         _cli("synth", *synth_args, "--out", work / "pairs")
+        digests[f"{name}/synth"] = _sha_dir(work / "pairs")
+        _cli("spectrogram", *_sets(train_keys), "--audio", work / "pairs" / "cover_000.wav",
+             "--out", work / "spectrogram.pgm")
+        digests[f"{name}/spectrogram.pgm"] = _sha((work / "spectrogram.pgm").read_bytes())
         digests.update(_model_outputs(work, train_keys))
         printed = "".join(_cli("eval", "--model", work / "model.pxw2", "--data", work / "pairs",
                                "--out", work / "eval.csv") for _ in range(2))
@@ -96,7 +106,7 @@ def manifest(workdir, configs=CONFIGS):
     _cli("robustness", "--model", first / "model.pxw2", "--data", first / "pairs", "--out", first / "sweep.csv",
          "--dump-dir", dump)
     digests["sweep/sweep.csv"] = _sha((first / "sweep.csv").read_bytes())
-    digests["sweep/dump"] = _sha(b"".join(p.name.encode() + p.read_bytes() for p in sorted(dump.iterdir())))
+    digests["sweep/dump"] = _sha_dir(dump)
     printed = _cli("cost", "--out", workdir / "cost.csv")
     digests["cost/cost.csv"] = _sha((workdir / "cost.csv").read_bytes())
     digests["cost/stdout"] = _sha(printed)
