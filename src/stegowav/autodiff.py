@@ -15,15 +15,16 @@ Inference runs this way.  The flag is module-wide and restored when the block
 exits, also on an exception.
 
 Tapes are single-threaded.  Tensor data must not be mutated once the tensor
-participates in a graph; all ops allocate fresh output buffers.
+participates in a graph.  Ops allocate fresh output buffers, but :func:`reshape`
+returns a view and :func:`conv2d` without a tape writes into an ``out=`` array.
 
 Every op here is one the pipeline records.  :func:`conv2d` runs one correlate
 kernel over output row tiles (forward, input gradient, np.where(z > 0, z, slope * z));
 one 2x2 block-sum and one 2x2 block-fill kernel serve avg_pool2 and upsample_concat.
 A U-Net decoder conv given its skip records upsample_concat as its input on a
-tape; without one, its tiles are filled straight from the upsampled input and
-the skip, and the concatenated input is never built.  Handed the net's 1x1 head
-too, it records a second conv2d on a tape; without one its tiles go through the head.
+tape; without one, its tiles are filled straight from the upsampled input and the
+skip (which it may write over), and the concatenated input is never built.  Handed
+the net's 1x1 head too, it records a second conv2d on a tape; without one its tiles go through the head.
 
 A batch of B images travels as (C, B*H, W), the samples stacked along the
 rows: the 2x2 ops never mix two samples (H is even), and :func:`conv2d` pads
@@ -148,7 +149,7 @@ def reshape(a, shape):
     def bwd(g, acc):
         acc(a, g.reshape(a.data.shape))
 
-    return _node("reshape", (a,), lambda: a.data.reshape(shape).copy(), bwd)
+    return _node("reshape", (a,), lambda: a.data.reshape(shape), bwd)
 
 
 def _block_sums(a):
@@ -351,7 +352,8 @@ def _row_tiles(src, k, samples=1, out_channels=0, skip=None):
     holds whole samples, their padded blocks one after another, and the output
     rows facing the 2*(k//2) halo rows of each block are cropped.  Otherwise a
     tile holds about _TILE_POSITIONS output positions of one sample's rows, so
-    with one sample every tile is the same."""
+    with one sample every tile is the same; a later one moves the last one's bottom 2*(k//2) rows
+    to its top, so no input row is read after the tile that outputs it: the output may overwrite the skip."""
     if skip is None:
         c, total, w = src.shape
 
@@ -380,8 +382,10 @@ def _row_tiles(src, k, samples=1, out_channels=0, skip=None):
                 blocks = buf[:, :s * block].reshape(c, s, block, wp)
                 fill(blocks[:, :, pad:pad + h, pad:pad + w], s0 * h, (s0 + s) * h)
             else:
-                lo, hi = max(r0 - pad, 0), min(r1 + pad, h)
-                if r0 == 0 < s0:  # the last tiles of the sample before wrote the top rows
+                lo, hi = min(r0 + pad, h) if r0 else 0, min(r1 + pad, h)
+                if r0:  # input rows r0 - pad:r0 + pad, the last tile's bottom rows, move to the top
+                    buf[:, :2 * pad] = buf[:, step:step + 2 * pad]
+                elif s0:  # the last tiles of the sample before wrote the top rows
                     buf[:, :pad] = 0
                 fill(buf[:, lo - r0 + pad:hi - r0 + pad, pad:pad + w], s0 * h + lo, s0 * h + hi)
                 buf[:, hi - r0 + pad:] = 0
@@ -390,7 +394,7 @@ def _row_tiles(src, k, samples=1, out_channels=0, skip=None):
                    lambda a, s=s, rows=r1 - r0: a.reshape(len(a), s, -1, wp, copy=False)[:, :, :rows, :w])
 
 
-def _correlate(src, taps, k, bias, slope=None, samples=1, skip=None, head=None):
+def _correlate(src, taps, k, bias, slope=None, samples=1, skip=None, head=None, out=None):
     """'Same' k x k correlation of src (C_in, B*H, W), or of src and a skip read as :func:`_row_tiles` says:
     bias + sum of m @ window(dy, dx).
 
@@ -398,14 +402,14 @@ def _correlate(src, taps, k, bias, slope=None, samples=1, skip=None, head=None):
     accumulator whose wrapped columns and rows between samples are cropped.  Over
     one input channel m @ window is an outer product: a broadcast multiply gives
     the same bytes, faster.  With a slope, each tile becomes max(acc, slope * acc)
-    before the crop: the bytes of np.where(acc > 0, acc, slope * acc) for 0 <= slope <= 1.  A head
-    (w (C_h, C_out), b (C_h,)) then maps each tile to b + w @ tile by the same product rule; only that is written."""
+    before the crop: the bytes of np.where(acc > 0, acc, slope * acc) for 0 <= slope <= 1.  A head (w (C_h, C_out),
+    b (C_h,)) then maps each tile to b + w @ tile by the same rule; only that is written, into `out` if given."""
     cout, cin = taps[0][0].shape
     extents = (src if skip is None else skip).shape[1:]
     wp = extents[1] + k - 1
     product = np.multiply if cin == 1 else np.matmul
     heads = 0 if head is None else len(head[1])
-    out, buffers = np.empty((heads or cout,) + extents), None
+    out, buffers = np.empty((heads or cout,) + extents) if out is None else out, None
     for rows, n, flat, cells in _row_tiles(src, k, samples, cout, skip):
         buffers = buffers or tuple(np.empty((c, n)) for c in (cout, cout, heads))  # the first tile is the largest
         acc, prod, top = (buffer[:, :n] for buffer in buffers)
@@ -421,7 +425,7 @@ def _correlate(src, taps, k, bias, slope=None, samples=1, skip=None, head=None):
     return out
 
 
-def conv2d(x, kernel, bias, slope=None, samples=1, skip=None, head=None):
+def conv2d(x, kernel, bias, slope=None, samples=1, skip=None, head=None, out=None):
     """2-D convolution, stride 1, odd square kernel, zero 'same' padding.
 
     x: (C_in, B*H, W), B = `samples` images stacked along the rows, each padded
@@ -436,6 +440,7 @@ def conv2d(x, kernel, bias, slope=None, samples=1, skip=None, head=None):
     two conv2d nodes on a tape; without one each row tile of y goes through the head
     in cache, and y is never built.  BLAS rounds a matmul's last few columns in another
     order, so the two agree in every bit where both tilings round alike, as at the U-Net shapes.
+    Without a tape, `out` (numpy's meaning; a ConfigError on a tape) receives the output and may be the skip's data.
 
     No im2col buffer and no padded copy of the whole input are built: every
     pass runs over tiles (:func:`_row_tiles`), of whole samples where they are
@@ -460,7 +465,7 @@ def conv2d(x, kernel, bias, slope=None, samples=1, skip=None, head=None):
         if len(head) != 2 or head[0].data.shape != head[1].data.shape[:1] + (cout, 1, 1) or head[1].data.ndim != 1:
             raise ConfigError(f"conv2d: head wants (C_h, {cout}, 1, 1) and (C_h,), got {[t.data.shape for t in head]}")
         if _recording:
-            return conv2d(conv2d(x, kernel, bias, slope, samples, skip), *head, samples=samples)
+            return conv2d(conv2d(x, kernel, bias, slope, samples, skip), *head, samples=samples, out=out)
     if skip is not None:
         skip = _as_tensor(skip)
         if skip.data.ndim != 3 or skip.data.shape[1:] != tuple(2 * n for n in x.data.shape[1:]) \
@@ -473,6 +478,10 @@ def conv2d(x, kernel, bias, slope=None, samples=1, skip=None, head=None):
         raise ConfigError(f"conv2d: input depth {x.data.shape[0]} does not match kernel depth {cin}")
     if bias.data.shape != (cout,):
         raise ConfigError(f"conv2d: bias shape {bias.data.shape} does not match {cout} output channels")
+    want = (len(head[1].data) if head else cout,) + (x.data if skip is None else skip.data).shape[1:]
+    if out is not None and (_recording or getattr(out, "shape", None) != want
+                            or out.dtype != np.float64 or not out.flags.c_contiguous):
+        raise ConfigError(f"conv2d: out= takes a C-contiguous float64 array of shape {want}, and no tape")
     grid = [(dy, dx) for dy in range(k) for dx in range(k)]
     y = None  # the latest output, an array: a closure over the output Tensor would be a cycle
 
@@ -480,7 +489,7 @@ def conv2d(x, kernel, bias, slope=None, samples=1, skip=None, head=None):
         nonlocal y
         y = _correlate(x.data, [(kernel.data[:, :, dy, dx], dy, dx) for dy, dx in grid], k, bias.data, slope,
                        samples, None if skip is None else skip.data,
-                       None if head is None else (head[0].data[:, :, 0, 0], head[1].data))
+                       None if head is None else (head[0].data[:, :, 0, 0], head[1].data), out)
         return y
 
     def bwd(g, acc):

@@ -3,8 +3,8 @@
 Subcommands: synth, train, embed, reveal, eval, robustness, cost,
 spectrogram.  Exit codes: 0 success, 1 usage/config error or a refused
 allocation ("out of memory"), 2 data/IO error, 3 numeric failure.  Before any
-work, an output file whose directory is missing exits 2 and a model too small
-for SSIM's window exits 1 where it would be scored.  Config files are flat
+work, an output file whose directory is missing or a path of the wrong kind exits 2
+and a model too small for SSIM's window exits 1 where it is scored.  Config files are flat
 key=value text ('#' comments); --set key=value flags override file values.
 """
 
@@ -50,10 +50,13 @@ def _load_config(args, base=None):
     return pipeline.parse_config_text("\n".join(args.set), base=cfg, source="--set")
 
 
-def _output_file(text):
-    """An output file's path, refused as the flags are parsed, before any work, unless its directory exists."""
-    if not Path(text).parent.is_dir():
+def _output_file(text, directory=False):
+    """An output's path, refused as the flags are parsed, before any work, if a file's directory is missing or the
+    path names what the output is not: a file is no directory, and a `directory` (made if missing) no file."""
+    if not (directory or Path(text).parent.is_dir()):
         raise DataError(f"{text}: directory {Path(text).parent} not found; nothing written")
+    if Path(text).exists() and Path(text).is_dir() != directory:
+        raise DataError(f"{text}: is {'not ' * directory}a directory; nothing written")
     return Path(text)
 
 
@@ -98,7 +101,8 @@ def _build_parser():
     p.add_argument("--modes", default=",".join(robustness.MODES))
     p.add_argument("--seed", type=int, default=0, help="seed of the random frame-dropout mode")
     p.add_argument("--out", type=_output_file, required=True)
-    p.add_argument("--dump-dir", type=Path, help="optionally dump revealed images per cell")
+    p.add_argument("--dump-dir", type=functools.partial(_output_file, directory=True),
+                   help="optionally dump revealed images per cell")
 
     p = subs.add_parser("cost", help="parameter/MAC cost table")
     _add_config_args(p)

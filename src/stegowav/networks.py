@@ -2,9 +2,9 @@
 
 Down path: conv+leaky ReLU -> 2x mean-pool per level; bottleneck conv+leaky
 ReLU; up path: conv+leaky ReLU over the nearest-upsampled input stacked with
-the skip (read straight into the conv's row tiles without a tape); a linear
-1x1 head, handed to the last decoder conv (run on its row tiles without a
-tape).  Each leaky ReLU runs in its conv's row tiles.  Channel
+the skip (read straight into the conv's row tiles without a tape, which write
+over it); a linear 1x1 head, handed to the last decoder conv (run on its row
+tiles without a tape).  Each leaky ReLU runs in its conv's row tiles.  Channel
 widths double per level from ``base_channels``.  A batch of B inputs runs as
 one (C, B*H, W) array, samples stacked along the rows, in every layer.  The
 layer schedule is the single source of truth shared by initialization,
@@ -100,10 +100,11 @@ def unet_forward(cfg, params, x, prefix, samples=1):
                     for s in layer_schedule(cfg)]
     skips, t = [], x
     for name, w, b in convs:
-        # a decoder conv reads its upsampled input and its skip, popped so that it is freed once read; the last
-        # one, dec0, runs the head too
-        t = ad.conv2d(t, w, b, LEAKY_SLOPE, samples, skips.pop() if name.startswith("dec") else None,
-                      head[1:] if name == "dec0" else None)
+        # a decoder conv reads its upsampled input and its skip, popped so that nothing else holds it; the last
+        # one, dec0, runs the head too, and each other one has its skip's shape: without a tape, it writes over it
+        skip = skips.pop() if name.startswith("dec") else None
+        t = ad.conv2d(t, w, b, LEAKY_SLOPE, samples, skip, head[1:] if name == "dec0" else None,
+                      None if skip is None or name == "dec0" or ad._recording else skip.data)
         if name.startswith("enc"):
             skips.append(t)
             t = ad.avg_pool2(t)

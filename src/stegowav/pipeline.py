@@ -360,6 +360,7 @@ def reveal_from_spectrogram(spec, bundle):
     if got != want:
         raise UsageError(f"spectrogram (config, sample rate, phase plane) {got} does not match the model's {want}")
     stack = {plane: getattr(spec, plane).reshape((-1,) + shape) for plane in planes}
+    del spec  # unless the caller holds it, a plane the model does not read (a magnitude model's phase) is freed
     image_hw = (cfg.image, cfg.image)
     out = np.empty((len(stack[planes[0]]), 3) + image_hw)
     per = max(1, _CHUNK_FLOATS // (len(planes) * shape[0] * shape[1]))

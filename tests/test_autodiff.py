@@ -395,6 +395,45 @@ def test_conv2d_skip_on_a_tape_records_upsample_concat():
     assert parents[0].op == "upsample_concat" and parents[1:] == (kernel, bias)
 
 
+# (samples, skip rows per sample, skip width): whole samples in one tile; rows of one sample in several tiles;
+# one-row tiles, shorter than a 5x5 kernel's 2 halo rows (8192 // (4096 + 4) = 1)
+OUT_CASES = {"whole": (3, 8, 8), "rows": (1, 64, 512), "narrow": (1, 8, 4096)}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_CASES))
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_conv2d_out_over_its_skip_gives_the_bytes_of_the_allocating_call(case, k):
+    samples, h, w = OUT_CASES[case]
+    rng = np.random.default_rng(k)
+    x, skip = rng.normal(size=(3, samples * h // 2, w // 2)), rng.normal(size=(2, samples * h, w))
+    kernel, bias = rng.normal(size=(2, 5, k, k)), rng.normal(size=2)
+    rows = [r for r, *_ in ad._row_tiles(x, k, samples, 2, skip)]
+    assert len(rows) == (1 if case == "whole" else -(-h // (8192 // (w + k - 1)))) > (case != "whole")
+    assert (rows[0].stop - rows[0].start < k // 2) == (case == "narrow" and k == 5)
+    before = skip.copy()
+    with ad.no_grad():
+        want = ad.conv2d(x, kernel, bias, 0.2, samples, skip).data
+        assert skip.tobytes() == before.tobytes()  # no out: the skip is only read
+        got = ad.conv2d(x, kernel, bias, 0.2, samples, skip, out=skip).data
+    assert got is skip and got.tobytes() == want.tobytes()
+
+
+def test_conv2d_out_is_refused_on_a_tape_or_in_another_shape():
+    rng = np.random.default_rng(4)
+    x, skip = ad.Tensor(rng.normal(size=(3, 4, 4))), rng.normal(size=(2, 8, 8))
+    kernel, bias, head = ad.Tensor(rng.normal(size=(2, 5, 3, 3))), ad.Tensor(np.zeros(2)), (np.ones((1, 2, 1, 1)), [0.0])
+    for kwargs in ({}, {"head": head}):
+        with pytest.raises(ConfigError, match="no tape"):
+            ad.conv2d(x, kernel, bias, 0.2, 1, skip, out=skip, **kwargs)
+    with ad.no_grad():
+        for out in (np.zeros((2, 8, 4)), skip.T, skip.astype(np.float32), skip[:, ::2, ::2]):
+            with pytest.raises(ConfigError, match=re.escape("(2, 8, 8)")):
+                ad.conv2d(x, kernel, bias, 0.2, 1, skip, out=out)
+        with pytest.raises(ConfigError, match=re.escape("(1, 8, 8)")):
+            ad.conv2d(x, kernel, bias, 0.2, 1, skip, head, out=skip)
+        assert ad.conv2d(x, kernel, bias, 0.2, 1, skip, head, out=np.zeros((1, 8, 8))).data.shape == (1, 8, 8)
+
+
 @pytest.mark.parametrize("tiling", [None] + sorted(TILINGS))  # None: the default tiles, whole samples here
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(cout=st.integers(1, 4), heads=st.integers(1, 3), k=st.sampled_from([1, 3]), samples=st.integers(1, 3),

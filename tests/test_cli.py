@@ -218,6 +218,26 @@ def test_output_file_in_a_missing_directory_is_refused_before_any_work(model_fil
     assert sorted(ws.rglob("*")) == before
 
 
+@pytest.mark.parametrize("case", sorted(_OUTPUT_CASES))
+def test_output_file_naming_a_directory_is_refused_before_any_work(model_files, capsys, case):
+    ws = model_files
+    (ws / "adir").mkdir()
+    before = sorted(ws.rglob("*"))
+    argv = [str(ws / "adir") if "/nodir/" in arg else arg for arg in _OUTPUT_CASES[case].format(w=ws).split()]
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {ws / 'adir'}: is a directory; nothing written\n")
+    assert sorted(ws.rglob("*")) == before
+
+
+def test_dump_dir_naming_a_file_is_refused_before_any_work(model_files, capsys):
+    ws = model_files
+    (ws / "afile").write_bytes(b"")
+    before = sorted(ws.rglob("*"))
+    assert run(f"robustness --model {ws}/m.pxw2 --data {ws}/p --out {ws}/s.csv --dump-dir {ws}/afile".split()) == 2
+    assert capsys.readouterr() == ("", f"error: {ws / 'afile'}: is not a directory; nothing written\n")
+    assert sorted(ws.rglob("*")) == before and (ws / "afile").read_bytes() == b""
+
+
 @pytest.mark.parametrize("command", ["eval", "robustness", "reveal"])
 def test_model_too_small_to_score_is_refused_before_any_work(workspace, capsys, monkeypatch, command):
     ws = workspace

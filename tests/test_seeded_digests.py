@@ -15,6 +15,7 @@ def test_manifest_of_one_desk_config_repeats(tmp_path):
     assert first == seeded_digests.manifest(tmp_path / "b", configs)
     assert sorted(first) == sorted(
         [f"replicate/{name}" for name in ("synth", "spectrogram.pgm", "checkpoint", "loss.csv", "stego.wav",
-                                          "revealed.ppm", "reveal_reference", "eval.csv", "eval_stdout")]
+                                          "embed_stdout", "revealed.ppm", "reveal_reference", "eval.csv",
+                                          "eval_stdout")]
         + ["sweep/sweep.csv", "sweep/dump", "cost/cost.csv", "cost/stdout"])
     assert all(len(digest) == 64 for digest in first.values())

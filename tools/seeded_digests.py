@@ -9,9 +9,11 @@ embedding methods, small and `large`; STFT `dual` and `phase`;
 `channels=1`, `kernel=5`, `depth=3`; soft-DTW): synth 3 pairs, train 6
 steps (batch 2, lr 0.005); for an untrained `paper_shape` model: synth 1
 pair.  Of each: the synth files (secret PPMs and cover WAVs), the
-`spectrogram` PGM of cover 0, the checkpoint, the loss CSV, the stego WAV and
-revealed PPM of pair 0, the `reveal --reference` metrics row, and an
-`eval --out` CSV written twice (header, row, row) with its standard output.
+`spectrogram` PGM of cover 0, the checkpoint and the loss CSV; of pair 0, the
+stego WAV, the `embed` standard output (its SNR and container distance, with
+the path it names taken out), the revealed PPM and the `reveal --reference`
+metrics row; and an `eval --out` CSV written twice (header, row, row) with its
+standard output.
 Then the sweep CSV and the dumped PPMs of the first configuration, and the
 `cost` CSV and text.
 """
@@ -77,12 +79,13 @@ def _model_outputs(work, keys):
     out = {"checkpoint": model, "loss.csv": work / "loss.csv", "stego.wav": work / "stego.wav",
            "revealed.ppm": work / "revealed.ppm"}
     _cli("train", *_sets(keys), "--data", pairs, "--out", model, "--log", out["loss.csv"])
-    _cli("embed", "--model", model, "--image", pairs / "secret_000.ppm", "--audio", pairs / "cover_000.wav",
-         "--out", out["stego.wav"])
+    embedded = _cli("embed", "--model", model, "--image", pairs / "secret_000.ppm", "--audio",
+                    pairs / "cover_000.wav", "--out", out["stego.wav"])
     printed = _cli("reveal", "--model", model, "--audio", out["stego.wav"], "--out", out["revealed.ppm"],
                    "--reference", pairs / "secret_000.ppm")
     digests = {name: _sha(path.read_bytes()) for name, path in out.items()}
     digests["reveal_reference"] = _sha("\n".join(printed.splitlines()[-2:]))  # the line before names the path
+    digests["embed_stdout"] = _sha(embedded.replace(str(out["stego.wav"]), "stego.wav"))
     return {f"{work.name}/{name}": digest for name, digest in digests.items()}
 
 
