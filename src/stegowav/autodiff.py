@@ -153,11 +153,12 @@ def reshape(a, shape):
 
 
 def _block_sums(a):
-    """Sums over 2x2 blocks of the trailing two axes, (a00 + a01) + (a10 + a11).
+    """Sums over 2x2 blocks of the trailing two axes, (a00 + a01) + (a10 + a11), added from quarter-size views.
 
     That is numpy's pairwise order: the bytes equal a reshape-sum if the width is >= 4."""
-    s = a[..., 0::2] + a[..., 1::2]
-    return s[..., 0::2, :] + s[..., 1::2, :]
+    s = a[..., 0::2, 0::2] + a[..., 0::2, 1::2]
+    s += a[..., 1::2, 0::2] + a[..., 1::2, 1::2]
+    return s
 
 
 def _upsample_into(a, out, odd=0):
@@ -204,7 +205,11 @@ def avg_pool2(a):
     def bwd(g, acc):
         acc(a, _upsample_into(g * 0.25, np.empty(a.data.shape)))
 
-    return _node("avg_pool2", (a,), lambda: _block_sums(a.data) * 0.25, bwd)
+    def fwd():
+        s = _block_sums(a.data)
+        return np.multiply(s, 0.25, out=s)
+
+    return _node("avg_pool2", (a,), fwd, bwd)
 
 
 def mean(a):
@@ -329,11 +334,13 @@ def merge(stack, w):
     return _node("merge", (stack, w), lambda: _weighted_rows(stack.data, w.data), bwd)
 
 
-_TILE_POSITIONS = 8192  # output positions per conv row tile: a tile's buffers stay cache-sized
+_TILE_POSITIONS = 4096  # output positions per correlation row tile: a tile's buffers stay cache-sized
+_GRAD_TILE_POSITIONS = 8192  # ... per kernel-gradient row tile: its sums over a tile's columns fix the trained bytes
 _TILE_FLOATS = 60_000  # floats of padded input and output up to which one tile holds several whole samples
+_PRODUCT_COLUMNS = 8  # tile products widen to a multiple: BLAS rounds the last n % 8 columns in another order
 
 
-def _row_tiles(src, k, samples=1, out_channels=0, skip=None):
+def _row_tiles(src, k, samples=1, out_channels=0, skip=None, positions=None):
     """Tiles of a 'same' k x k correlation over src (C, B*H, W), B = `samples` stacked along rows.
 
     With a skip (C', B*H, W), src is (C, B*H/2, W/2) and the input is src
@@ -342,8 +349,8 @@ def _row_tiles(src, k, samples=1, out_channels=0, skip=None):
 
     Yields (rows, n, flat, cells) per tile: the output row slice, the tile's n
     output positions, its input zero-padded by k//2 on each side (each sample
-    on its own) plus spare bottom rows, every channel flattened into one reused
-    buffer, and `cells`, which views a (C', n) tile array as the (C', S, rows, W)
+    on its own) plus spare bottom rows and _PRODUCT_COLUMNS spare floats, every channel flattened
+    into one reused buffer, and `cells`, which views a (C', n) tile array as the (C', S, rows, W)
     outputs of its S samples.  Tap (dy, dx) reads the contiguous window
     flat[:, o:o + n], o = dy*Wp + dx (Wp = W + k - 1).
 
@@ -351,7 +358,7 @@ def _row_tiles(src, k, samples=1, out_channels=0, skip=None):
     padded positions, stay within _TILE_FLOATS for several samples, a tile
     holds whole samples, their padded blocks one after another, and the output
     rows facing the 2*(k//2) halo rows of each block are cropped.  Otherwise a
-    tile holds about _TILE_POSITIONS output positions of one sample's rows, so
+    tile holds about `positions` (default _TILE_POSITIONS) output positions of one sample's rows, so
     with one sample every tile is the same; a later one moves the last one's bottom 2*(k//2) rows
     to its top, so no input row is read after the tile that outputs it: the output may overwrite the skip."""
     if skip is None:
@@ -370,10 +377,11 @@ def _row_tiles(src, k, samples=1, out_channels=0, skip=None):
     h, pad = total // samples, k // 2
     wp = w + 2 * pad
     per = max(1, min(samples, _TILE_FLOATS // ((c + out_channels) * (h + 2 * pad) * wp)))
-    step = h if per > 1 else max(1, min(h, _TILE_POSITIONS // wp))
+    step = h if per > 1 else max(1, min(h, (positions or _TILE_POSITIONS) // wp))
     block = step + 2 * pad
-    buf = np.zeros((c, per * block + 1 + (2 * pad if per > 1 else 0), wp))
-    flat = buf.reshape(c, -1)
+    height = per * block + 1 + (2 * pad if per > 1 else 0)
+    flat = np.zeros((c, height * wp + _PRODUCT_COLUMNS))
+    buf = flat[:, :height * wp].reshape(c, height, wp, copy=False)
     for s0 in range(0, samples, per):
         s = min(per, samples - s0)
         for r0 in range(0, h, step):
@@ -399,11 +407,14 @@ def _correlate(src, taps, k, bias, slope=None, samples=1, skip=None, head=None, 
     bias + sum of m @ window(dy, dx).
 
     `taps` lists (m, dy, dx), m (C_out, C_in), added in list order in a tile-sized
-    accumulator whose wrapped columns and rows between samples are cropped.  Over
-    one input channel m @ window is an outer product: a broadcast multiply gives
-    the same bytes, faster.  With a slope, each tile becomes max(acc, slope * acc)
-    before the crop: the bytes of np.where(acc > 0, acc, slope * acc) for 0 <= slope <= 1.  A head (w (C_h, C_out),
-    b (C_h,)) then maps each tile to b + w @ tile by the same rule; only that is written, into `out` if given."""
+    accumulator whose wrapped columns and rows between samples are cropped.  BLAS
+    rounds a product's last n % 8 columns in another order than the rest, so every
+    product is rounded up to a multiple of _PRODUCT_COLUMNS and the extra columns dropped:
+    an output's bits do not depend on the tiling.  Over one input channel m @ window
+    is an outer product: a broadcast multiply gives the same bytes, faster.  With a
+    slope, each tile becomes max(acc, slope * acc) before the crop: the bytes of
+    np.where(acc > 0, acc, slope * acc) for 0 <= slope <= 1.  A head (w (C_h, C_out), b (C_h,)) then maps
+    each tile to b + w @ tile by the same rule; only that is written, into `out` if given."""
     cout, cin = taps[0][0].shape
     extents = (src if skip is None else skip).shape[1:]
     wp = extents[1] + k - 1
@@ -411,16 +422,17 @@ def _correlate(src, taps, k, bias, slope=None, samples=1, skip=None, head=None, 
     heads = 0 if head is None else len(head[1])
     out, buffers = np.empty((heads or cout,) + extents) if out is None else out, None
     for rows, n, flat, cells in _row_tiles(src, k, samples, cout, skip):
-        buffers = buffers or tuple(np.empty((c, n)) for c in (cout, cout, heads))  # the first tile is the largest
-        acc, prod, top = (buffer[:, :n] for buffer in buffers)
+        wide = -(-n // _PRODUCT_COLUMNS) * _PRODUCT_COLUMNS
+        buffers = buffers or tuple(np.empty((c, wide)) for c in (cout, cout, heads))  # the first tile is the largest
+        acc, prod, top = (buffer[:, :wide] for buffer in buffers)
         acc[:] = bias[:, None]
         for m, dy, dx in taps:
             o = dy * wp + dx
-            np.add(acc, product(m, flat[:, o:o + n], out=prod), out=acc)
+            np.add(acc, product(m, flat[:, o:o + wide], out=prod), out=acc)
         acc = acc if slope is None else np.maximum(acc, np.multiply(acc, slope, out=prod), out=prod)
         if head is not None:
             acc = np.add(head[1][:, None], (np.multiply if cout == 1 else np.matmul)(head[0], acc, out=top), out=top)
-        tile = cells(acc)
+        tile = cells(acc[:, :n])
         out[:, rows].reshape(tile.shape, copy=False)[...] = tile
     return out
 
@@ -438,8 +450,7 @@ def conv2d(x, kernel, bias, slope=None, samples=1, skip=None, head=None, out=Non
     (C + C', B*2H, 2W) input is never built.  A head (kernel (C_h, C_out, 1, 1),
     bias (C_h,)) returns conv2d(y, *head, samples=samples), a U-Net's linear output:
     two conv2d nodes on a tape; without one each row tile of y goes through the head
-    in cache, and y is never built.  BLAS rounds a matmul's last few columns in another
-    order, so the two agree in every bit where both tilings round alike, as at the U-Net shapes.
+    in cache, and y is never built; the two agree in every bit, as any two tilings do (see :func:`_correlate`).
     Without a tape, `out` (numpy's meaning; a ConfigError on a tape) receives the output and may be the skip's data.
 
     No im2col buffer and no padded copy of the whole input are built: every
@@ -448,7 +459,9 @@ def conv2d(x, kernel, bias, slope=None, samples=1, skip=None, head=None, out=Non
     :func:`_correlate`, and so is the input gradient: the correlation of the
     output gradient with the flipped, transposed kernel, its taps added in the
     forward's order.  The kernel gradient adds, per tile and tap, the output
-    gradient (zero at the cropped positions) times the tap's input window.
+    gradient (zero at the cropped positions) times the tap's input window: a sum
+    over the tile's columns, whose bits depend on the tile, so its tiles keep
+    _GRAD_TILE_POSITIONS positions.
     """
     x, kernel, bias = _as_tensor(x), _as_tensor(kernel), _as_tensor(bias)
     if slope is not None and not 0.0 <= slope <= 1.0:
@@ -498,7 +511,7 @@ def conv2d(x, kernel, bias, slope=None, samples=1, skip=None, head=None, out=Non
             g = np.multiply(g, scaled, out=scaled)
         acc(bias, g.sum(axis=(1, 2)))
         dk, buffer, wp = np.zeros(kernel.data.shape), None, x.data.shape[2] + k - 1
-        for rows, n, flat, cells in _row_tiles(x.data, k, samples, cout):
+        for rows, n, flat, cells in _row_tiles(x.data, k, samples, cout, positions=_GRAD_TILE_POSITIONS):
             buffer = np.empty((cout, n)) if buffer is None else buffer
             gf = buffer[:, :n]
             gf[:] = 0

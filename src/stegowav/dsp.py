@@ -191,11 +191,25 @@ def _stft_bins(x, cfg):
     return np.fft.rfft(_frame_signal(x, cfg), axis=-1)[..., :cfg.freq_bins]
 
 
+def _stft_plane(zt, kind):
+    """The "stft_mag" or "stft_phase" plane of a transposed (..., F, T) spectrum, written straight into (..., F, T)
+    (np.angle is arctan2(imag, real))."""
+    plane = np.empty(zt.shape)
+    return np.abs(zt, out=plane) if kind == "stft_mag" else np.arctan2(zt.imag, zt.real, out=plane)
+
+
 def _istft_samples(mag, phase, cfg, num_samples):
-    # irfft zero-fills the dropped Nyquist bin
-    z = mag * np.exp(1j * phase)
-    frames = np.fft.irfft(z.swapaxes(-1, -2), n=cfg.frame_length, axis=-1)
-    return _overlap_add(frames, cfg, num_samples)
+    """(..., F, T) planes -> (..., L), a row at a time: each row's spectrum is built frame-major, so irfft reads
+    contiguous frames, and a phase plane that repeats one row (a stride-0 stack) becomes a phasor once.
+    irfft zero-fills the dropped Nyquist bin."""
+    out = np.empty(mag.shape[:-2] + (num_samples,))
+    phasor, z = (np.empty(mag.shape[:-3:-1], complex) for _ in range(2))
+    for i, row in enumerate(np.ndindex(mag.shape[:-2])):
+        if not i or any(phase.strides[:-2]):
+            np.exp(np.multiply(1j, phase[row].T, out=phasor), out=phasor)
+        frames = np.fft.irfft(np.multiply(mag[row].T, phasor, out=z), n=cfg.frame_length, axis=-1)
+        out[row] = _overlap_add(frames, cfg, num_samples)
+    return out
 
 
 @functools.lru_cache(maxsize=32)
@@ -269,10 +283,6 @@ def istdct_op(coeff, cfg, num_samples):
 def _stft_plane_op(kind, wave, cfg):
     """Shared body of stft_mag_op and stft_phase_op; `kind` names the plane."""
 
-    def fwd():
-        z = _stft_bins(wave.data, cfg)
-        return (np.abs(z) if kind == "stft_mag" else np.angle(z)).swapaxes(-1, -2).copy()
-
     def bwd(g, acc):
         z = _stft_bins(wave.data, cfg)
         phi, g = np.angle(z), g.swapaxes(-1, -2)
@@ -290,7 +300,7 @@ def _stft_plane_op(kind, wave, cfg):
         frames = np.fft.irfft(dz, n=cfg.frame_length, axis=-1) * cfg.frame_length
         acc(wave, _scatter_frames(frames, cfg, wave.data.shape[-1]))
 
-    return ad.register_op(kind, (wave,), fwd, bwd)
+    return ad.register_op(kind, (wave,), lambda: _stft_plane(_stft_bins(wave.data, cfg).swapaxes(-1, -2), kind), bwd)
 
 
 def stft_mag_op(wave, cfg):
@@ -320,8 +330,8 @@ def transform(w, cfg, kind):
     plane and has no phase.
     """
     if kind == "stft":
-        z = _stft_bins(w.samples, cfg)
-        magnitude, phase = np.abs(z).swapaxes(-1, -2).copy(), np.angle(z).swapaxes(-1, -2).copy()
+        zt = _stft_bins(w.samples, cfg).swapaxes(-1, -2)
+        magnitude, phase = _stft_plane(zt, "stft_mag"), _stft_plane(zt, "stft_phase")
     elif kind == "stdct":
         magnitude, phase = _dct(_frame_signal(w.samples, cfg)), None
     else:
@@ -330,7 +340,9 @@ def transform(w, cfg, kind):
 
 
 def inverse_transform(s):
-    """Overlap-add synthesis of `s`: (F, T) into (L,), (B, F, T) into (B, L); a dropped Nyquist bin reads as zero."""
+    """Overlap-add synthesis of `s`: (F, T) into (L,), (B, F, T) into (B, L); a dropped Nyquist bin reads as zero.
+
+    An STFT stack whose phase repeats one plane (np.broadcast_to, stride 0) turns it into a phasor once."""
     if s.phase is None:
         x = _overlap_add(_idct(s.magnitude), s.config, s.num_samples)
     else:

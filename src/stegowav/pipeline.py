@@ -3,9 +3,10 @@
 The transmitter, `run_pipeline`, follows the transmit-side picture: the
 secret image is prepared for the hiding network, pushed through it, arranged
 to container shape and residually added onto the cover's spectral plane(s);
-the inverse transform makes the stego waveform.  `embed` runs it alone; a
-training step (`_sample_loss`) joins it to the receiver, re-analysing the
-stego waveform on the tape and revealing from those planes as
+the inverse transform makes the stego waveform.  `embed` synthesises the
+stego and the cover's round trip (its SNR reference) in one call; a
+training step (`_sample_loss`) synthesises on the tape and joins the
+receiver, re-analysing the stego waveform and revealing from those planes as
 `reveal_from_spectrogram` does from a received waveform's transform.
 What the embedding method does on either side of each network is left to
 the four `embeddings` hooks, which read the model's config; no function here
@@ -282,12 +283,13 @@ def _cover_spectrogram(bundle, pairs):
 
 
 def run_pipeline(bundle, pairs):
-    """Build the differentiable transmitter for a batch of B pairs; `_sample_loss` joins it to the receiver.
+    """Build the differentiable transmitter for a batch of B pairs up to its stego planes; `_sample_loss`
+    synthesises them on the tape and joins the receiver, `embed` synthesises them beside the cover.
 
     Returns a dict with the trimmed covers as (B, L) rows, their one (B, F, T)
-    spectrogram, the cover and stego plane tensors (B, F, T) keyed by plane
+    spectrogram and the cover and stego plane tensors (B, F, T) keyed by plane
     name (every plane of the transform; only the active ones carry the
-    watermark) and the stego waveform tensor.
+    watermark).
     """
     cfg = bundle.cfg
     check_pairs(bundle, pairs)
@@ -298,20 +300,15 @@ def run_pipeline(bundle, pairs):
     stego_planes = dict(cover_planes)
     for plane, prefix in _net_prefixes(cfg, "hide").items():
         stego_planes[plane] = ad.add(cover_planes[plane], _hide_branch(bundle, secret_t, prefix, len(pairs)))
+    return {"cover": covers.samples, "spec": spec, "cover_planes": cover_planes, "stego_planes": stego_planes}
 
-    if cfg.transform == "stft":
-        stego_wave = istft_op(stego_planes["magnitude"], stego_planes["phase"],
-                              spec.config, spec.num_samples)
-    else:
-        stego_wave = istdct_op(stego_planes["magnitude"], spec.config, spec.num_samples)
 
-    return {
-        "cover": covers.samples,
-        "spec": spec,
-        "cover_planes": cover_planes,
-        "stego_planes": stego_planes,
-        "stego_wave": stego_wave,
-    }
+def _stego_wave(out):
+    """The (B, L) stego waveform tensor of `run_pipeline`'s stego planes, synthesised on the tape."""
+    spec, planes = out["spec"], out["stego_planes"]
+    if spec.phase is None:
+        return istdct_op(planes["magnitude"], spec.config, spec.num_samples)
+    return istft_op(planes["magnitude"], planes["phase"], spec.config, spec.num_samples)
 
 
 def _reveal_from_planes(bundle, planes):
@@ -326,11 +323,16 @@ def embed(secret, cover, bundle):
     the cover's transform round trip; if that is silent, it reads -inf for a sounding stego, +inf for a silent one."""
     with ad.no_grad():
         out = run_pipeline(bundle, [SamplePair(secret, cover)])
-    if not np.isfinite(out["stego_wave"].data).all():
-        raise NumericError("embed: the stego waveform holds NaN or Inf")
-    stego = dsp.Waveform(out["stego_wave"].data[0].copy(), cover.sample_rate)
-    base = dsp.inverse_transform(out["spec"]).samples[0]
-    pert = float(np.sqrt(sum(np.mean((out["stego_planes"][plane].data[0] - out["cover_planes"][plane].data[0]) ** 2)
+    covers, stegos = out["cover_planes"], out["stego_planes"]
+    # one synthesis of the rows [cover; stego]: a plane the model leaves as it is repeats one row (stride 0)
+    rows = {plane: np.broadcast_to(t.data, (2,) + t.data.shape[1:]) if stegos[plane] is t
+            else np.concatenate((t.data, stegos[plane].data)) for plane, t in covers.items()}
+    try:
+        both = dsp.inverse_transform(replace(out["spec"], magnitude=rows["magnitude"], phase=rows.get("phase")))
+    except UsageError:  # the Waveform refuses non-finite samples; the cover's row is finite
+        raise NumericError("embed: the stego waveform holds NaN or Inf") from None
+    base, stego = both.samples[0], dsp.Waveform(both.samples[1].copy(), cover.sample_rate)
+    pert = float(np.sqrt(sum(np.mean((stegos[plane].data[0] - covers[plane].data[0]) ** 2)
                              for plane in bundle.cfg.planes())))
     return stego, {"stego_snr_db": me.snr_db(base, stego.samples), "container_l2": pert}
 
@@ -534,15 +536,16 @@ def _sample_loss(bundle, pairs):
     """The batch loss of `pairs` under bundle.cfg: the mean of each pair's composite loss, and the mean terms."""
     cfg = bundle.cfg
     out = run_pipeline(bundle, pairs)
+    stego_wave = _stego_wave(out)
     # reveal from the re-analysed stego waveform, as the receiver does: this keeps training and inference on one
     # path and drives the hiding network toward transform-consistent watermarks
     ops = {"magnitude": stdct_fwd_op if cfg.transform == "stdct" else stft_mag_op, "phase": stft_phase_op}
-    revealed = _reveal_from_planes(bundle, {plane: ops[plane](out["stego_wave"], cfg.stft_config())
+    revealed = _reveal_from_planes(bundle, {plane: ops[plane](stego_wave, cfg.stft_config())
                                             for plane in cfg.planes()})
     planes = {plane: (out["cover_planes"][plane], out["stego_planes"][plane]) for plane in cfg.planes()}
     images = (3, len(pairs), -1)  # each sample's image as a column: its loss sums over axes 0 and 2
     return lo.composite_loss(cfg, ad.Tensor(_secret_images(pairs).reshape(images)),
-                             ad.reshape(revealed, images), ad.Tensor(out["cover"]), out["stego_wave"], planes)
+                             ad.reshape(revealed, images), ad.Tensor(out["cover"]), stego_wave, planes)
 
 
 def train(dataset, cfg, bundle=None):
@@ -618,13 +621,14 @@ def stego_spectrograms(bundle, dataset, what):
 def evaluate(bundle, dataset):
     """Mean `metrics.score_row` over a dataset (the `eval` row): `stego_spectrograms`, one batched reveal, one score."""
     cfg = bundle.cfg
-    stego, spec, diags = stego_spectrograms(bundle, dataset, "evaluate")
+    held = list(stego_spectrograms(bundle, dataset, "evaluate"))
+    revealed = reveal_from_spectrogram(held.pop(1), bundle)  # the only reference: the reveal frees unread planes
+    stego, diags = held
     covers = np.stack([pair.cover.samples[:cfg.required_samples()] for pair in dataset])
     with ad.no_grad():
         waves = lo.waveform_term(cfg, ad.Tensor(covers), ad.Tensor(stego.samples)).data
     with np.errstate(invalid="ignore"):  # a +inf pair and a -inf pair average to nan, which says so
         snr = float(np.mean([diag["stego_snr_db"] for diag in diags]))
-    revealed = reveal_from_spectrogram(spec, bundle)
     return me.score_row(cfg, np.stack([pair.secret for pair in dataset]), revealed, snr, np.mean(waves))
 
 

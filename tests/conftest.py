@@ -164,25 +164,27 @@ def conv2d_single_block(x, kernel, bias):
 
     `x` is zero-padded by k//2 on each side plus one spare row at the bottom
     and each channel flattened, so tap (dy, dx) reads the contiguous slice at
-    offset dy*Wp + dx, n = H*Wp long; the bias plus the tap products add up in
-    tap order, and the wrapped 2*(k//2) columns per row are cropped.
+    offset dy*Wp + dx, n = H*Wp long, rounded up to a multiple of 8 as conv2d
+    rounds its products (8 spare floats follow the padded channel); the bias plus
+    the tap products add up in tap order, and the extra columns and the wrapped
+    2*(k//2) columns per row are cropped.
     """
     cout, cin, k, _ = kernel.shape
     pad = k // 2
     _, h, w = x.shape
     hp, wp = h + 2 * pad + 1, w + 2 * pad
     n = h * wp
-    xp = np.zeros((cin, hp, wp))
-    xp[:, pad:pad + h, pad:pad + w] = x
-    xf = xp.reshape(cin, -1)
-    out = np.empty((cout, n))
-    prod = np.empty((cout, n))
+    n8 = -(-n // 8) * 8
+    xf = np.zeros((cin, hp * wp + 8))
+    xf[:, :hp * wp].reshape(cin, hp, wp)[:, pad:pad + h, pad:pad + w] = x
+    out = np.empty((cout, n8))
+    prod = np.empty((cout, n8))
     out[:] = bias[:, None]
     for dy in range(k):
         for dx in range(k):
             o = dy * wp + dx
-            np.add(out, np.matmul(kernel[:, :, dy, dx], xf[:, o:o + n], out=prod), out=out)
-    return out.reshape(cout, h, wp)[:, :, :w].copy()
+            np.add(out, np.matmul(kernel[:, :, dy, dx], xf[:, o:o + n8], out=prod), out=out)
+    return out[:, :n].reshape(cout, h, wp)[:, :, :w].copy()
 
 
 def block_sums_reshaped(a):

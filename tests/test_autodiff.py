@@ -294,11 +294,12 @@ TILINGS = {"one_row": lambda h: 1, "ragged": lambda h: h // 2 + 1}
 
 @contextlib.contextmanager
 def row_tiles(tiling, shape, k):
-    """Run conv2d (and its backward) in tiles of TILINGS[tiling] rows for inputs of `shape`."""
+    """Run conv2d and its backward (the kernel gradient too) in tiles of TILINGS[tiling] rows for inputs of `shape`."""
     _, h, w = shape
     rows = min(h, TILINGS[tiling](h))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ad, "_TILE_POSITIONS", rows * (w + k - 1))
+        mp.setattr(ad, "_GRAD_TILE_POSITIONS", rows * (w + k - 1))
         assert len(list(ad._row_tiles(np.zeros(shape), k))) == -(-h // rows)
         yield
 
@@ -396,7 +397,7 @@ def test_conv2d_skip_on_a_tape_records_upsample_concat():
 
 
 # (samples, skip rows per sample, skip width): whole samples in one tile; rows of one sample in several tiles;
-# one-row tiles, shorter than a 5x5 kernel's 2 halo rows (8192 // (4096 + 4) = 1)
+# one-row tiles, shorter than a 5x5 kernel's 2 halo rows (_TILE_POSITIONS // (4096 + 4) <= 1)
 OUT_CASES = {"whole": (3, 8, 8), "rows": (1, 64, 512), "narrow": (1, 8, 4096)}
 
 
@@ -408,7 +409,8 @@ def test_conv2d_out_over_its_skip_gives_the_bytes_of_the_allocating_call(case, k
     x, skip = rng.normal(size=(3, samples * h // 2, w // 2)), rng.normal(size=(2, samples * h, w))
     kernel, bias = rng.normal(size=(2, 5, k, k)), rng.normal(size=2)
     rows = [r for r, *_ in ad._row_tiles(x, k, samples, 2, skip)]
-    assert len(rows) == (1 if case == "whole" else -(-h // (8192 // (w + k - 1)))) > (case != "whole")
+    assert len(rows) == (1 if case == "whole" else -(-h // max(1, ad._TILE_POSITIONS // (w + k - 1)))) \
+        > (case != "whole")
     assert (rows[0].stop - rows[0].start < k // 2) == (case == "narrow" and k == 5)
     before = skip.copy()
     with ad.no_grad():
@@ -416,6 +418,39 @@ def test_conv2d_out_over_its_skip_gives_the_bytes_of_the_allocating_call(case, k
         assert skip.tobytes() == before.tobytes()  # no out: the skip is only read
         got = ad.conv2d(x, kernel, bias, 0.2, samples, skip, out=skip).data
     assert got is skip and got.tobytes() == want.tobytes()
+
+
+# the no-tape forward runs as each U-Net conv does: plain, with its leaky ReLU, as a decoder conv (writing over its
+# skip or not) and as dec0 with the linear head
+TILE_VARIANTS = {"plain": {}, "slope": {"slope": 0.2}, "skip": {"slope": 0.2, "skip": True},
+                 "out": {"slope": 0.2, "skip": True, "out": True}, "head": {"slope": 0.2, "skip": True, "head": True}}
+
+
+@pytest.mark.parametrize("variant", sorted(TILE_VARIANTS))
+@pytest.mark.parametrize("k", [1, 3, 5])
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(c=st.sampled_from([1, 2, 8, 16]), cout=st.sampled_from([1, 3, 8]), samples=st.integers(1, 2),
+       h=st.integers(8, 20), w=st.integers(260, 600), seed=st.integers(0, 2 ** 32 - 1))
+def test_conv2d_without_a_tape_gives_the_same_bytes_at_every_tile_size(variant, k, c, cout, samples, h, w, seed):
+    opts = TILE_VARIANTS[variant]
+    rng = np.random.default_rng(seed)
+    f = 2 if opts.get("skip") else 1  # a skip doubles the output extents over x's
+    x = rng.normal(size=(c, samples * h, w))
+    skip = rng.normal(size=(cout, samples * f * h, f * w)) if opts.get("skip") else None
+    kernel, bias = rng.normal(size=(cout, c + (0 if skip is None else cout), k, k)), rng.normal(size=cout)
+    head = (rng.normal(size=(2, cout, 1, 1)), rng.normal(size=2)) if opts.get("head") else None
+    got = {}
+    for positions in (2048, 3072, 4096, 8192):
+        with pytest.MonkeyPatch.context() as mp, ad.no_grad():
+            mp.setattr(ad, "_TILE_POSITIONS", positions)
+            mp.setattr(ad, "_TILE_FLOATS", 1)  # rows of one sample per tile, so the tile size decides
+            dst = None if skip is None else skip.copy()  # out= writes over it
+            tiles = len(list(ad._row_tiles(x, k, samples, cout, dst)))
+            y = ad.conv2d(x, kernel, bias, opts.get("slope"), samples, dst, head,
+                          out=dst if opts.get("out") else None).data
+            got[positions] = (tiles, y.tobytes())
+    assert got[2048][0] > got[8192][0] >= samples
+    assert len({y for _, y in got.values()}) == 1
 
 
 def test_conv2d_out_is_refused_on_a_tape_or_in_another_shape():
@@ -456,16 +491,14 @@ def test_conv2d_head_equals_a_1x1_conv2d_of_its_output(tiling, cout, heads, k, s
 
     with pytest.MonkeyPatch.context() as mp:
         if tiling:  # tiles of TILINGS[tiling] rows of one sample
-            mp.setattr(ad, "_TILE_POSITIONS", min(f * h, TILINGS[tiling](f * h)) * (f * w + k - 1))
+            for name in ("_TILE_POSITIONS", "_GRAD_TILE_POSITIONS"):
+                mp.setattr(ad, name, min(f * h, TILINGS[tiling](f * h)) * (f * w + k - 1))
             mp.setattr(ad, "_TILE_FLOATS", 1)
         with ad.no_grad():
             got, want = (build(*map(ad.Tensor, arrays)).data for build in (fused, separate))
-            y = ad.conv2d(*map(ad.Tensor, arrays[:3]), slope, samples, *map(ad.Tensor, arrays[5:])).data
-            scale = ad.conv2d(np.abs(y), np.abs(arrays[3]), np.abs(arrays[4]), samples=samples).data
-        # Not byte for byte: BLAS rounds the last few columns of a matmul (its last n % 4 for one output row)
-        # in another order than the rest, and a head tile's columns sit at other offsets than a 1x1 conv's.
-        # At the U-Net's shapes both tilings round alike: test_networks checks those bytes.
-        assert got.shape == want.shape and np.all(np.abs(got - want) <= 1e-15 * scale)
+        # byte for byte although a head tile's columns sit at other offsets than a 1x1 conv's: every tile
+        # product is rounded up to a multiple of 8 columns, so BLAS rounds each column alike
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
         # on a tape the head is a second conv2d node, with the gradients of the two calls
         for got, want in zip(*fused_and_oracle(fused, separate, arrays, g)):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -531,6 +564,7 @@ def conv_value_and_grads(x, kernel, bias, slope, g, samples=1):
 def test_stacked_conv2d_equals_per_sample_calls(cin, cout, k, h, w, samples, one_row_tiles, monkeypatch):
     if one_row_tiles:  # several tiles per sample: each sample's first tile must not see the one before
         monkeypatch.setattr(ad, "_TILE_POSITIONS", w + k - 1)
+        monkeypatch.setattr(ad, "_GRAD_TILE_POSITIONS", w + k - 1)
         monkeypatch.setattr(ad, "_TILE_FLOATS", 1)
     rng = np.random.default_rng(cin * cout + samples)
     xs, gs = rng.normal(size=(samples, cin, h, w)), rng.normal(size=(samples, cout, h, w))

@@ -129,6 +129,22 @@ def test_zero_hide_net_gives_transform_roundtrip():
     assert diag["container_l2"] == 0.0
 
 
+@pytest.mark.parametrize("overrides", [{}, {"transform": "stft"}, {"transform": "stft", "container": "phase"},
+                                       {"transform": "stft", "container": "dual"}])
+def test_embed_synthesises_stego_and_reference_as_two_separate_syntheses_would(overrides):
+    # embed synthesises [cover; stego] in one call, a plane the model leaves unchanged as one repeated row
+    cfg = pl.PipelineConfig(**overrides)
+    bundle = pl.build_model(cfg)
+    pair = tiny_pairs(cfg, 1)[0]
+    stego, diag = pl.embed(pair.secret, pair.cover, bundle)
+    with ad.no_grad():
+        out = pl.run_pipeline(bundle, [pair])
+        want = pl._stego_wave(out).data[0]
+    base = dsp.inverse_transform(out["spec"]).samples[0]
+    assert stego.samples.tobytes() == want.tobytes()
+    assert diag["stego_snr_db"] == me.snr_db(base, want)
+
+
 def test_silent_cover_snr_is_minus_inf_or_plus_inf():
     pair = tiny_pairs(DESK, 1)[0]
     silent = dsp.Waveform(np.zeros(DESK.required_samples()), DESK.sample_rate)
@@ -159,10 +175,11 @@ def test_run_pipeline_over_a_batch_matches_one_pair_calls_row_for_row(overrides)
     with ad.no_grad():
         batch = pl.run_pipeline(bundle, pairs)
         singles = [pl.run_pipeline(bundle, [pair]) for pair in pairs]
+        waves = [pl._stego_wave(out).data for out in [batch] + singles]  # the synthesis a training step records
     assert batch["cover"].shape == (4, cfg.required_samples())
     for i, single in enumerate(singles):
         assert batch["cover"][i].tobytes() == single["cover"][0].tobytes()
-        assert batch["stego_wave"].data[i].tobytes() == single["stego_wave"].data[0].tobytes()
+        assert waves[0][i].tobytes() == waves[i + 1][0].tobytes()
         for key in ("cover_planes", "stego_planes"):
             assert batch[key].keys() == single[key].keys()
             for plane, t in batch[key].items():
@@ -420,6 +437,21 @@ def test_reveal_peak_memory_is_bounded():
     # 256x128 container: 21.7 MiB without a tape; an im2col buffer per conv
     # and a tape kept until the end took 85.4 MiB
     assert peak < 40 * 2 ** 20
+
+
+def test_paper_scale_evaluate_hands_the_reveal_its_only_spectrogram():
+    # the reveal frees the stacked stego phase, which a magnitude model never reads, only if evaluate holds no
+    # reference to the spectrogram: 138.4 MiB traced while it did
+    cfg = pl.profile_config("paper_shape")
+    bundle = pl.build_model(cfg)
+    pairs = pl.synth_dataset(4, cfg=cfg, seed=5)
+    tracemalloc.start()
+    try:
+        pl.evaluate(bundle, pairs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 112 * 2 ** 20
 
 
 # -- training ---------------------------------------------------------------
